@@ -21,18 +21,31 @@ REASON_ZERO_RATING = "zero_rating"
 REASON_BELT_EXCLUDED = "belt_excluded"
 
 
+def permanent_exclusion(agent: Agent, admitted: Optional[frozenset] = None) -> Optional[str]:
+    """Return a reason code when the agent can never register, else None.
+
+    These reasons depend on the agent and the admission policy alone, never
+    on the task or the clock, so the event loop skips such an agent's
+    registration cycle instead of scanning tasks it must turn down.
+    """
+    if admitted is not None and agent.belt not in admitted:
+        return REASON_BELT_EXCLUDED
+    if agent.rating <= 0.0:
+        return REASON_ZERO_RATING
+    return None
+
+
 def registration_preconditions(
     agent: Agent, task: Task, cfg: RunConfig, admitted: Optional[frozenset] = None
 ) -> Optional[str]:
     """Return a reason code when the pair cannot register, else None."""
     if task.state not in REGISTRABLE_STATES:
         return REASON_NOT_REGISTRABLE
-    if admitted is not None and agent.belt not in admitted:
-        return REASON_BELT_EXCLUDED
+    reason = permanent_exclusion(agent, admitted)
+    if reason is not None:
+        return reason
     if len(agent.open_list) >= cfg.open_list_cap:
         return REASON_OPEN_LIST_FULL
-    if agent.rating <= 0.0:
-        return REASON_ZERO_RATING
     if not skills_match(agent.skills, task.skills, cfg.match_mode):
         return REASON_SKILL_MISMATCH
     if task.task_id in agent.open_list:

@@ -311,6 +311,14 @@ def validate_config(cfg: RunConfig) -> None:
         key = f"submit_follow_through_{belt}"
         _require(0.0 <= getattr(cfg, key) <= 1.0, key, "must be in [0, 1]")
     _require(0.0 <= cfg.quality_pass <= 100.0, "quality_pass", "must be in [0, 100]")
+    # the FPS forecast is linear in the submission ratio t in [0, 1], so it
+    # stays a probability exactly when both ends of the line do
+    _require(0.0 <= cfg.fps_intercept <= 1.0, "fps_intercept", "must be in [0, 1]")
+    _require(
+        0.0 <= cfg.fps_slope + cfg.fps_intercept <= 1.0,
+        "fps_slope",
+        "need 0 <= fps_slope + fps_intercept <= 1 so forecasts stay in [0, 1]",
+    )
     _require(cfg.repost_max >= 0, "repost_max", "must be non-negative")
     if cfg.admitted_belts is not None:
         _require(len(cfg.admitted_belts) > 0, "admitted_belts", "must not be empty")

@@ -239,7 +239,6 @@ class Task:
     state: TaskState = TaskState.ARRIVED
     registrants: list = field(default_factory=list)
     submissions: list = field(default_factory=list)
-    prediction: float = 0.0
     winner: Optional[int] = None
     failure_phase: Optional[str] = None
 
@@ -270,8 +269,6 @@ class Agent:
     skills: int
     recent_outcomes: deque = field(default_factory=lambda: deque(maxlen=15))
     open_list: list = field(default_factory=list)
-    wins: int = 0
-    submissions_made: int = 0
     # event-loop process state, owned by the engine
     pending: list = field(default_factory=list)
     sub_armed: bool = False

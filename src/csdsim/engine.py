@@ -4,6 +4,16 @@ Determinism contract: a run is a pure function of the config. All randomness
 flows through named substreams of the master seed, events tie-break FIFO by
 insertion order, and nothing fires past the horizon. Two runs with the same
 config produce byte-identical outputs and equal trace hashes.
+
+An agent that can never register (its belt is not admitted, or its rating
+is zero) still arrives and counts toward utilization, but gets no
+registration cycle. That cycle would draw only from the agent's own
+``registration/{aid}`` stream and reject every task, so skipping it moves
+no other draw and no outcome. It does remove events, so for belt-gated
+configs ``trace_hash`` and ``events_processed`` (the trace-hash and events
+lines of ``report.txt``) differ from csdsim 0.1.0; every CSV is unchanged.
+Per-agent streams are created on first use, which string seeding makes
+independent of creation order.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from typing import Optional
 from .agents import (
     decide_register,
     decide_submit,
+    permanent_exclusion,
     registration_engagement,
     registration_preconditions,
     score_submission,
@@ -245,9 +256,6 @@ class Simulation:
         skill_rng = self.streams.get("skills")
         for aid, when in enumerate(arrivals):
             agent = spawn_agent(aid, when, exp_rng, skill_rng, self.cfg, self.belt_table)
-            agent.reg_rng = self.streams.get(f"registration/{aid}")
-            agent.sub_rng = self.streams.get(f"submission/{aid}")
-            agent.quality_rng = self.streams.get(f"quality/{aid}")
             self.agents[aid] = agent
             self.schedule(when, EV_AGENT_START, aid)
 
@@ -292,7 +300,6 @@ class Simulation:
         return compute_fps(self.current_tsr(), self.cfg.fps_slope, self.cfg.fps_intercept)
 
     def _record_prediction(self, task: Task, phase: str, value: float) -> None:
-        task.prediction = value
         self.predictions.append((task.task_id, self.clock.now, phase, value))
         self.latest_prediction[(task.task_id, phase)] = value
 
@@ -307,7 +314,10 @@ class Simulation:
 
     def _on_agent_start(self, aid: int) -> None:
         agent = self.agents[aid]
-        self.active.append(aid)
+        self.active.append(aid)  # counted in utilization even if it never registers
+        if permanent_exclusion(agent, self.admitted) is not None:
+            return
+        agent.reg_rng = self.streams.get(f"registration/{aid}")
         gap = agent.reg_rng.expovariate(self.cfg.reg_rate_per_day)
         self.schedule(self.clock.now + gap, EV_REG_ATTEMPT, aid)
 
@@ -371,6 +381,8 @@ class Simulation:
         )
         self._record_prediction(task, "registration", fpr)
         if not agent.sub_armed:
+            if agent.sub_rng is None:
+                agent.sub_rng = self.streams.get(f"submission/{agent.agent_id}")
             gap = agent.sub_rng.expovariate(self.cfg.sub_rate_per_day)
             self.schedule(self.clock.now + gap, EV_SUB_ATTEMPT, agent.agent_id)
             agent.sub_armed = True
@@ -404,9 +416,10 @@ class Simulation:
             self._move(task, TaskState.SUBMITTED)
             self.state.submitted_total += 1
             self._pool_remove(task.task_id)  # registration closes with the first submission
+        if agent.quality_rng is None:
+            agent.quality_rng = self.streams.get(f"quality/{agent.agent_id}")
         score, qualified = score_submission(agent.quality_rng.random(), self.cfg.quality_pass)
         task.submissions.append(Submission(agent.agent_id, self.clock.now, score, qualified))
-        agent.submissions_made += 1
         self.sub_by_belt[agent.belt] += 1
         if task.focal:
             self.focal_sub_by_belt[agent.belt] += 1
@@ -440,7 +453,6 @@ class Simulation:
         self.transition_counts[(before, task.state)] += 1
         if winner is not None:
             self.state.completed_total += 1
-            self.agents[winner.agent_id].wins += 1
         else:
             self.state.failed_review_total += 1
             self.state.failed_total += 1

@@ -17,6 +17,7 @@ from csdsim.agents import (
     decide_register,
     decide_submit,
     determine_winner,
+    permanent_exclusion,
     pool_crowding_factor,
     preference_weight,
     registration_engagement,
@@ -121,6 +122,24 @@ def test_registration_preconditions_reason_codes():
 
     repeat = make_agent(open_list=[task.task_id])
     assert registration_preconditions(repeat, task, cfg) == REASON_ALREADY_REGISTERED
+
+
+@pytest.mark.parametrize(
+    "belt,rating,admitted,expected",
+    [
+        ("gray", 500.0, None, None),
+        ("gray", 500.0, frozenset({"yellow", "red"}), REASON_BELT_EXCLUDED),
+        ("red", 2500.0, frozenset({"yellow", "red"}), None),
+        ("gray", 0.0, None, REASON_ZERO_RATING),
+        ("red", 0.0, frozenset({"yellow", "red"}), REASON_ZERO_RATING),
+        ("gray", 0.0, frozenset({"red"}), REASON_BELT_EXCLUDED),  # belt checked first
+    ],
+)
+def test_permanent_exclusion_rows(belt, rating, admitted, expected):
+    agent = make_agent(belt=belt, rating=rating)
+    assert permanent_exclusion(agent, admitted) == expected
+    # any registrable task then turns the agent down for the same reason
+    assert registration_preconditions(agent, make_task(), CFG, admitted) == expected
 
 
 def test_preference_weight_novelty_branch():

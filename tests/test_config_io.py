@@ -139,6 +139,8 @@ def test_bad_value_reports_key():
         "openness_gate=2.0",
         "sub_product_threshold=-0.1",
         "submit_follow_through_gray=1.5",
+        "fps_slope=-1",  # forecasts would go negative as the ratio rises
+        "fps_intercept=-0.01",
     ],
 )
 def test_validation_errors_name_the_key(override):

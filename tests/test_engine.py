@@ -1,12 +1,14 @@
 """Event loop mechanics, determinism, and run-level invariants."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from csdsim import ModelInvariantError, RunConfig, TaskState, run_replication
 from csdsim.domain import LEGAL_TRANSITIONS, TERMINAL_STATES
-from csdsim.engine import FutureEventList, RngStreams, SimClock, Simulation
+from csdsim.engine import EV_REG_ATTEMPT, FutureEventList, RngStreams, SimClock, Simulation
 
 
 def run_sim(cfg):
@@ -228,3 +230,77 @@ def test_belt_gate_shuts_out_other_belts(tiny_cfg):
     cfg = dataclasses.replace(tiny_cfg, admitted_belts=("yellow", "red"))
     _, result = run_sim(cfg)
     assert set(result.reg_by_belt) <= {"yellow", "red"}
+
+
+class RecordingStreams(RngStreams):
+    """RngStreams that remembers every name asked for."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.names = set()
+
+    def get(self, name):
+        self.names.add(name)
+        return super().get(name)
+
+
+class RecordingSimulation(Simulation):
+    """Simulation that remembers every accepted (kind, subject) it schedules."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.streams = RecordingStreams(cfg.seed)
+        self.scheduled = []
+
+    def schedule(self, time, kind, subject):
+        accepted = super().schedule(time, kind, subject)
+        if accepted:
+            self.scheduled.append((kind, subject))
+        return accepted
+
+
+def test_agents_that_can_never_register_get_no_cycle(tiny_cfg):
+    cfg = dataclasses.replace(tiny_cfg, admitted_belts=("yellow", "red"))
+    sim = RecordingSimulation(cfg)
+    sim.run()
+    excluded = {aid for aid, a in sim.agents.items() if a.belt not in cfg.admitted_belts}
+    admitted = set(sim.agents) - excluded
+    assert excluded and admitted
+    attempted = {subject for kind, subject in sim.scheduled if kind == EV_REG_ATTEMPT}
+    assert attempted and not attempted & excluded
+    assert not {f"registration/{aid}" for aid in excluded} & sim.streams.names
+
+
+def test_daily_total_agents_counts_every_arrival(tiny_cfg):
+    gated = dataclasses.replace(tiny_cfg, admitted_belts=("yellow", "red"))
+    sim, result = run_sim(gated)
+    arrivals = [agent.arrival for agent in sim.agents.values()]
+    for row in result.daily:
+        assert row["total_agents"] == sum(1 for t in arrivals if t <= row["day"])
+
+
+def decision_digest(result):
+    payload = {
+        "task_log": result.task_log,
+        "predictions": result.predictions,
+        "daily": result.daily,
+        "focal": result.focal,
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded with csdsim 0.1.0, which ran a registration cycle for every agent.
+@pytest.mark.parametrize(
+    "admitted,digest",
+    [
+        (None, "2d9ceafb124196b3f5b83109a588b4adab62d4a64a2be1891fd50aab2f10669f"),
+        (
+            ("yellow", "red"),
+            "8f5e7c97c1c4760012d5f96f119b6dedbf014603f0106cbf9bb08ff9874e6ec8",
+        ),
+    ],
+)
+def test_outcomes_match_recorded_digests(tiny_cfg, admitted, digest):
+    cfg = dataclasses.replace(tiny_cfg, focal_enabled=True, admitted_belts=admitted)
+    assert decision_digest(run_replication(cfg)) == digest

@@ -162,6 +162,13 @@ def test_cli_bad_config_key_exits_one(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_cli_fps_line_leaving_unit_interval_exits_one(tmp_path, capsys):
+    code = main(["run", "--out", str(tmp_path / "x"), *TINY_OVERRIDES, "--set", "fps_slope=-1"])
+    assert code == 1
+    assert "fps_slope" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "task_predictions.csv").exists()
+
+
 def test_cli_bad_history_exits_two(tmp_path, capsys):
     history = tmp_path / "history.csv"
     history.write_text(
