@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, follow_through_by_belt
 
 
 class ModelInvariantError(Exception):
@@ -67,10 +67,6 @@ REGISTRABLE_STATES = frozenset({TaskState.ARRIVED, TaskState.REGISTERED})
 SUBMITTABLE_STATES = frozenset({TaskState.REGISTERED, TaskState.SUBMITTED})
 
 FAILURE_STATES = frozenset({TaskState.FAILED, TaskState.STARVED, TaskState.DROPPED})
-
-
-def is_terminal(state: TaskState) -> bool:
-    return state in TERMINAL_STATES
 
 
 def can_transition(current: TaskState, target: TaskState) -> bool:
@@ -184,9 +180,18 @@ def load_belt_table(path: str) -> BeltTable:
 
 
 def resolve_belt_table(cfg: RunConfig) -> BeltTable:
-    if cfg.belt_table_path:
-        return load_belt_table(cfg.belt_table_path)
-    return DEFAULT_BELT_TABLE
+    """The active belt table; every belt in it needs a follow-through key."""
+    if not cfg.belt_table_path:
+        return DEFAULT_BELT_TABLE
+    table = load_belt_table(cfg.belt_table_path)
+    known = follow_through_by_belt(cfg)
+    missing = [belt for belt in table.names() if belt not in known]
+    if missing:
+        raise ConfigError(
+            f"belt_table_path: belts {', '.join(missing)} in {cfg.belt_table_path} "
+            f"have no submit_follow_through_<belt> key (known: {', '.join(known)})"
+        )
+    return table
 
 
 def skills_to_mask(tags, vocabulary) -> int:

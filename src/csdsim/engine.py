@@ -1,19 +1,29 @@
-"""Discrete-event core: clock, future event list, RNG streams, one replication.
+"""Discrete-event core: RNG streams and one replication.
 
 Determinism contract: a run is a pure function of the config. All randomness
 flows through named substreams of the master seed, events tie-break FIFO by
 insertion order, and nothing fires past the horizon. Two runs with the same
 config produce byte-identical outputs and equal trace hashes.
 
+The clock and the future event list live on ``Simulation``: ``now`` is the
+clock in fractional days, and a plain ``heapq`` list holds
+``(time, seq, kind, subject)`` entries, where ``seq`` gives FIFO ties.
+``trace_hash`` is a 16-byte BLAKE2b digest over one packed ``TRACE_RECORD``
+per processed event, in processing order: the event time as a little-endian
+float64, the kind code as a uint8 (the kind's index in
+``Simulation._HANDLERS``) and the subject as an int64, 17 bytes in all
+(``struct`` format ``<dBq``). csdsim 0.1.0 hashed a text line per event
+instead, so every ``trace_hash`` differs from it; the events are the same.
+
 An agent that can never register (its belt is not admitted, or its rating
 is zero) still arrives and counts toward utilization, but gets no
 registration cycle. That cycle would draw only from the agent's own
 ``registration/{aid}`` stream and reject every task, so skipping it moves
 no other draw and no outcome. It does remove events, so for belt-gated
-configs ``trace_hash`` and ``events_processed`` (the trace-hash and events
-lines of ``report.txt``) differ from csdsim 0.1.0; every CSV is unchanged.
-Per-agent streams are created on first use, which string seeding makes
-independent of creation order.
+configs ``events_processed`` (the events line of ``report.txt``) differs
+from csdsim 0.1.0 and the trace hash covers fewer events; every CSV is
+unchanged. Per-agent streams are created on first use, which string seeding
+makes independent of creation order.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -69,7 +80,8 @@ from .platform import (
     utilization,
 )
 
-# Event kinds, in no particular order; FIFO sequencing handles same-time ties.
+# Event kinds; FIFO sequencing handles same-time ties. A kind's trace code is
+# its index in ``Simulation._HANDLERS``.
 EV_TASK_ARRIVAL = "task_arrival"
 EV_AGENT_START = "agent_start"
 EV_REG_ATTEMPT = "reg_attempt"
@@ -79,45 +91,8 @@ EV_REVIEW = "review"
 EV_FOCAL = "focal"
 EV_DAILY = "daily"
 
-
-class SimClock:
-    """Monotone clock in fractional days."""
-
-    __slots__ = ("now", "horizon")
-
-    def __init__(self, horizon: float):
-        self.now = 0.0
-        self.horizon = horizon
-
-    def advance(self, t: float) -> None:
-        if t < self.now:
-            raise ModelInvariantError(f"clock moved backwards: {self.now} -> {t}")
-        self.now = t
-
-
-class FutureEventList:
-    """Min-heap of (time, seq, kind, subject); seq gives FIFO ties."""
-
-    __slots__ = ("_heap", "_seq", "horizon")
-
-    def __init__(self, horizon: float):
-        self._heap = []
-        self._seq = 0
-        self.horizon = horizon
-
-    def push(self, time: float, kind: str, subject: int) -> bool:
-        # nothing is allowed to fire past the horizon
-        if time > self.horizon:
-            return False
-        heapq.heappush(self._heap, (time, self._seq, kind, subject))
-        self._seq += 1
-        return True
-
-    def pop(self):
-        return heapq.heappop(self._heap)
-
-    def __len__(self):
-        return len(self._heap)
+# One trace record per processed event: time, kind code, subject.
+TRACE_RECORD = struct.Struct("<dBq")
 
 
 class RngStreams:
@@ -184,8 +159,9 @@ class Simulation:
         self.cfg = cfg
         self.belt_table = belt_table if belt_table is not None else resolve_belt_table(cfg)
         self.streams = RngStreams(cfg.seed)
-        self.clock = SimClock(cfg.horizon_days)
-        self.fel = FutureEventList(cfg.horizon_days)
+        self.now = 0.0  # fractional days
+        self._heap: list = []  # (time, seq, kind, subject); seq gives FIFO ties
+        self._seq = 0
         self.state = PlatformState()
         self.tasks: dict = {}
         self.agents: dict = {}
@@ -272,11 +248,16 @@ class Simulation:
     # ------------------------------------------------------------- plumbing
 
     def schedule(self, time: float, kind: str, subject: int) -> bool:
-        if time < self.clock.now:
+        if time < self.now:
             raise ModelInvariantError(
-                f"event {kind} scheduled in the past: {time} < {self.clock.now}"
+                f"event {kind} scheduled in the past: {time} < {self.now}"
             )
-        return self.fel.push(time, kind, subject)
+        # nothing is allowed to fire past the horizon
+        if time > self.cfg.horizon_days:
+            return False
+        heapq.heappush(self._heap, (time, self._seq, kind, subject))
+        self._seq += 1
+        return True
 
     def _pool_add(self, task: Task) -> None:
         self._pool_pos[task.task_id] = len(self.pool)
@@ -300,7 +281,7 @@ class Simulation:
         return compute_fps(self.current_tsr(), self.cfg.fps_slope, self.cfg.fps_intercept)
 
     def _record_prediction(self, task: Task, phase: str, value: float) -> None:
-        self.predictions.append((task.task_id, self.clock.now, phase, value))
+        self.predictions.append((task.task_id, self.now, phase, value))
         self.latest_prediction[(task.task_id, phase)] = value
 
     # ------------------------------------------------------------- handlers
@@ -319,14 +300,14 @@ class Simulation:
             return
         agent.reg_rng = self.streams.get(f"registration/{aid}")
         gap = agent.reg_rng.expovariate(self.cfg.reg_rate_per_day)
-        self.schedule(self.clock.now + gap, EV_REG_ATTEMPT, aid)
+        self.schedule(self.now + gap, EV_REG_ATTEMPT, aid)
 
     def _on_reg_attempt(self, aid: int) -> None:
         agent = self.agents[aid]
         rng = agent.reg_rng
         # keep the cycle alive first so the per-attempt draw order is stable
         gap = rng.expovariate(self.cfg.reg_rate_per_day)
-        self.schedule(self.clock.now + gap, EV_REG_ATTEMPT, aid)
+        self.schedule(self.now + gap, EV_REG_ATTEMPT, aid)
         for _ in range(self.scan_count):
             size = len(self.pool)
             if size == 0:
@@ -384,7 +365,7 @@ class Simulation:
             if agent.sub_rng is None:
                 agent.sub_rng = self.streams.get(f"submission/{agent.agent_id}")
             gap = agent.sub_rng.expovariate(self.cfg.sub_rate_per_day)
-            self.schedule(self.clock.now + gap, EV_SUB_ATTEMPT, agent.agent_id)
+            self.schedule(self.now + gap, EV_SUB_ATTEMPT, agent.agent_id)
             agent.sub_armed = True
 
     def _on_sub_attempt(self, aid: int) -> None:
@@ -394,11 +375,11 @@ class Simulation:
             return
         rng = agent.sub_rng
         gap = rng.expovariate(self.cfg.sub_rate_per_day)
-        self.schedule(self.clock.now + gap, EV_SUB_ATTEMPT, aid)
+        self.schedule(self.now + gap, EV_SUB_ATTEMPT, aid)
         # one-shot: whichever task is picked is decided now, submit or not
         index = int(rng.random() * len(agent.pending))
         task = self.tasks[agent.pending.pop(index)]
-        if task.state not in SUBMITTABLE_STATES or self.clock.now >= task.deadline:
+        if task.state not in SUBMITTABLE_STATES or self.now >= task.deadline:
             return
         if rng.random() >= self.follow_through[agent.belt]:
             return
@@ -419,7 +400,7 @@ class Simulation:
         if agent.quality_rng is None:
             agent.quality_rng = self.streams.get(f"quality/{agent.agent_id}")
         score, qualified = score_submission(agent.quality_rng.random(), self.cfg.quality_pass)
-        task.submissions.append(Submission(agent.agent_id, self.clock.now, score, qualified))
+        task.submissions.append(Submission(agent.agent_id, self.now, score, qualified))
         self.sub_by_belt[agent.belt] += 1
         if task.focal:
             self.focal_sub_by_belt[agent.belt] += 1
@@ -440,7 +421,7 @@ class Simulation:
             self._finalize(task)
         elif task.state is TaskState.SUBMITTED:
             self._move(task, TaskState.PEER_REVIEW)
-            self.schedule(self.clock.now, EV_REVIEW, tid)
+            self.schedule(self.now, EV_REVIEW, tid)
         else:
             raise ModelInvariantError(
                 f"deadline fired on task {tid} in state {task.state.value}"
@@ -477,18 +458,18 @@ class Simulation:
             and task.state in FAILURE_STATES
             and not task.focal
             and task.repost_count < self.cfg.repost_max
-            and self.clock.now < self.cfg.horizon_days
+            and self.now < self.cfg.horizon_days
         ):
             attr_rng = self.streams.get("attraction")
             clone = repost(
                 task,
-                self.clock.now,
+                self.now,
                 self._take_task_id(),
                 attr_rng.random() < self.cfg.attraction_rate,
             )
             self.tasks[clone.task_id] = clone
             self.state.reposted_total += 1
-            self.schedule(self.clock.now, EV_TASK_ARRIVAL, clone.task_id)
+            self.schedule(self.now, EV_TASK_ARRIVAL, clone.task_id)
         if self.cfg.check_invariants:
             self._check_counters()
 
@@ -504,7 +485,7 @@ class Simulation:
             "sub_by_belt": Counter(self.focal_sub_by_belt),
             "final_fpr": self.latest_prediction.get((task.task_id, "registration"), 0.0),
             "final_fps": self.latest_prediction.get((task.task_id, "submission"), 0.0),
-            "resolved_at": self.clock.now,
+            "resolved_at": self.now,
         }
 
     def _log_row(self, task: Task) -> dict:
@@ -541,7 +522,7 @@ class Simulation:
                 similarity = (self.cfg.similarity_low + self.cfg.similarity_high) / 2.0
         task = Task(
             task_id=self._take_task_id(),
-            arrival=self.clock.now,
+            arrival=self.now,
             duration=self.cfg.focal_duration,
             similarity=similarity,
             award=self.cfg.focal_award,
@@ -551,7 +532,7 @@ class Simulation:
         )
         self.tasks[task.task_id] = task
         self.focal_id = task.task_id
-        self.schedule(self.clock.now, EV_TASK_ARRIVAL, task.task_id)
+        self.schedule(self.now, EV_TASK_ARRIVAL, task.task_id)
 
     def _on_daily(self, day: int) -> None:
         busy = sum(1 for aid in self.active if self.agents[aid].open_list)
@@ -576,6 +557,7 @@ class Simulation:
 
     # ------------------------------------------------------------- run
 
+    # The order fixes each kind's trace code; reordering moves every trace hash.
     _HANDLERS = {
         EV_TASK_ARRIVAL: "_on_task_arrival",
         EV_AGENT_START: "_on_agent_start",
@@ -589,16 +571,23 @@ class Simulation:
 
     def run(self) -> ReplicationResult:
         self.setup()
-        handlers = {kind: getattr(self, name) for kind, name in self._HANDLERS.items()}
-        fel = self.fel
-        clock = self.clock
-        trace = self._trace
-        while len(fel):
-            time, _seq, kind, subject = fel.pop()
-            clock.advance(time)
-            trace.update(f"{time!r}|{kind}|{subject}\n".encode())
+        dispatch = {
+            kind: (code, getattr(self, name))
+            for code, (kind, name) in enumerate(self._HANDLERS.items())
+        }
+        heap = self._heap
+        pop = heapq.heappop
+        pack = TRACE_RECORD.pack
+        update = self._trace.update
+        while heap:
+            time, _seq, kind, subject = pop(heap)
+            if time < self.now:
+                raise ModelInvariantError(f"clock moved backwards: {self.now} -> {time}")
+            self.now = time
+            code, handler = dispatch[kind]
+            update(pack(time, code, subject))
             self._events += 1
-            handlers[kind](subject)
+            handler(subject)
         in_flight = self.state.arrived_total - self._resolved
         for task in self.tasks.values():
             if task.state not in (

@@ -3,12 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import struct
 
 import pytest
 
 from csdsim import ModelInvariantError, RunConfig, TaskState, run_replication
 from csdsim.domain import LEGAL_TRANSITIONS, TERMINAL_STATES
-from csdsim.engine import EV_REG_ATTEMPT, FutureEventList, RngStreams, SimClock, Simulation
+from csdsim.engine import EV_DAILY, EV_REG_ATTEMPT, RngStreams, Simulation
 
 
 def run_sim(cfg):
@@ -20,28 +21,43 @@ def run_sim(cfg):
 # -------------------------------------------------------------- primitives
 
 
-def test_clock_refuses_to_move_backwards():
-    clock = SimClock(60.0)
-    clock.advance(5.0)
-    clock.advance(5.0)  # standing still is fine
+class ScriptedSimulation(Simulation):
+    """Simulation that schedules a fixed script of daily events and records them."""
+
+    def __init__(self, cfg, script):
+        super().__init__(cfg)
+        self.script = script
+        self.accepted = []
+        self.handled = []
+
+    def setup(self):
+        self.accepted = [self.schedule(time, EV_DAILY, subject) for time, subject in self.script]
+
+    def _on_daily(self, day):
+        self.handled.append((self.now, day))
+
+
+def test_schedule_refuses_the_past(tiny_cfg):
+    sim = Simulation(tiny_cfg)
+    sim.now = 5.0
+    assert sim.schedule(5.0, EV_DAILY, 1) is True  # standing still is fine
     with pytest.raises(ModelInvariantError):
-        clock.advance(4.999)
+        sim.schedule(4.999, EV_DAILY, 2)
 
 
-def test_fel_drops_events_past_horizon():
-    fel = FutureEventList(60.0)
-    assert fel.push(60.0, "x", 1) is True
-    assert fel.push(60.000001, "x", 2) is False
-    assert len(fel) == 1
+def test_schedule_drops_events_past_horizon(tiny_cfg):
+    horizon = tiny_cfg.horizon_days
+    sim = ScriptedSimulation(tiny_cfg, [(horizon, 1), (horizon + 0.000001, 2)])
+    result = sim.run()
+    assert sim.accepted == [True, False]
+    assert sim.handled == [(horizon, 1)]
+    assert result.events_processed == 1
 
 
-def test_fel_orders_by_time_then_fifo():
-    fel = FutureEventList(10.0)
-    fel.push(2.0, "b", 1)
-    fel.push(1.0, "a", 2)
-    fel.push(2.0, "c", 3)
-    popped = [fel.pop()[2] for _ in range(3)]
-    assert popped == ["a", "b", "c"]
+def test_events_run_by_time_then_fifo(tiny_cfg):
+    sim = ScriptedSimulation(tiny_cfg, [(2.0, 1), (1.0, 2), (2.0, 3)])
+    sim.run()
+    assert sim.handled == [(1.0, 2), (2.0, 1), (2.0, 3)]
 
 
 def test_rng_streams_are_independent_and_reproducible():
@@ -245,7 +261,7 @@ class RecordingStreams(RngStreams):
 
 
 class RecordingSimulation(Simulation):
-    """Simulation that remembers every accepted (kind, subject) it schedules."""
+    """Simulation that remembers every accepted (time, kind, subject) it schedules."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -255,7 +271,7 @@ class RecordingSimulation(Simulation):
     def schedule(self, time, kind, subject):
         accepted = super().schedule(time, kind, subject)
         if accepted:
-            self.scheduled.append((kind, subject))
+            self.scheduled.append((time, kind, subject))
         return accepted
 
 
@@ -266,9 +282,32 @@ def test_agents_that_can_never_register_get_no_cycle(tiny_cfg):
     excluded = {aid for aid, a in sim.agents.items() if a.belt not in cfg.admitted_belts}
     admitted = set(sim.agents) - excluded
     assert excluded and admitted
-    attempted = {subject for kind, subject in sim.scheduled if kind == EV_REG_ATTEMPT}
+    attempted = {subject for _, kind, subject in sim.scheduled if kind == EV_REG_ATTEMPT}
     assert attempted and not attempted & excluded
     assert not {f"registration/{aid}" for aid in excluded} & sim.streams.names
+
+
+def test_trace_hash_is_one_packed_record_per_event(tiny_cfg):
+    """The trace is <dBq records (time, _HANDLERS index, subject) in event order."""
+    sim = RecordingSimulation(dataclasses.replace(tiny_cfg, focal_enabled=True))
+    result = sim.run()
+    codes = {kind: code for code, kind in enumerate(Simulation._HANDLERS)}
+    # accepted schedule calls are the events the loop pops; a stable sort by
+    # time restores the FIFO order of same-time ties
+    events = sorted(sim.scheduled, key=lambda rec: rec[0])
+    digest = hashlib.blake2b(digest_size=16)
+    for time, kind, subject in events:
+        digest.update(struct.pack("<dBq", time, codes[kind], subject))
+    assert len(events) == result.events_processed
+    assert digest.hexdigest() == result.trace_hash
+
+
+def test_default_trace_hash_is_pinned():
+    # Golden value: a change that moves it (a new record layout or a different
+    # event stream) must say so.
+    result = run_replication(dataclasses.replace(RunConfig(), seed=1000, focal_enabled=True))
+    assert result.events_processed == 24982
+    assert result.trace_hash == "8cfe8ab5c15545ac6dbf81d33d680e68"
 
 
 def test_daily_total_agents_counts_every_arrival(tiny_cfg):

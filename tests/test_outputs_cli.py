@@ -169,6 +169,18 @@ def test_cli_fps_line_leaving_unit_interval_exits_one(tmp_path, capsys):
     assert not (tmp_path / "x" / "task_predictions.csv").exists()
 
 
+def test_cli_belt_table_without_follow_through_exits_one(tmp_path, capsys):
+    table = tmp_path / "belts.csv"
+    table.write_text("belt,upper_bound,share,p_qualified\nlow,1000,0.9,0.3\nhigh,,0.1,0.6\n")
+    code = main(
+        ["run", "--out", str(tmp_path / "x"), *TINY_OVERRIDES, "--set", f"belt_table_path={table}"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "belt_table_path" in err
+    assert "low, high" in err
+
+
 def test_cli_bad_history_exits_two(tmp_path, capsys):
     history = tmp_path / "history.csv"
     history.write_text(
