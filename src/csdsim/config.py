@@ -8,7 +8,6 @@ of a config yields an equal config.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import typing
 from dataclasses import dataclass, fields
@@ -193,10 +192,7 @@ def parse_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
     Lines starting with ``#`` and blank lines are ignored. Unknown keys are
     rejected rather than silently dropped.
     """
-    values = dataclasses.asdict(base) if base is not None else {}
-    # asdict leaves tuples alone for our field types; normalize anyway
-    if base is not None:
-        values = {name: getattr(base, name) for name in _FIELD_NAMES}
+    values = {name: getattr(base, name) for name in _FIELD_NAMES} if base is not None else {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

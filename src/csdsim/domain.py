@@ -180,16 +180,27 @@ def load_belt_table(path: str) -> BeltTable:
 
 
 def resolve_belt_table(cfg: RunConfig) -> BeltTable:
-    """The active belt table; every belt in it needs a follow-through key."""
+    """The active belt table.
+
+    Every belt in it needs a follow-through key, and every admitted belt
+    must be in it: otherwise no agent could ever register.
+    """
     if not cfg.belt_table_path:
         return DEFAULT_BELT_TABLE
     table = load_belt_table(cfg.belt_table_path)
+    names = table.names()
     known = follow_through_by_belt(cfg)
-    missing = [belt for belt in table.names() if belt not in known]
+    missing = [belt for belt in names if belt not in known]
     if missing:
         raise ConfigError(
             f"belt_table_path: belts {', '.join(missing)} in {cfg.belt_table_path} "
             f"have no submit_follow_through_<belt> key (known: {', '.join(known)})"
+        )
+    absent = [belt for belt in cfg.admitted_belts or () if belt not in names]
+    if absent:
+        raise ConfigError(
+            f"admitted_belts: belts {', '.join(absent)} are not in {cfg.belt_table_path} "
+            f"(its belts: {', '.join(names)})"
         )
     return table
 

@@ -4,6 +4,10 @@ A history CSV is the ground truth: one row per task with its outcome. A
 predictions CSV carries the forecast trail: one row per risk update. The
 evaluation aligns both into daily per-phase series and scores the forecast
 with MRE, correlation, and a bias t-test.
+
+Two-sided p-values come from ``scipy.special.stdtr``, the Student t CDF
+that ``scipy.stats.t.sf`` itself calls (``sf(t, df) == stdtr(df, -t)``), so
+csdsim never pays the start-up cost of importing ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .scenarios import mre, pearson_with_p, t_test_one_sample
+import numpy as np
+from scipy.special import stdtr
 
 
 class DataError(Exception):
@@ -164,6 +169,61 @@ def ingest_predictions(path: str) -> dict:
     except OSError as exc:
         raise DataError(f"cannot read predictions {path}: {exc}") from None
     return latest
+
+
+# ----------------------------------------------------------------- statistics
+
+
+def mre(actual_total: float, predicted_total: float) -> Optional[float]:
+    """Signed mean relative error of summed forecasts against actuals."""
+    if actual_total == 0:
+        return None
+    return (actual_total - predicted_total) / actual_total
+
+
+def pearson_with_p(xs, ys):
+    """Sample Pearson correlation with a two-sided p-value.
+
+    Returns None when either series is constant or too short; there is no
+    meaningful correlation to report in those cases.
+    """
+    n = len(xs)
+    if n != len(ys):
+        raise ValueError("series lengths differ")
+    if n < 3:
+        return None
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sx = math.sqrt(float(np.dot(dx, dx)))
+    sy = math.sqrt(float(np.dot(dy, dy)))
+    if sx == 0.0 or sy == 0.0:
+        return None
+    r = float(np.dot(dx, dy)) / (sx * sy)
+    r = max(-1.0, min(1.0, r))
+    if abs(r) == 1.0:
+        return r, 0.0
+    t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
+    return r, min(1.0, p)
+
+
+def t_test_one_sample(xs, popmean: float = 0.0):
+    """One-sample two-sided t-test; exact answers for degenerate variance."""
+    n = len(xs)
+    if n < 2:
+        return None
+    x = np.asarray(xs, dtype=float)
+    mean = float(x.mean())
+    sd = float(x.std(ddof=1))
+    if sd == 0.0:
+        if mean == popmean:
+            return 0.0, 1.0
+        return math.copysign(math.inf, mean - popmean), 0.0
+    t = (mean - popmean) / (sd / math.sqrt(n))
+    p = 2.0 * float(stdtr(n - 1, -abs(t)))
+    return t, min(1.0, p)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Policy scenarios and the statistics used to judge forecasts.
+"""Policy scenarios and the FPS calibration fit.
 
 Both scenario families inject one focal task into a live marketplace and
 ask how often it fails across paired replications. Replication r of every
@@ -9,13 +9,10 @@ and the same crowd, and differ only in the lever under study.
 from __future__ import annotations
 
 import dataclasses
-import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .config import RunConfig
 from .domain import ModelInvariantError
@@ -186,58 +183,3 @@ def calibrate_fps(cfg: RunConfig):
         return 0.0, float(y.mean()), len(xs)
     slope, intercept = np.polyfit(x, y, 1)
     return float(slope), float(intercept), len(xs)
-
-
-# ----------------------------------------------------------------- statistics
-
-
-def mre(actual_total: float, predicted_total: float) -> Optional[float]:
-    """Signed mean relative error of summed forecasts against actuals."""
-    if actual_total == 0:
-        return None
-    return (actual_total - predicted_total) / actual_total
-
-
-def pearson_with_p(xs, ys):
-    """Sample Pearson correlation with a two-sided p-value.
-
-    Returns None when either series is constant or too short; there is no
-    meaningful correlation to report in those cases.
-    """
-    n = len(xs)
-    if n != len(ys):
-        raise ValueError("series lengths differ")
-    if n < 3:
-        return None
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = math.sqrt(float(np.dot(dx, dx)))
-    sy = math.sqrt(float(np.dot(dy, dy)))
-    if sx == 0.0 or sy == 0.0:
-        return None
-    r = float(np.dot(dx, dy)) / (sx * sy)
-    r = max(-1.0, min(1.0, r))
-    if abs(r) == 1.0:
-        return r, 0.0
-    t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(scipy_stats.t.sf(abs(t), n - 2))
-    return r, min(1.0, p)
-
-
-def t_test_one_sample(xs, popmean: float = 0.0):
-    """One-sample two-sided t-test; exact answers for degenerate variance."""
-    n = len(xs)
-    if n < 2:
-        return None
-    x = np.asarray(xs, dtype=float)
-    mean = float(x.mean())
-    sd = float(x.std(ddof=1))
-    if sd == 0.0:
-        if mean == popmean:
-            return 0.0, 1.0
-        return math.copysign(math.inf, mean - popmean), 0.0
-    t = (mean - popmean) / (sd / math.sqrt(n))
-    p = 2.0 * float(scipy_stats.t.sf(abs(t), n - 1))
-    return t, min(1.0, p)

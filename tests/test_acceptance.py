@@ -17,7 +17,14 @@ import scipy.stats as scipy_stats
 from csdsim import RunConfig, emit_outputs, run_replication
 from csdsim.domain import DEFAULT_BELT_TABLE, LEGAL_TRANSITIONS
 from csdsim.engine import RngStreams, Simulation
-from csdsim.history import evaluate_forecast, ingest_history, ingest_predictions
+from csdsim.history import (
+    evaluate_forecast,
+    ingest_history,
+    ingest_predictions,
+    mre,
+    pearson_with_p,
+    t_test_one_sample,
+)
 from csdsim.lifecycle import (
     compute_fpr,
     compute_fps,
@@ -33,13 +40,7 @@ from csdsim.platform import (
     sample_similarity,
     spawn_agent,
 )
-from csdsim.scenarios import (
-    mre,
-    pearson_with_p,
-    run_diversity_scenario,
-    run_openness_scenario,
-    t_test_one_sample,
-)
+from csdsim.scenarios import run_diversity_scenario, run_openness_scenario
 
 MODULE_T0 = time.monotonic()
 

@@ -1,7 +1,16 @@
 """History ingestion, validation rules, and the forecast scorer."""
 
-import pytest
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+import scipy.stats as scipy_stats
+from scipy.special import stdtr
+
+import csdsim
 from csdsim import RunConfig, run_replication
 from csdsim.history import (
     DataError,
@@ -199,3 +208,25 @@ def test_fixture_files_reproduce_pinned_mres(data_dir):
     scored = evaluate_forecast(history, predictions)
     assert scored["registration"].mre == pytest.approx(0.011, abs=1e-9)
     assert scored["submission"].mre == pytest.approx(0.020, abs=1e-9)
+
+
+# ------------------------------------------------------- p-value dependency
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 29, 58, 1000])
+def test_stdtr_is_bit_identical_to_t_sf(df):
+    """The p-values use stdtr(df, -t); it must equal scipy.stats.t.sf exactly."""
+    for t in (0.0, 1e-8, 0.5, 2.0, 40.0, math.inf):
+        assert float(stdtr(df, -t)) == float(scipy_stats.t.sf(t, df)), (df, t)
+
+
+def test_import_csdsim_leaves_scipy_stats_unloaded():
+    paths = [str(Path(csdsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    out = subprocess.run(
+        [sys.executable, "-c", "import csdsim, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
+    assert out.stdout.strip() == "False"

@@ -181,6 +181,28 @@ def test_cli_belt_table_without_follow_through_exits_one(tmp_path, capsys):
     assert "low, high" in err
 
 
+def test_cli_admitted_belt_missing_from_belt_table_exits_one(tmp_path, capsys):
+    table = tmp_path / "belts.csv"
+    table.write_text("belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\nred,,0.1,0.6\n")
+    code = main(
+        [
+            "run",
+            "--out",
+            str(tmp_path / "x"),
+            *TINY_OVERRIDES,
+            "--set",
+            f"belt_table_path={table}",
+            "--set",
+            "admitted_belts=blue",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "admitted_belts" in err
+    assert "blue" in err
+    assert not (tmp_path / "x" / "report.txt").exists()
+
+
 def test_cli_bad_history_exits_two(tmp_path, capsys):
     history = tmp_path / "history.csv"
     history.write_text(

@@ -9,14 +9,8 @@ import pytest
 import scipy.stats as scipy_stats
 
 from csdsim import RunConfig, calibrate_fps, what_if_posting_day
-from csdsim.scenarios import (
-    DIVERSITY_POLICIES,
-    OPENNESS_GATES,
-    mre,
-    pearson_with_p,
-    run_policy,
-    t_test_one_sample,
-)
+from csdsim.history import mre, pearson_with_p, t_test_one_sample
+from csdsim.scenarios import DIVERSITY_POLICIES, OPENNESS_GATES, run_policy
 
 
 # -------------------------------------------------------------- statistics
