@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import statistics
 
-from csdsim import RunConfig, run_replication
+from csdsim import RunConfig, run_replications
 
 COUNTER_ORDER = (
     "arrived",
@@ -33,10 +33,7 @@ def main() -> None:
     args = parser.parse_args()
 
     cfg = dataclasses.replace(RunConfig(), seed=args.seed, replications=args.replications)
-    results = [
-        run_replication(dataclasses.replace(cfg, seed=cfg.seed + r))
-        for r in range(cfg.replications)
-    ]
+    results = list(run_replications(cfg))
 
     print(f"baseline: {cfg.replications} replications, seed {cfg.seed}, horizon {cfg.horizon_days:g} days")
     print()

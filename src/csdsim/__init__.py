@@ -25,6 +25,8 @@ from .scenarios import (
     calibrate_fps,
     run_diversity_scenario,
     run_openness_scenario,
+    run_replications,
+    run_sweep,
     what_if_posting_day,
 )
 
@@ -58,6 +60,8 @@ __all__ = [
     "run_diversity_scenario",
     "run_openness_scenario",
     "run_replication",
+    "run_replications",
+    "run_sweep",
     "what_if_posting_day",
     "__version__",
 ]

@@ -9,7 +9,6 @@ key=value overrides. Exit codes: 0 ok, 1 config error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -35,6 +34,7 @@ from .scenarios import (
     calibrate_fps,
     run_diversity_scenario,
     run_openness_scenario,
+    run_replications,
     what_if_posting_day,
 )
 
@@ -108,34 +108,22 @@ def _emit(cfg, results, args, scenario=None, evaluation=None) -> None:
 
 def _cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    results = [
-        run_replication(dataclasses.replace(cfg, seed=cfg.seed + r))
-        for r in range(cfg.replications)
-    ]
+    results = list(run_replications(cfg))
     _emit(cfg, results, args)
     mean_failures = sum(r.reported_failures for r in results) / len(results)
     print(f"replications: {len(results)}, mean reported failures: {mean_failures:.2f}")
     return 0
 
 
-def _cmd_scenario(args) -> int:
+def _cmd_sweep(args) -> int:
+    """``scenario`` and ``whatif``: run one policy sweep, emit, print each policy."""
     cfg = _load_cfg(args)
-    if args.family == "openness":
+    if args.command == "whatif":
+        report, results = what_if_posting_day(cfg, args.day)
+    elif args.family == "openness":
         report, results = run_openness_scenario(cfg)
     else:
         report, results = run_diversity_scenario(cfg)
-    _emit(cfg, results, args, scenario=report)
-    for out in report.outcomes:
-        print(
-            f"{out.label}: fail {out.fail}/{out.replications}"
-            f" (rate {out.failure_rate:.3f})"
-        )
-    return 0
-
-
-def _cmd_whatif(args) -> int:
-    cfg = _load_cfg(args)
-    report, results = what_if_posting_day(cfg, args.day)
     _emit(cfg, results, args, scenario=report)
     for out in report.outcomes:
         print(f"{out.label}: fail {out.fail}/{out.replications} (rate {out.failure_rate:.3f})")
@@ -169,8 +157,8 @@ def _cmd_calibrate(args) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "scenario": _cmd_scenario,
-    "whatif": _cmd_whatif,
+    "scenario": _cmd_sweep,
+    "whatif": _cmd_sweep,
     "evaluate": _cmd_evaluate,
     "calibrate-fps": _cmd_calibrate,
 }

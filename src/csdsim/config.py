@@ -186,27 +186,37 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(echo_config(cfg).encode("utf-8")).hexdigest()
 
 
-def parse_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
-    """Parse flat ``key = value`` text on top of ``base`` (defaults if None).
+def _assign(cfg: RunConfig, assignments) -> RunConfig:
+    """``cfg`` with each ``(where, "key = value")`` assignment applied, validated.
 
-    Lines starting with ``#`` and blank lines are ignored. Unknown keys are
-    rejected rather than silently dropped.
+    ``where`` names the assignment's source in error messages. Unknown keys
+    are rejected rather than silently dropped.
     """
-    values = {name: getattr(base, name) for name in _FIELD_NAMES} if base is not None else {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
-        key, _, raw = stripped.partition("=")
+    values = {name: getattr(cfg, name) for name in _FIELD_NAMES}
+    for where, text in assignments:
+        key, sep, raw = text.partition("=")
+        if not sep:
+            raise ConfigError(f"{where}: expected key = value, got {text!r}")
         key = key.strip()
         if key not in _FIELD_NAMES:
             raise ConfigError(f"unknown config key: {key}")
         values[key] = _parse_value(key, raw)
-    cfg = RunConfig(**values) if values else RunConfig()
-    validate_config(cfg)
-    return cfg
+    out = RunConfig(**values)
+    validate_config(out)
+    return out
+
+
+def parse_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
+    """Parse flat ``key = value`` text on top of ``base`` (defaults if None).
+
+    Lines starting with ``#`` and blank lines are ignored.
+    """
+    assignments = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            assignments.append((f"line {lineno}", stripped))
+    return _assign(base if base is not None else RunConfig(), assignments)
 
 
 def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
@@ -220,18 +230,7 @@ def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
 
 def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
     """Apply ``key=value`` strings (CLI --set) on top of an existing config."""
-    values = {name: getattr(cfg, name) for name in _FIELD_NAMES}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must look like key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        key = key.strip()
-        if key not in _FIELD_NAMES:
-            raise ConfigError(f"unknown config key: {key}")
-        values[key] = _parse_value(key, raw)
-    out = RunConfig(**values)
-    validate_config(out)
-    return out
+    return _assign(cfg, (("override", pair) for pair in pairs))
 
 
 def _require(ok: bool, key: str, rule: str):

@@ -68,9 +68,24 @@ SUBMITTABLE_STATES = frozenset({TaskState.REGISTERED, TaskState.SUBMITTED})
 
 FAILURE_STATES = frozenset({TaskState.FAILED, TaskState.STARVED, TaskState.DROPPED})
 
+# The same states as outcome strings, as task logs and history CSVs spell them.
+FAILURE_OUTCOMES = frozenset(state.value for state in FAILURE_STATES)
+
 
 def can_transition(current: TaskState, target: TaskState) -> bool:
     return target in LEGAL_TRANSITIONS[current]
+
+
+def failure_phase(outcome: str, submissions: int) -> Optional[str]:
+    """Phase in which a task failed; None unless ``outcome`` is a failure.
+
+    ``outcome`` is a ``TaskState`` value. A failed task that got work failed
+    in the submission phase (its work flunked review); one that never did
+    failed while gathering a crowd, in the registration phase.
+    """
+    if outcome not in FAILURE_OUTCOMES:
+        return None
+    return "submission" if submissions else "registration"
 
 
 @dataclass(frozen=True)
@@ -119,18 +134,6 @@ class BeltTable:
             if rating <= row.upper_bound:
                 return row.belt
         return self.rows[-1].belt  # unreachable with an unbounded last row
-
-    def p_qualified(self, belt: str) -> float:
-        for row in self.rows:
-            if row.belt == belt:
-                return row.p_qualified
-        raise KeyError(belt)
-
-    def share(self, belt: str) -> float:
-        for row in self.rows:
-            if row.belt == belt:
-                return row.share
-        raise KeyError(belt)
 
     def names(self) -> tuple:
         return tuple(r.belt for r in self.rows)
@@ -205,22 +208,6 @@ def resolve_belt_table(cfg: RunConfig) -> BeltTable:
     return table
 
 
-def skills_to_mask(tags, vocabulary) -> int:
-    """Encode a tag collection as a bitmask over the configured vocabulary."""
-    index = {tag: i for i, tag in enumerate(vocabulary)}
-    mask = 0
-    for tag in tags:
-        try:
-            mask |= 1 << index[tag]
-        except KeyError:
-            raise ConfigError(f"unknown skill tag: {tag}") from None
-    return mask
-
-
-def mask_to_skills(mask: int, vocabulary) -> tuple:
-    return tuple(tag for i, tag in enumerate(vocabulary) if mask >> i & 1)
-
-
 def skills_match(agent_mask: int, task_mask: int, mode: str) -> bool:
     """A task with no stated requirements welcomes every skill set."""
     if task_mask == 0:
@@ -255,8 +242,6 @@ class Task:
     state: TaskState = TaskState.ARRIVED
     registrants: list = field(default_factory=list)
     submissions: list = field(default_factory=list)
-    winner: Optional[int] = None
-    failure_phase: Optional[str] = None
 
     def __post_init__(self):
         if self.root_id < 0:

@@ -55,8 +55,10 @@ from .domain import (
     PlatformState,
     SUBMITTABLE_STATES,
     Submission,
+    TERMINAL_STATES,
     Task,
     TaskState,
+    failure_phase,
     resolve_belt_table,
 )
 from .lifecycle import (
@@ -410,12 +412,10 @@ class Simulation:
         task = self.tasks[tid]
         if task.state is TaskState.ARRIVED:
             self._move(task, TaskState.STARVED)
-            task.failure_phase = "registration"
             self.state.starved_total += 1
             self._finalize(task)
         elif task.state is TaskState.REGISTERED:
             self._move(task, TaskState.DROPPED)
-            task.failure_phase = "registration"
             self.state.dropped_total += 1
             self.state.failed_total += 1
             self._finalize(task)
@@ -429,10 +429,8 @@ class Simulation:
 
     def _on_review(self, tid: int) -> None:
         task = self.tasks[tid]
-        before = task.state
-        winner = resolve_review(task)
-        self.transition_counts[(before, task.state)] += 1
-        if winner is not None:
+        self._move(task, resolve_review(task))
+        if task.state is TaskState.COMPLETED:
             self.state.completed_total += 1
         else:
             self.state.failed_review_total += 1
@@ -498,7 +496,7 @@ class Simulation:
             "registrants": len(task.registrants),
             "submissions": len(task.submissions),
             "outcome": task.state.value,
-            "failure_phase": task.failure_phase or "",
+            "failure_phase": failure_phase(task.state.value, len(task.submissions)) or "",
             "repost_count": task.repost_count,
             "focal": task.focal,
             "tsr_at_resolution": self.current_tsr(),
@@ -590,12 +588,7 @@ class Simulation:
             handler(subject)
         in_flight = self.state.arrived_total - self._resolved
         for task in self.tasks.values():
-            if task.state not in (
-                TaskState.COMPLETED,
-                TaskState.FAILED,
-                TaskState.STARVED,
-                TaskState.DROPPED,
-            ) and task.arrival <= self.cfg.horizon_days:
+            if task.state not in TERMINAL_STATES and task.arrival <= self.cfg.horizon_days:
                 self.task_log.append(self._log_row(task))
         s = self.state
         return ReplicationResult(

@@ -20,6 +20,8 @@ from typing import Optional
 import numpy as np
 from scipy.special import stdtr
 
+from .domain import FAILURE_OUTCOMES, failure_phase
+
 
 class DataError(Exception):
     """A history or predictions file failed row-level validation."""
@@ -40,7 +42,6 @@ PREDICTION_COLUMNS = ("task_id", "day", "phase", "prediction")
 VALID_OUTCOMES = frozenset(
     ("completed", "failed", "starved", "dropped", "arrived", "registered", "submitted")
 )
-FAILED_OUTCOMES = frozenset(("failed", "starved", "dropped"))
 PHASES = ("registration", "submission")
 
 
@@ -60,16 +61,14 @@ class HistoryRow:
 
     @property
     def failed(self) -> bool:
-        return self.outcome in FAILED_OUTCOMES
+        return self.outcome in FAILURE_OUTCOMES
 
     @property
     def phase(self) -> Optional[str]:
-        """Failure phase, inferred from the submission count when absent."""
+        """Failure phase: the stated one, else inferred from the submission count."""
         if not self.failed:
             return None
-        if self.failure_phase:
-            return self.failure_phase
-        return "submission" if self.submissions else "registration"
+        return self.failure_phase or failure_phase(self.outcome, self.submissions)
 
 
 def _row_error(row_num: int, message: str) -> DataError:

@@ -7,8 +7,6 @@ applied to every task that has reached the submission phase.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .agents import determine_winner
 from .config import RunConfig
 from .domain import Task, TaskState
@@ -65,33 +63,15 @@ def sample_duration(rng, cfg: RunConfig) -> float:
     return rng.triangular(cfg.duration_min, cfg.duration_max, cfg.duration_mode)
 
 
-def resolve_review(task: Task):
-    """Score the review queue: a qualified winner completes the task.
+def resolve_review(task: Task) -> TaskState:
+    """Score the review queue: COMPLETED if a qualified winner exists, else FAILED.
 
-    Returns the winning submission or None. The caller owns counter and
+    Leaves the task as it is; the caller moves it and owns counter and
     reliability updates.
     """
-    winner = determine_winner(task.submissions)
-    if winner is not None:
-        task.transition(TaskState.COMPLETED)
-        task.winner = winner.agent_id
-    else:
-        task.transition(TaskState.FAILED)
-        task.failure_phase = "submission"
-    return winner
-
-
-def failure_phase_of(state: TaskState, submission_count: int) -> Optional[str]:
-    """Phase bucket for a failed task; None for non-failures.
-
-    Tasks that never produced work failed while gathering a crowd; tasks
-    whose work flunked review failed in the submission phase.
-    """
-    if state in (TaskState.STARVED, TaskState.DROPPED):
-        return "registration"
-    if state is TaskState.FAILED:
-        return "submission" if submission_count else "registration"
-    return None
+    if determine_winner(task.submissions) is not None:
+        return TaskState.COMPLETED
+    return TaskState.FAILED
 
 
 def repost(task: Task, now: float, new_id: int, attractable: bool) -> Task:

@@ -1,21 +1,21 @@
 """Policy scenarios and the FPS calibration fit.
 
-Both scenario families inject one focal task into a live marketplace and
-ask how often it fails across paired replications. Replication r of every
-policy runs on seed ``base + r`` so policies face the same arrival history
-and the same crowd, and differ only in the lever under study.
+Every scenario is a table of ``(label, config)`` policies run by one sweep.
+The scenarios inject one focal task into a live marketplace and ask how
+often it fails across paired replications. Replication r of every policy
+runs on seed ``base + r`` so policies face the same arrival history and the
+same crowd, and differ only in the lever under study.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import RunConfig
-from .domain import ModelInvariantError
+from .domain import ModelInvariantError, resolve_belt_table
 from .engine import run_replication
 
 OPENNESS_GATES = (0.60, 0.70, 0.80, 0.90)
@@ -52,110 +52,104 @@ class ScenarioReport:
     name: str
     outcomes: tuple
 
-    def outcome(self, label: str) -> PolicyOutcome:
-        for out in self.outcomes:
-            if out.label == label:
-                return out
-        raise KeyError(label)
 
+def run_replications(cfg: RunConfig):
+    """Yield the results of ``cfg``'s replications in order.
 
-def run_policy(cfg: RunConfig, label: str, keep_results: bool = False):
-    """Run all replications of one policy config and aggregate the focal task.
-
-    Returns (PolicyOutcome, results) where results is the per-replication
-    list when requested (the first policy's run feeds the time-series files).
+    Replication r runs on seed ``cfg.seed`` plus r, so every caller that runs
+    the same config with the same base seed sees the same replications.
     """
-    failed_flags = []
-    registrants = []
-    submissions = []
-    fprs = []
-    fpss = []
+    for r in range(cfg.replications):
+        yield run_replication(replace(cfg, seed=cfg.seed + r))
+
+
+def _policy_outcome(label: str, focals: list) -> PolicyOutcome:
+    n = len(focals)
+    failed_flags = tuple(bool(focal["failed"]) for focal in focals)
+    fail = sum(failed_flags)
     reg_by_belt: Counter = Counter()
     sub_by_belt: Counter = Counter()
-    results = []
-    for r in range(cfg.replications):
-        rep_cfg = dataclasses.replace(cfg, seed=cfg.seed + r)
-        result = run_replication(rep_cfg)
-        if result.focal is None:
-            raise ModelInvariantError(
-                f"policy {label}, replication {r}: focal task never resolved"
-            )
-        focal = result.focal
-        failed_flags.append(bool(focal["failed"]))
-        registrants.append(focal["registrants"])
-        submissions.append(focal["submissions"])
-        fprs.append(focal["final_fpr"])
-        fpss.append(focal["final_fps"])
+    for focal in focals:
         reg_by_belt.update(focal["reg_by_belt"])
         sub_by_belt.update(focal["sub_by_belt"])
-        if keep_results:
-            results.append(result)
-    n = len(failed_flags)
-    fail = sum(failed_flags)
-    outcome = PolicyOutcome(
+
+    def mean(key: str) -> float:
+        return sum(focal[key] for focal in focals) / n if n else 0.0
+
+    return PolicyOutcome(
         label=label,
         replications=n,
         fail=fail,
         success=n - fail,
         failure_rate=fail / n if n else 0.0,
-        per_rep_failed=tuple(failed_flags),
-        mean_registrants=sum(registrants) / n if n else 0.0,
-        mean_submissions=sum(submissions) / n if n else 0.0,
+        per_rep_failed=failed_flags,
+        mean_registrants=mean("registrants"),
+        mean_submissions=mean("submissions"),
         reg_by_belt=reg_by_belt,
         sub_by_belt=sub_by_belt,
-        mean_final_fpr=sum(fprs) / n if n else 0.0,
-        mean_final_fps=sum(fpss) / n if n else 0.0,
+        mean_final_fpr=mean("final_fpr"),
+        mean_final_fps=mean("final_fps"),
     )
-    return outcome, results
+
+
+def run_sweep(name: str, policies):
+    """Run each ``(label, cfg)`` pair of the ``policies`` sequence; aggregate its focal task.
+
+    Every policy's belt table is resolved before the first replication, so a
+    config error stops the sweep before any work. Returns the report and the
+    first policy's replication results, which feed the time-series files.
+    """
+    for _label, cfg in policies:
+        resolve_belt_table(cfg)
+    outcomes = []
+    first_results = []
+    for label, cfg in policies:
+        focals = []
+        for r, result in enumerate(run_replications(cfg)):
+            if result.focal is None:
+                raise ModelInvariantError(
+                    f"policy {label}, replication {r}: focal task never resolved"
+                )
+            focals.append(result.focal)
+            if not outcomes:
+                first_results.append(result)
+        outcomes.append(_policy_outcome(label, focals))
+    return ScenarioReport(name, tuple(outcomes)), first_results
+
+
+def _focal(base: RunConfig, **lever) -> RunConfig:
+    """``base`` with the focal task on, no platform lever, then ``lever`` applied."""
+    return replace(
+        base, **{"focal_enabled": True, "openness_gate": None, "admitted_belts": None, **lever}
+    )
 
 
 def run_openness_scenario(base_cfg: RunConfig, gates=OPENNESS_GATES):
     """Vary platform openness; the focal task is posted at each gate level."""
-    outcomes = []
-    first_results = []
-    for i, gate in enumerate(gates):
-        cfg = dataclasses.replace(
-            base_cfg,
-            focal_enabled=True,
-            openness_gate=gate,
-            admitted_belts=None,
-        )
-        outcome, results = run_policy(cfg, f"openness_{gate:.2f}", keep_results=(i == 0))
-        outcomes.append(outcome)
-        if i == 0:
-            first_results = results
-    return ScenarioReport("openness", tuple(outcomes)), first_results
+    return run_sweep(
+        "openness",
+        [(f"openness_{gate:.2f}", _focal(base_cfg, openness_gate=gate)) for gate in gates],
+    )
 
 
 def run_diversity_scenario(base_cfg: RunConfig, policies=DIVERSITY_POLICIES):
     """Vary who may register platform-wide; the focal task rides along."""
-    outcomes = []
-    first_results = []
-    for i, (label, belts) in enumerate(policies):
-        cfg = dataclasses.replace(
-            base_cfg,
-            focal_enabled=True,
-            openness_gate=None,
-            admitted_belts=belts,
-        )
-        outcome, results = run_policy(cfg, label, keep_results=(i == 0))
-        outcomes.append(outcome)
-        if i == 0:
-            first_results = results
-    return ScenarioReport("diversity", tuple(outcomes)), first_results
+    return run_sweep(
+        "diversity",
+        [(label, _focal(base_cfg, admitted_belts=belts)) for label, belts in policies],
+    )
 
 
 def what_if_posting_day(base_cfg: RunConfig, day: float):
     """Compare posting the focal task now versus on another day."""
-    baseline_cfg = dataclasses.replace(
-        base_cfg, focal_enabled=True, openness_gate=None, admitted_belts=None
+    now = _focal(base_cfg)
+    return run_sweep(
+        "whatif",
+        [
+            (f"post_day_{now.focal_arrival:g}", now),
+            (f"post_day_{day:g}", _focal(base_cfg, focal_arrival=day)),
+        ],
     )
-    moved_cfg = dataclasses.replace(baseline_cfg, focal_arrival=day)
-    baseline, results = run_policy(
-        baseline_cfg, f"post_day_{baseline_cfg.focal_arrival:g}", keep_results=True
-    )
-    moved, _ = run_policy(moved_cfg, f"post_day_{day:g}")
-    return ScenarioReport("whatif", (baseline, moved)), results
 
 
 def calibrate_fps(cfg: RunConfig):
@@ -167,9 +161,7 @@ def calibrate_fps(cfg: RunConfig):
     """
     xs = []
     ys = []
-    for r in range(cfg.replications):
-        rep_cfg = dataclasses.replace(cfg, seed=cfg.seed + r)
-        result = run_replication(rep_cfg)
+    for result in run_replications(cfg):
         for rec in result.task_log:
             if rec["outcome"] not in ("completed", "failed", "starved", "dropped"):
                 continue

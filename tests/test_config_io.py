@@ -152,6 +152,8 @@ def test_validation_errors_name_the_key(override):
 def test_override_requires_equals_sign():
     with pytest.raises(ConfigError):
         apply_overrides(RunConfig(), ["seed"])
+    with pytest.raises(ConfigError):  # an empty override is an error, not a blank line
+        apply_overrides(RunConfig(), [""])
 
 
 def test_none_literal_parses():
@@ -207,7 +209,7 @@ def test_belt_table_csv_round_trip(tmp_path):
     assert table.names() == ("low", "high")
     assert table.belt_of(1000.0) == "low"
     assert table.belt_of(1000.5) == "high"
-    assert table.p_qualified("high") == 0.6
+    assert [(row.belt, row.p_qualified) for row in table.rows] == [("low", 0.2), ("high", 0.6)]
 
 
 def test_belt_table_requires_unbounded_last_row(tmp_path):

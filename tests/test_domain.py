@@ -13,9 +13,7 @@ from csdsim.domain import (
     BeltTable,
     PlatformState,
     can_transition,
-    mask_to_skills,
     skills_match,
-    skills_to_mask,
 )
 
 ALL_STATES = list(TaskState)
@@ -115,20 +113,14 @@ def test_belt_of_boundaries(rating, belt):
 
 def test_default_p_qualified():
     expected = {"gray": 0.25, "green": 0.45, "blue": 0.39, "yellow": 0.60, "red": 0.60}
-    for belt, p in expected.items():
-        assert DEFAULT_BELT_TABLE.p_qualified(belt) == p
-
-
-def test_unknown_belt_raises():
-    with pytest.raises(KeyError):
-        DEFAULT_BELT_TABLE.p_qualified("purple")
+    assert {row.belt: row.p_qualified for row in DEFAULT_BELT_TABLE.rows} == expected
 
 
 def test_from_rows_renormalizes_shares():
     table = BeltTable.from_rows(
         [("a", 100.0, 0.2, 0.5), ("b", float("inf"), 0.2, 0.5)]
     )
-    assert abs(table.share("a") - 0.5) < 1e-12
+    assert abs(table.rows[0].share - 0.5) < 1e-12
     assert abs(sum(r.share for r in table.rows) - 1.0) < 1e-12
 
 
@@ -145,18 +137,6 @@ def test_from_rows_rejects_unordered_bounds():
 
 
 # ------------------------------------------------------------------ skills
-
-
-def test_skills_mask_round_trip():
-    vocab = ("java", "python", "sql")
-    mask = skills_to_mask(("sql", "java"), vocab)
-    assert mask == 0b101
-    assert mask_to_skills(mask, vocab) == ("java", "sql")
-
-
-def test_unknown_skill_tag_raises():
-    with pytest.raises(ConfigError, match="cobol"):
-        skills_to_mask(("cobol",), ("java",))
 
 
 @pytest.mark.parametrize(

@@ -121,6 +121,15 @@ def test_transitions_observed_are_all_legal(tiny_cfg):
         assert count > 0
 
 
+def test_every_terminal_move_is_audited(tiny_cfg):
+    sim, _ = run_sim(tiny_cfg)
+    for state in TERMINAL_STATES:
+        moved = sum(n for (_src, dst), n in sim.transition_counts.items() if dst is state)
+        ended = sum(1 for task in sim.tasks.values() if task.state is state)
+        assert moved == ended, state.value
+        assert ended > 0, state.value  # every terminal state is exercised
+
+
 def test_open_list_cap_respected(tiny_cfg):
     sim, _ = run_sim(tiny_cfg)
     assert all(

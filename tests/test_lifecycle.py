@@ -7,14 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from csdsim import RunConfig, Task, TaskState
-from csdsim.domain import Submission
+from csdsim.domain import Submission, failure_phase
 from csdsim.lifecycle import (
     compute_fpr,
     compute_fps,
     compute_tcr,
     compute_tfr,
     compute_tsr,
-    failure_phase_of,
     repost,
     resolve_review,
     sample_duration,
@@ -130,18 +129,14 @@ def test_resolve_review_completes_with_winner():
     task = reviewed_task(
         [Submission(1, 1.0, 80.0, True), Submission(2, 2.0, 90.0, True)]
     )
-    winner = resolve_review(task)
-    assert winner.agent_id == 2
-    assert task.state is TaskState.COMPLETED
-    assert task.winner == 2
-    assert task.failure_phase is None
+    assert resolve_review(task) is TaskState.COMPLETED
+    assert task.state is TaskState.PEER_REVIEW  # the caller moves the task
 
 
 def test_resolve_review_fails_without_qualified():
     task = reviewed_task([Submission(1, 1.0, 40.0, False)])
-    assert resolve_review(task) is None
-    assert task.state is TaskState.FAILED
-    assert task.failure_phase == "submission"
+    assert resolve_review(task) is TaskState.FAILED
+    assert task.state is TaskState.PEER_REVIEW
 
 
 @pytest.mark.parametrize(
@@ -155,7 +150,7 @@ def test_resolve_review_fails_without_qualified():
     ],
 )
 def test_failure_phase_of(state, subs, expected):
-    assert failure_phase_of(state, subs) == expected
+    assert failure_phase(state.value, subs) == expected
 
 
 # ------------------------------------------------------------------ repost

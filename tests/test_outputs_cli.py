@@ -1,12 +1,12 @@
 """Output file contracts and the command-line entry points."""
 
-import dataclasses
 import re
 import statistics
 
 import pytest
 
-from csdsim import RunConfig, config_hash, emit_outputs, run_replication
+import csdsim.scenarios
+from csdsim import RunConfig, config_hash, emit_outputs, run_replications
 from csdsim.cli import main
 from csdsim.outputs import DAILY_COLUMNS, EVALUATION_COLUMNS, OUTPUT_FILES
 
@@ -20,16 +20,9 @@ TINY_OVERRIDES = [
 ]
 
 
-def run_results(cfg):
-    return [
-        run_replication(dataclasses.replace(cfg, seed=cfg.seed + r))
-        for r in range(cfg.replications)
-    ]
-
-
 @pytest.fixture()
 def emitted(tiny_cfg, tmp_path):
-    results = run_results(tiny_cfg)
+    results = list(run_replications(tiny_cfg))
     out = tmp_path / "out"
     paths = emit_outputs(tiny_cfg, results, out)
     return tiny_cfg, results, out, paths
@@ -203,6 +196,39 @@ def test_cli_admitted_belt_missing_from_belt_table_exits_one(tmp_path, capsys):
     assert not (tmp_path / "x" / "report.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "belts",
+    [
+        "gray,1000,0.9,0.3\nred,,0.1,0.6\n",
+        "gray,900,0.9,0.25\nblue,1500,0.05,0.39\nyellow,2200,0.04,0.6\nred,,0.01,0.6\n",
+    ],
+    ids=["gray_red", "no_green"],
+)
+def test_cli_diversity_on_a_table_missing_a_policy_belt_exits_one(
+    tmp_path, capsys, monkeypatch, belts
+):
+    table = tmp_path / "belts.csv"
+    table.write_text("belt,upper_bound,share,p_qualified\n" + belts)
+    ran = []
+    monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
+    out = tmp_path / "x"
+    code = main(
+        [
+            "scenario",
+            "diversity",
+            "--out",
+            str(out),
+            *TINY_OVERRIDES,
+            "--set",
+            f"belt_table_path={table}",
+        ]
+    )
+    assert code == 1
+    assert "admitted_belts" in capsys.readouterr().err
+    assert ran == []  # refused before the first replication of any policy
+    assert not out.exists()
+
+
 def test_cli_bad_history_exits_two(tmp_path, capsys):
     history = tmp_path / "history.csv"
     history.write_text(
@@ -266,6 +292,16 @@ def test_cli_scenario_summary_has_policy_rows(tmp_path, capsys):
     assert "reg_pct_gray" in header and "sub_pct_red" in header
     stdout = capsys.readouterr().out
     assert stdout.count("fail ") == 4
+
+
+def test_cli_whatif_writes_one_row_per_posting_day(tmp_path, capsys):
+    out = tmp_path / "wi"
+    code = main(["whatif", "--day", "25", "--out", str(out), *TINY_OVERRIDES])
+    assert code == 0
+    lines = (out / "scenario_summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[2:]] == ["post_day_15", "post_day_25"]
+    stdout = capsys.readouterr().out
+    assert "post_day_15: fail " in stdout and "post_day_25: fail " in stdout
 
 
 def test_cli_evaluate_against_fixture(tmp_path, data_dir, capsys):

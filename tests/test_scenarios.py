@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import scipy.stats as scipy_stats
 
-from csdsim import RunConfig, calibrate_fps, what_if_posting_day
+from csdsim import RunConfig, calibrate_fps, run_sweep, what_if_posting_day
 from csdsim.history import mre, pearson_with_p, t_test_one_sample
-from csdsim.scenarios import DIVERSITY_POLICIES, OPENNESS_GATES, run_policy
+from csdsim.scenarios import DIVERSITY_POLICIES, OPENNESS_GATES
 
 
 # -------------------------------------------------------------- statistics
@@ -107,22 +107,31 @@ def test_policy_constants():
     assert dict(DIVERSITY_POLICIES)["all_welcome"] is None
 
 
-def test_run_policy_aggregates_replications(scenario_cfg):
+def test_run_sweep_aggregates_replications(scenario_cfg):
     cfg = dataclasses.replace(scenario_cfg, focal_enabled=True, openness_gate=0.7)
-    outcome, results = run_policy(cfg, "probe", keep_results=True)
-    assert outcome.label == "probe"
-    assert outcome.replications == 3
-    assert len(outcome.per_rep_failed) == 3
-    assert outcome.fail + outcome.success == 3
-    assert outcome.failure_rate == pytest.approx(outcome.fail / 3)
-    assert len(results) == 3
+    other = dataclasses.replace(cfg, openness_gate=0.9)
+    report, results = run_sweep("probe", [("first", cfg), ("second", other)])
+    assert report.name == "probe"
+    assert [o.label for o in report.outcomes] == ["first", "second"]
+    for outcome in report.outcomes:
+        assert outcome.replications == 3
+        assert len(outcome.per_rep_failed) == 3
+        assert outcome.fail + outcome.success == 3
+        assert outcome.failure_rate == pytest.approx(outcome.fail / 3)
+    # the results are the first policy's, one per replication on seed + r
+    assert [r.seed for r in results] == [cfg.seed, cfg.seed + 1, cfg.seed + 2]
     assert all(r.focal is not None for r in results)
+    first = report.outcomes[0]
+    assert first.per_rep_failed == tuple(bool(r.focal["failed"]) for r in results)
+    assert first.mean_registrants == pytest.approx(
+        sum(r.focal["registrants"] for r in results) / 3
+    )
 
 
-def test_run_policy_is_deterministic(scenario_cfg):
+def test_run_sweep_is_deterministic(scenario_cfg):
     cfg = dataclasses.replace(scenario_cfg, focal_enabled=True, openness_gate=0.7)
-    first, _ = run_policy(cfg, "probe")
-    second, _ = run_policy(cfg, "probe")
+    first, _ = run_sweep("probe", [("probe", cfg)])
+    second, _ = run_sweep("probe", [("probe", cfg)])
     assert first == second
 
 
@@ -132,7 +141,9 @@ def test_what_if_posting_day_labels(scenario_cfg):
     labels = [o.label for o in report.outcomes]
     assert labels == ["post_day_15", "post_day_25"]
     assert len(results) == scenario_cfg.replications
-    assert report.outcome("post_day_25").replications == scenario_cfg.replications
+    assert [o.replications for o in report.outcomes] == [scenario_cfg.replications] * 2
+    # the time-series results are the day-15 baseline's
+    assert report.outcomes[0].per_rep_failed == tuple(bool(r.focal["failed"]) for r in results)
 
 
 def test_calibrate_fps_fits_something(tiny_cfg):

@@ -1,0 +1,46 @@
+"""The scripts under scripts/ run end to end on one replication."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import csdsim
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name: str) -> str:
+    paths = [str(Path(csdsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), "--replications", "1"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
+    return out.stdout
+
+
+def test_run_baseline_prints_counters_and_shares():
+    stdout = run_script("run_baseline.py")
+    assert stdout.startswith("baseline: 1 replications, seed 42")
+    assert re.search(r"^arrived\s+\d+\.\d", stdout, re.MULTILINE)
+    assert re.search(r"^  zero-submission\s+\d+\.\d%$", stdout, re.MULTILINE)
+
+
+def test_run_scenarios_prints_both_tables():
+    stdout = run_script("run_scenarios.py")
+    assert "scenario: openness" in stdout and "scenario: diversity" in stdout
+    labels = [f"openness_{gate:.2f}" for gate in (0.6, 0.7, 0.8, 0.9)]
+    labels += ["elite_only", "mid_and_up", "green_and_up", "all_welcome"]
+    for label in labels:
+        assert re.search(rf"^{label}\s+[01]/1 ", stdout, re.MULTILINE), label
+
+
+def test_calibration_report_prints_fit_and_belts():
+    stdout = run_script("calibration_report.py")
+    assert re.search(r"resolved tasks, 1 replications\):\n  fitted     slope [+-]\d", stdout)
+    for belt in ("gray", "green", "blue", "yellow", "red"):
+        assert re.search(rf"^  {belt}\s+configured\s+\d\.\d{{3}}  analytic", stdout, re.MULTILINE)
