@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .config import RunConfig
-from .domain import Agent, BeltTable, REGISTRABLE_STATES, Submission, Task, skills_match
+from .domain import Agent, BeltTable, REGISTRABLE_STATES, Task, skills_match
 
 # Reasons a registration attempt dies before any dice are rolled.
 REASON_NOT_REGISTRABLE = "not_registrable"
@@ -130,19 +130,6 @@ def score_submission(draw: float, quality_pass: float):
     """
     score = draw * 100.0
     return score, score >= quality_pass
-
-
-def determine_winner(submissions) -> Optional[Submission]:
-    """Best qualified score wins; ties go to the earliest submission."""
-    winner = None
-    for sub in submissions:
-        if not sub.qualified:
-            continue
-        if winner is None or sub.score > winner.score or (
-            sub.score == winner.score and sub.time < winner.time
-        ):
-            winner = sub
-    return winner
 
 
 def update_reliability(agent: Agent, qualified: bool) -> None:

@@ -32,7 +32,7 @@ class TaskState(str, Enum):
     """Deadline passed with submissions in hand; scoring in progress."""
 
     COMPLETED = "completed"
-    """A qualified submission won. Terminal."""
+    """A reviewed submission qualified. Terminal."""
 
     FAILED = "failed"
     """Reviewed but no submission qualified. Terminal."""
@@ -220,8 +220,6 @@ def skills_match(agent_mask: int, task_mask: int, mode: str) -> bool:
 @dataclass(frozen=True)
 class Submission:
     agent_id: int
-    time: float
-    score: float
     qualified: bool
 
 
@@ -289,8 +287,8 @@ class Agent:
 class PlatformState:
     """Monotone task-level tallies feeding the platform health ratios.
 
-    ``failed_total`` counts reviewed-but-unqualified plus dropped tasks;
-    starvation is tallied separately so completed + failed never exceeds
+    ``failed`` is derived: reviewed-but-unqualified plus dropped tasks.
+    Starvation is tallied separately so completed + failed never exceeds
     registered. Failure reports add the starved count back in.
     """
 
@@ -298,11 +296,14 @@ class PlatformState:
     registered_total: int = 0
     submitted_total: int = 0
     completed_total: int = 0
-    failed_total: int = 0
     starved_total: int = 0
     dropped_total: int = 0
     failed_review_total: int = 0
     reposted_total: int = 0
+
+    @property
+    def failed(self) -> int:
+        return self.dropped_total + self.failed_review_total
 
     def snapshot(self) -> dict:
         return {
@@ -310,9 +311,14 @@ class PlatformState:
             "registered": self.registered_total,
             "submitted": self.submitted_total,
             "completed": self.completed_total,
-            "failed": self.failed_total,
+            "failed": self.failed,
             "starved": self.starved_total,
             "dropped": self.dropped_total,
             "failed_review": self.failed_review_total,
             "reposted": self.reposted_total,
         }
+
+
+def resolved_count(counters: dict) -> int:
+    """Tasks in a terminal state, from a ``PlatformState.snapshot()``."""
+    return counters["completed"] + counters["failed"] + counters["starved"]

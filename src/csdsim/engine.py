@@ -60,6 +60,7 @@ from .domain import (
     TaskState,
     failure_phase,
     resolve_belt_table,
+    resolved_count,
 )
 from .lifecycle import (
     compute_fpr,
@@ -122,9 +123,6 @@ class ReplicationResult:
 
     seed: int
     counters: dict
-    in_flight: int
-    resolved: int
-    reported_failures: int
     focal: Optional[dict]
     daily: list
     predictions: list
@@ -134,6 +132,18 @@ class ReplicationResult:
     sub_by_belt: Counter
     trace_hash: str
     events_processed: int
+
+    @property
+    def resolved(self) -> int:
+        return resolved_count(self.counters)
+
+    @property
+    def in_flight(self) -> int:
+        return self.counters["arrived"] - self.resolved
+
+    @property
+    def reported_failures(self) -> int:
+        return self.counters["failed"] + self.counters["starved"]
 
     @property
     def success_ratio(self) -> float:
@@ -183,21 +193,11 @@ class Simulation:
         self.reg_by_belt: Counter = Counter()
         self.sub_by_belt: Counter = Counter()
         self.transition_counts: Counter = Counter()
-        self.focal_id: Optional[int] = None
         self.focal_result: Optional[dict] = None
-        self.focal_reg_by_belt: Counter = Counter()
-        self.focal_sub_by_belt: Counter = Counter()
-        self._next_task_id = 0
-        self._resolved = 0
         self._trace = hashlib.blake2b(digest_size=16)
         self._events = 0
 
     # ------------------------------------------------------------- setup
-
-    def _take_task_id(self) -> int:
-        tid = self._next_task_id
-        self._next_task_id += 1
-        return tid
 
     def _draw_ambient_tasks(self) -> None:
         arrival_rng = self.streams.get("task-arrival")
@@ -210,7 +210,7 @@ class Simulation:
         skill_rng = self.streams.get("skills")
         for when in arrivals:
             task = Task(
-                task_id=self._take_task_id(),
+                task_id=len(self.tasks),
                 arrival=when,
                 duration=sample_duration(dur_rng, self.cfg),
                 similarity=sample_similarity(sim_rng, self.cfg),
@@ -356,8 +356,6 @@ class Simulation:
             )
         agent.pending.append(task.task_id)
         self.reg_by_belt[agent.belt] += 1
-        if task.focal:
-            self.focal_reg_by_belt[agent.belt] += 1
         fpr = compute_fpr(
             (self.agents[a].reliability, self.p_qual[self.agents[a].belt])
             for a in task.registrants
@@ -401,11 +399,9 @@ class Simulation:
             self._pool_remove(task.task_id)  # registration closes with the first submission
         if agent.quality_rng is None:
             agent.quality_rng = self.streams.get(f"quality/{agent.agent_id}")
-        score, qualified = score_submission(agent.quality_rng.random(), self.cfg.quality_pass)
-        task.submissions.append(Submission(agent.agent_id, self.now, score, qualified))
+        _score, qualified = score_submission(agent.quality_rng.random(), self.cfg.quality_pass)
+        task.submissions.append(Submission(agent.agent_id, qualified))
         self.sub_by_belt[agent.belt] += 1
-        if task.focal:
-            self.focal_sub_by_belt[agent.belt] += 1
         self._record_prediction(task, "submission", self.current_fps())
 
     def _on_deadline(self, tid: int) -> None:
@@ -417,7 +413,6 @@ class Simulation:
         elif task.state is TaskState.REGISTERED:
             self._move(task, TaskState.DROPPED)
             self.state.dropped_total += 1
-            self.state.failed_total += 1
             self._finalize(task)
         elif task.state is TaskState.SUBMITTED:
             self._move(task, TaskState.PEER_REVIEW)
@@ -434,13 +429,11 @@ class Simulation:
             self.state.completed_total += 1
         else:
             self.state.failed_review_total += 1
-            self.state.failed_total += 1
         self._finalize(task)
 
     def _finalize(self, task: Task) -> None:
         """Terminal housekeeping: pool, agent books, logs, repost, checks."""
         self._pool_remove(task.task_id)
-        self._resolved += 1
         qualified_by = {s.agent_id for s in task.submissions if s.qualified}
         for aid in task.registrants:
             agent = self.agents[aid]
@@ -462,7 +455,7 @@ class Simulation:
             clone = repost(
                 task,
                 self.now,
-                self._take_task_id(),
+                len(self.tasks),
                 attr_rng.random() < self.cfg.attraction_rate,
             )
             self.tasks[clone.task_id] = clone
@@ -479,8 +472,8 @@ class Simulation:
             "similarity": task.similarity,
             "registrants": len(task.registrants),
             "submissions": len(task.submissions),
-            "reg_by_belt": Counter(self.focal_reg_by_belt),
-            "sub_by_belt": Counter(self.focal_sub_by_belt),
+            "reg_by_belt": Counter(self.agents[a].belt for a in task.registrants),
+            "sub_by_belt": Counter(self.agents[s.agent_id].belt for s in task.submissions),
             "final_fpr": self.latest_prediction.get((task.task_id, "registration"), 0.0),
             "final_fps": self.latest_prediction.get((task.task_id, "submission"), 0.0),
             "resolved_at": self.now,
@@ -504,12 +497,10 @@ class Simulation:
 
     def _check_counters(self) -> None:
         s = self.state
-        if s.completed_total + s.failed_total > s.registered_total:
+        if s.completed_total + s.failed > s.registered_total:
             raise ModelInvariantError("completed + failed exceeded registered")
         if s.submitted_total > s.registered_total:
             raise ModelInvariantError("submitted exceeded registered")
-        if s.failed_total != s.dropped_total + s.failed_review_total:
-            raise ModelInvariantError("failed counter out of sync with its parts")
 
     def _on_focal(self, _subject: int) -> None:
         if self.cfg.openness_gate is not None:
@@ -519,7 +510,7 @@ class Simulation:
             if similarity <= 0.0:
                 similarity = (self.cfg.similarity_low + self.cfg.similarity_high) / 2.0
         task = Task(
-            task_id=self._take_task_id(),
+            task_id=len(self.tasks),
             arrival=self.now,
             duration=self.cfg.focal_duration,
             similarity=similarity,
@@ -529,18 +520,18 @@ class Simulation:
             focal=True,
         )
         self.tasks[task.task_id] = task
-        self.focal_id = task.task_id
         self.schedule(self.now, EV_TASK_ARRIVAL, task.task_id)
 
     def _on_daily(self, day: int) -> None:
         busy = sum(1 for aid in self.active if self.agents[aid].open_list)
         total = len(self.active)
         s = self.state
+        counters = s.snapshot()
         self.daily.append(
             {
-                **s.snapshot(),  # cumulative counters ride along; the CSV ignores them
+                **counters,  # cumulative counters ride along; the CSV ignores them
                 "day": day,
-                "open_tasks": s.arrived_total - self._resolved,
+                "open_tasks": s.arrived_total - resolved_count(counters),
                 "tcr": compute_tcr(s.completed_total, s.registered_total),
                 "tfr": compute_tfr(s.completed_total, s.registered_total),
                 "tsr": compute_tsr(
@@ -586,17 +577,12 @@ class Simulation:
             update(pack(time, code, subject))
             self._events += 1
             handler(subject)
-        in_flight = self.state.arrived_total - self._resolved
         for task in self.tasks.values():
             if task.state not in TERMINAL_STATES and task.arrival <= self.cfg.horizon_days:
                 self.task_log.append(self._log_row(task))
-        s = self.state
         return ReplicationResult(
             seed=self.cfg.seed,
-            counters=s.snapshot(),
-            in_flight=in_flight,
-            resolved=self._resolved,
-            reported_failures=s.failed_review_total + s.dropped_total + s.starved_total,
+            counters=self.state.snapshot(),
             focal=self.focal_result,
             daily=self.daily,
             predictions=self.predictions,

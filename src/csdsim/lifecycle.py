@@ -7,7 +7,6 @@ applied to every task that has reached the submission phase.
 
 from __future__ import annotations
 
-from .agents import determine_winner
 from .config import RunConfig
 from .domain import Task, TaskState
 
@@ -64,12 +63,12 @@ def sample_duration(rng, cfg: RunConfig) -> float:
 
 
 def resolve_review(task: Task) -> TaskState:
-    """Score the review queue: COMPLETED if a qualified winner exists, else FAILED.
+    """Score the review queue: COMPLETED if any submission qualified, else FAILED.
 
     Leaves the task as it is; the caller moves it and owns counter and
     reliability updates.
     """
-    if determine_winner(task.submissions) is not None:
+    if any(s.qualified for s in task.submissions):
         return TaskState.COMPLETED
     return TaskState.FAILED
 

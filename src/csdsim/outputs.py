@@ -8,12 +8,15 @@ Each CSV starts with a comment line pinning the seed and the config hash.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 from .config import RunConfig, config_hash
 from .domain import resolve_belt_table
 from .history import (
     PHASES,
+    PhaseEvaluation,
     evaluate_forecast,
     result_history_rows,
     result_latest_predictions,
@@ -59,10 +62,6 @@ def _write_csv(path: Path, cfg: RunConfig, columns, rows) -> None:
     for row in rows:
         lines.append(",".join(_fmt(row[name]) for name in columns))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _daily_rows(result) -> list:
-    return [dict(row) for row in result.daily]
 
 
 def _scenario_columns(belt_names) -> tuple:
@@ -118,15 +117,8 @@ def _baseline_row(cfg: RunConfig, results, belt_names) -> dict:
     fail = sum(r.reported_failures for r in results)
     success = sum(r.counters["completed"] for r in results)
     resolved = fail + success
-    reg_counter = {}
-    sub_counter = {}
-    for r in results:
-        for belt, count in r.reg_by_belt.items():
-            reg_counter[belt] = reg_counter.get(belt, 0) + count
-        for belt, count in r.sub_by_belt.items():
-            sub_counter[belt] = sub_counter.get(belt, 0) + count
-    reg_pct = _belt_percentages(reg_counter, belt_names)
-    sub_pct = _belt_percentages(sub_counter, belt_names)
+    reg_pct = _belt_percentages(sum((r.reg_by_belt for r in results), Counter()), belt_names)
+    sub_pct = _belt_percentages(sum((r.sub_by_belt for r in results), Counter()), belt_names)
     fpr_means = []
     fps_finals = []
     for r in results:
@@ -171,37 +163,7 @@ def _control_chart_rows(result) -> list:
     ]
 
 
-def _evaluation_rows(evaluation) -> list:
-    rows = []
-    for phase in PHASES:
-        ev = evaluation[phase]
-        rows.append(
-            {
-                "phase": ev.phase,
-                "n_days": ev.n_days,
-                "actual_total": ev.actual_total,
-                "predicted_total": ev.predicted_total,
-                "mre": ev.mre,
-                "pearson_r": ev.pearson_r,
-                "pearson_p": ev.pearson_p,
-                "t_stat": ev.t_stat,
-                "t_p": ev.t_p,
-            }
-        )
-    return rows
-
-
-EVALUATION_COLUMNS = (
-    "phase",
-    "n_days",
-    "actual_total",
-    "predicted_total",
-    "mre",
-    "pearson_r",
-    "pearson_p",
-    "t_stat",
-    "t_p",
-)
+EVALUATION_COLUMNS = tuple(f.name for f in fields(PhaseEvaluation))
 
 
 def _mean(values) -> float:
@@ -302,7 +264,7 @@ def emit_outputs(
     paths = []
 
     path = out / "platform_daily.csv"
-    _write_csv(path, cfg, DAILY_COLUMNS, _daily_rows(results[0]))
+    _write_csv(path, cfg, DAILY_COLUMNS, results[0].daily)
     paths.append(path)
 
     path = out / "task_predictions.csv"
@@ -327,7 +289,7 @@ def emit_outputs(
     paths.append(path)
 
     path = out / "evaluation.csv"
-    _write_csv(path, cfg, EVALUATION_COLUMNS, _evaluation_rows(evaluation))
+    _write_csv(path, cfg, EVALUATION_COLUMNS, [vars(evaluation[phase]) for phase in PHASES])
     paths.append(path)
 
     path = out / "report.txt"

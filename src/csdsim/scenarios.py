@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig
-from .domain import ModelInvariantError, resolve_belt_table
+from .config import ConfigError, RunConfig, validate_config
+from .domain import FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError, resolve_belt_table
 from .engine import run_replication
 
 OPENNESS_GATES = (0.60, 0.70, 0.80, 0.90)
@@ -95,12 +95,19 @@ def _policy_outcome(label: str, focals: list) -> PolicyOutcome:
 def run_sweep(name: str, policies):
     """Run each ``(label, cfg)`` pair of the ``policies`` sequence; aggregate its focal task.
 
-    Every policy's belt table is resolved before the first replication, so a
-    config error stops the sweep before any work. Returns the report and the
-    first policy's replication results, which feed the time-series files.
+    Every policy's belt table and focal deadline are checked before the
+    first replication, so a config error stops the sweep before any work.
+    Returns the report and the first policy's replication results, which
+    feed the time-series files.
     """
-    for _label, cfg in policies:
+    for label, cfg in policies:
         resolve_belt_table(cfg)
+        if cfg.focal_arrival + cfg.focal_duration > cfg.horizon_days:
+            raise ConfigError(
+                f"focal_arrival: policy {label} posts the focal task on day "
+                f"{cfg.focal_arrival:g}; with focal_duration {cfg.focal_duration:g} "
+                f"its deadline falls past horizon_days {cfg.horizon_days:g}"
+            )
     outcomes = []
     first_results = []
     for label, cfg in policies:
@@ -119,9 +126,11 @@ def run_sweep(name: str, policies):
 
 def _focal(base: RunConfig, **lever) -> RunConfig:
     """``base`` with the focal task on, no platform lever, then ``lever`` applied."""
-    return replace(
+    cfg = replace(
         base, **{"focal_enabled": True, "openness_gate": None, "admitted_belts": None, **lever}
     )
+    validate_config(cfg)
+    return cfg
 
 
 def run_openness_scenario(base_cfg: RunConfig, gates=OPENNESS_GATES):
@@ -159,14 +168,15 @@ def calibrate_fps(cfg: RunConfig):
     at its resolution against its failed flag. Returns (slope, intercept,
     points). Degenerate x collapses to a flat line at the failure rate.
     """
+    terminal = {state.value for state in TERMINAL_STATES}
     xs = []
     ys = []
     for result in run_replications(cfg):
         for rec in result.task_log:
-            if rec["outcome"] not in ("completed", "failed", "starved", "dropped"):
+            if rec["outcome"] not in terminal:
                 continue
             xs.append(rec["tsr_at_resolution"])
-            ys.append(1.0 if rec["outcome"] != "completed" else 0.0)
+            ys.append(1.0 if rec["outcome"] in FAILURE_OUTCOMES else 0.0)
     if not xs:
         return 0.0, 0.0, 0
     x = np.asarray(xs)

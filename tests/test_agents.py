@@ -1,4 +1,4 @@
-"""Agent decision rules: registration, submission, scoring, winners."""
+"""Agent decision rules: registration, submission, scoring, reliability."""
 
 from collections import deque
 
@@ -16,7 +16,6 @@ from csdsim.agents import (
     REASON_ZERO_RATING,
     decide_register,
     decide_submit,
-    determine_winner,
     permanent_exclusion,
     pool_crowding_factor,
     preference_weight,
@@ -26,7 +25,6 @@ from csdsim.agents import (
     submission_crowd_suppression,
     update_reliability,
 )
-from csdsim.domain import Submission
 
 CFG = RunConfig()
 
@@ -231,53 +229,6 @@ def test_score_submission_boundary():
     assert not qualified
     assert score_submission(0.0, 75.0) == (0.0, False)
     assert score_submission(1.0, 75.0) == (100.0, True)
-
-
-# ------------------------------------------------------------------ winners
-
-
-def test_winner_best_qualified_score():
-    subs = [
-        Submission(1, 2.0, 80.0, True),
-        Submission(2, 1.0, 92.0, True),
-        Submission(3, 0.5, 99.0, False),  # unqualified, ignored
-    ]
-    assert determine_winner(subs).agent_id == 2
-
-
-def test_winner_tie_goes_to_earliest():
-    subs = [
-        Submission(1, 2.0, 92.0, True),
-        Submission(2, 1.0, 92.0, True),
-    ]
-    assert determine_winner(subs).agent_id == 2
-
-
-def test_winner_none_without_qualified():
-    assert determine_winner([]) is None
-    assert determine_winner([Submission(1, 1.0, 30.0, False)]) is None
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=50),
-            st.floats(min_value=0, max_value=10),
-            st.floats(min_value=0, max_value=100),
-            st.booleans(),
-        ),
-        max_size=12,
-    )
-)
-def test_winner_is_order_independent(rows):
-    subs = [Submission(a, t, s, q) for a, t, s, q in rows]
-    forward = determine_winner(subs)
-    backward = determine_winner(list(reversed(subs)))
-    if forward is None:
-        assert backward is None
-    else:
-        assert backward is not None
-        assert (forward.score, forward.time) == (backward.score, backward.time)
 
 
 # -------------------------------------------------------------- reliability

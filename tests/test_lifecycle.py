@@ -126,17 +126,25 @@ def reviewed_task(subs) -> Task:
 
 
 def test_resolve_review_completes_with_winner():
-    task = reviewed_task(
-        [Submission(1, 1.0, 80.0, True), Submission(2, 2.0, 90.0, True)]
-    )
-    assert resolve_review(task) is TaskState.COMPLETED
-    assert task.state is TaskState.PEER_REVIEW  # the caller moves the task
+    # (agent_id, qualified) rows: one qualified submission is enough,
+    # wherever it sits among unqualified ones
+    for rows in (
+        [(1, True), (2, True)],
+        [(1, True)],
+        [(1, False), (2, True), (3, False)],
+        [(1, False), (2, False), (3, True)],
+    ):
+        task = reviewed_task([Submission(a, q) for a, q in rows])
+        assert resolve_review(task) is TaskState.COMPLETED, rows
+        assert task.state is TaskState.PEER_REVIEW  # the caller moves the task
 
 
 def test_resolve_review_fails_without_qualified():
-    task = reviewed_task([Submission(1, 1.0, 40.0, False)])
-    assert resolve_review(task) is TaskState.FAILED
-    assert task.state is TaskState.PEER_REVIEW
+    # an unqualified submission never completes a task, however many there are
+    for rows in ([(1, False)], [(1, False), (2, False), (3, False)]):
+        task = reviewed_task([Submission(a, q) for a, q in rows])
+        assert resolve_review(task) is TaskState.FAILED, rows
+        assert task.state is TaskState.PEER_REVIEW
 
 
 @pytest.mark.parametrize(

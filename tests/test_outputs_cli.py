@@ -242,25 +242,27 @@ def test_cli_bad_history_exits_two(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
-def test_cli_unresolvable_focal_exits_three(tmp_path, capsys):
-    # a focal task posted on day 59 with a 30 day window cannot resolve
-    code = main(
-        [
-            "whatif",
-            "--day",
-            "59",
-            "--out",
-            str(tmp_path / "x"),
-            "--set",
-            "replications=2",
-            "--set",
-            "task_lambda=25",
-            "--set",
-            "agent_gamma=120",
-        ]
-    )
-    assert code == 3
-    assert "focal" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["whatif", "--day", "-2"],
+        ["whatif", "--day", "40"],
+        ["whatif", "--day", "59"],
+        ["scenario", "openness", "--set", "focal_arrival=40"],
+    ],
+    ids=["whatif_day_-2", "whatif_day_40", "whatif_day_59", "openness_day_40"],
+)
+def test_cli_focal_outside_the_horizon_exits_one(tmp_path, capsys, monkeypatch, argv):
+    # day -2 precedes the clock; from day 31 on, the 30 day focal window
+    # ends past the 60 day horizon, so the focal task could never resolve
+    ran = []
+    monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
+    out = tmp_path / "x"
+    code = main([*argv, "--out", str(out), *TINY_OVERRIDES])
+    assert code == 1
+    assert "focal_arrival" in capsys.readouterr().err
+    assert ran == []  # refused before the first replication
+    assert not out.exists()
 
 
 def test_cli_scenario_summary_has_policy_rows(tmp_path, capsys):
