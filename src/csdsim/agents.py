@@ -123,13 +123,12 @@ def submission_crowd_suppression(registrant_count: int, cfg: RunConfig) -> float
     return 1.0 / (1.0 + cfg.crowd_penalty_coeff * excess)
 
 
-def score_submission(draw: float, quality_pass: float):
-    """Map a unit draw to a 0..100 review score plus its qualified flag.
+def score_submission(draw: float, quality_pass: float) -> bool:
+    """Review verdict: a unit draw read as a 0..100 score qualifies at ``quality_pass``.
 
     Review quality is not belt dependent; belts only shape who submits.
     """
-    score = draw * 100.0
-    return score, score >= quality_pass
+    return draw * 100.0 >= quality_pass
 
 
 def update_reliability(agent: Agent, qualified: bool) -> None:

@@ -399,7 +399,7 @@ class Simulation:
             self._pool_remove(task.task_id)  # registration closes with the first submission
         if agent.quality_rng is None:
             agent.quality_rng = self.streams.get(f"quality/{agent.agent_id}")
-        _score, qualified = score_submission(agent.quality_rng.random(), self.cfg.quality_pass)
+        qualified = score_submission(agent.quality_rng.random(), self.cfg.quality_pass)
         task.submissions.append(Submission(agent.agent_id, qualified))
         self.sub_by_belt[agent.belt] += 1
         self._record_prediction(task, "submission", self.current_fps())

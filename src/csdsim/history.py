@@ -1,9 +1,12 @@
 """Run-history ingestion and forecast evaluation.
 
 A history CSV is the ground truth: one row per task with its outcome. A
-predictions CSV carries the forecast trail: one row per risk update. The
-evaluation aligns both into daily per-phase series and scores the forecast
-with MRE, correlation, and a bias t-test.
+predictions CSV carries the forecast trail: one row per risk update. Both are
+UTF-8, read by one ``csv.reader`` record loop that finds columns by header
+name in any order and skips ``#`` lines and blank rows; an unreadable or
+undecodable file, or a cell past the csv field size limit, is a ``DataError``.
+The evaluation aligns both into daily per-phase series and scores the
+forecast with MRE, correlation, and a bias t-test.
 
 Two-sided p-values come from ``scipy.special.stdtr``, the Student t CDF
 that ``scipy.stats.t.sf`` itself calls (``sf(t, df) == stdtr(df, -t)``), so
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,27 +102,46 @@ def _validate_row(row: HistoryRow, row_num: int) -> None:
         raise _row_error(row_num, f"unknown failure_phase {row.failure_phase!r}")
 
 
+def _records(fh, label: str, columns):
+    """Yield (row number, cells in ``columns`` order) for each data row of ``fh``.
+
+    Reads as ``csv.DictReader`` does: blank rows are skipped unnumbered, a
+    duplicated header name reads its last column, and a short row reads None.
+    """
+    reader = csv.reader(line for line in fh if not line.startswith("#"))
+    header = next(reader, None) or []
+    index = {name: i for i, name in enumerate(header)}
+    missing = set(columns) - set(index)
+    if missing:
+        raise DataError(f"{label}: missing columns {sorted(missing)}")
+    pick = operator.itemgetter(*(index[name] for name in columns))
+    for row_num, row in enumerate(filter(None, reader), start=2):
+        if len(row) < len(header):
+            row += [None] * (len(header) - len(row))
+        yield row_num, pick(row)
+
+
+# unreadable file, bytes that are not UTF-8, a cell past csv.field_size_limit()
+_READ_ERRORS = (OSError, UnicodeDecodeError, csv.Error)
+
+
 def ingest_history(path: str):
     """Load and validate a history CSV. Extra columns are tolerated."""
     rows = []
     seen = set()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = (line for line in fh if not line.startswith("#"))
-            reader = csv.DictReader(lines)
-            missing = set(HISTORY_COLUMNS) - set(reader.fieldnames or ())
-            if missing:
-                raise DataError(f"history {path}: missing columns {sorted(missing)}")
-            for row_num, rec in enumerate(reader, start=2):
+            for row_num, cells in _records(fh, f"history {path}", HISTORY_COLUMNS):
+                task_id, posted, duration, regs, subs, outcome, phase = cells
                 try:
                     row = HistoryRow(
-                        task_id=(rec["task_id"] or "").strip(),
-                        posted_day=float(rec["posted_day"]),
-                        duration_days=float(rec["duration_days"]),
-                        registrants=int(rec["registrants"]),
-                        submissions=int(rec["submissions"]),
-                        outcome=(rec["outcome"] or "").strip(),
-                        failure_phase=(rec["failure_phase"] or "").strip(),
+                        task_id=(task_id or "").strip(),
+                        posted_day=float(posted),
+                        duration_days=float(duration),
+                        registrants=int(regs),
+                        submissions=int(subs),
+                        outcome=(outcome or "").strip(),
+                        failure_phase=(phase or "").strip(),
                     )
                 except (TypeError, ValueError) as exc:
                     raise _row_error(row_num, f"bad cell: {exc}") from None
@@ -127,7 +150,7 @@ def ingest_history(path: str):
                     raise _row_error(row_num, f"duplicate task_id {row.task_id}")
                 seen.add(row.task_id)
                 rows.append(row)
-    except OSError as exc:
+    except _READ_ERRORS as exc:
         raise DataError(f"cannot read history {path}: {exc}") from None
     if not rows:
         raise DataError(f"history {path}: no data rows")
@@ -140,21 +163,17 @@ def ingest_predictions(path: str) -> dict:
     latest_day: dict = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = (line for line in fh if not line.startswith("#"))
-            reader = csv.DictReader(lines)
-            missing = set(PREDICTION_COLUMNS) - set(reader.fieldnames or ())
-            if missing:
-                raise DataError(f"predictions {path}: missing columns {sorted(missing)}")
-            for row_num, rec in enumerate(reader, start=2):
-                task_id = (rec["task_id"] or "").strip()
-                phase = (rec["phase"] or "").strip()
+            for row_num, cells in _records(fh, f"predictions {path}", PREDICTION_COLUMNS):
+                task_id, day, phase, value = cells
+                task_id = (task_id or "").strip()
+                phase = (phase or "").strip()
                 if not task_id:
                     raise _row_error(row_num, "task_id is empty")
                 if phase not in PHASES:
                     raise _row_error(row_num, f"unknown phase {phase!r}")
                 try:
-                    day = float(rec["day"])
-                    value = float(rec["prediction"])
+                    day = float(day)
+                    value = float(value)
                 except (TypeError, ValueError) as exc:
                     raise _row_error(row_num, f"bad cell: {exc}") from None
                 if day < 0:
@@ -162,10 +181,11 @@ def ingest_predictions(path: str) -> dict:
                 if value < 0:
                     raise _row_error(row_num, "prediction is negative")
                 key = (task_id, phase)
-                if key not in latest_day or day >= latest_day[key]:
+                prev = latest_day.get(key)
+                if prev is None or day >= prev:
                     latest_day[key] = day
                     latest[key] = value
-    except OSError as exc:
+    except _READ_ERRORS as exc:
         raise DataError(f"cannot read predictions {path}: {exc}") from None
     return latest
 

@@ -15,8 +15,8 @@ def compute_fpr(registrant_profile) -> float:
     """Failure prediction from the registrant roster.
 
     ``registrant_profile`` is an iterable of (reliability, p_qualified)
-    pairs. The weighted mass is discounted harder as total reliability on
-    the task grows: a deep roster has slack, a shallow one does not.
+    pairs. The weighted mass is discounted harder as total reliability
+    grows, since a deep roster has slack, and the result is capped at 1.
     """
     total_rel = 0.0
     weighted = 0.0
@@ -24,10 +24,10 @@ def compute_fpr(registrant_profile) -> float:
         total_rel += reliability
         weighted += reliability * p_qualified
     if total_rel > 2.0:
-        return weighted / 3.0
-    if total_rel > 1.0:
-        return weighted / 2.0
-    return weighted
+        weighted /= 3.0
+    elif total_rel > 1.0:
+        weighted /= 2.0
+    return min(1.0, weighted)
 
 
 def compute_tsr(submitted_total: int, registered_total: int, invert: bool = False) -> float:

@@ -72,7 +72,7 @@ def test_criterion_01_formula_oracles():
     def reference_fpr(pairs):
         total = sum(re for re, _ in pairs)
         weighted = sum(re * p for re, p in pairs)
-        return weighted / (3.0 if total > 2.0 else 2.0 if total > 1.0 else 1.0)
+        return min(1.0, weighted / (3.0 if total > 2.0 else 2.0 if total > 1.0 else 1.0))
 
     started = time.monotonic()
     rng = random.Random(1234)

@@ -223,12 +223,10 @@ def test_submission_crowd_suppression_when_enabled():
 
 
 def test_score_submission_boundary():
-    assert score_submission(0.75, 75.0) == (75.0, True)
-    score, qualified = score_submission(0.7499, 75.0)
-    assert score == pytest.approx(74.99)
-    assert not qualified
-    assert score_submission(0.0, 75.0) == (0.0, False)
-    assert score_submission(1.0, 75.0) == (100.0, True)
+    assert score_submission(0.75, 75.0) is True
+    assert score_submission(0.7499, 75.0) is False
+    assert score_submission(0.0, 75.0) is False
+    assert score_submission(1.0, 75.0) is True
 
 
 # -------------------------------------------------------------- reliability

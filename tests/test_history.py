@@ -1,18 +1,26 @@
 """History ingestion, validation rules, and the forecast scorer."""
 
+import csv
+import io
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import scipy.stats as scipy_stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import stdtr
 
 import csdsim
 from csdsim import RunConfig, run_replication
 from csdsim.history import (
+    HISTORY_COLUMNS,
+    PHASES,
+    PREDICTION_COLUMNS,
     DataError,
     evaluate_forecast,
     ingest_history,
@@ -105,6 +113,146 @@ def test_empty_history_rejected(tmp_path):
 def test_unreadable_history_rejected(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         ingest_history(str(tmp_path / "absent.csv"))
+
+
+@pytest.mark.parametrize(
+    "ingest,label,header",
+    [
+        (ingest_history, "history", HISTORY_COLUMNS),
+        (ingest_predictions, "predictions", PREDICTION_COLUMNS),
+    ],
+    ids=["history", "predictions"],
+)
+@pytest.mark.parametrize(
+    "first_cell,message",
+    [
+        (b"t\xe9", "codec can't decode"),
+        (b"x" * (csv.field_size_limit() + 1), "field larger than field limit"),
+    ],
+    ids=["not_utf8", "oversized_cell"],
+)
+def test_undecodable_or_oversized_file_is_a_data_error(
+    tmp_path, ingest, label, header, first_cell, message
+):
+    path = tmp_path / "in.csv"
+    rest = b",0" * (len(header) - 1)
+    path.write_bytes(",".join(header).encode() + b"\n" + first_cell + rest + b"\n")
+    with pytest.raises(DataError, match=f"cannot read {label} {path}: .*{message}"):
+        ingest(str(path))
+
+
+# ------------------------------------------- record reader vs csv.DictReader
+
+
+def dictreader_records(fh, label, columns):
+    """``history._records`` as ``csv.DictReader`` reads a file: the reference."""
+    reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+    missing = set(columns) - set(reader.fieldnames or ())
+    if missing:
+        raise DataError(f"{label}: missing columns {sorted(missing)}")
+    for row_num, rec in enumerate(reader, start=2):
+        yield row_num, tuple(rec[name] for name in columns)
+
+
+CELLS = {
+    "task_id": ["t1", "t2", " t3 ", "", "a,b", "x\ny"],
+    "posted_day": ["0", "1.5", "-1", "zero", ""],
+    "duration_days": ["5", "7.5", "0"],
+    "registrants": ["0", "3", "-1", "2.0"],
+    "submissions": ["0", "1", "2"],
+    "outcome": ["completed", "starved", " failed ", "dropped", "exploded"],
+    "failure_phase": ["", "registration", "submission", "shipping"],
+    "day": ["0", "1", "2.5", "-1", "x"],
+    "phase": ["registration", " submission ", "shipping", ""],
+    "prediction": ["0.1", "0.5", "0", "-0.2", "x"],
+}
+JUNK = ["", "note", "q,r", "two\nlines"]
+# (posted_day, duration_days, registrants, submissions, outcome, failure_phase)
+VALID_HISTORY = [
+    ("0", "5", "0", "0", "starved", ""),
+    ("1", "5", "3", "0", "dropped", ""),
+    ("0", "5", "4", "2", "failed", "registration"),
+    ("2", "7.5", "4", "1", "completed", ""),
+]
+
+
+def valid_cells(draw, columns, n):
+    """Cells of a row that ingests cleanly, by column name."""
+    if columns == HISTORY_COLUMNS:
+        return dict(zip(columns, (f"t{n}", *draw(st.sampled_from(VALID_HISTORY)))))
+    return {
+        "task_id": draw(st.sampled_from(["t1", "t2"])),
+        "day": draw(st.sampled_from(["0", "1", "2.5"])),
+        "phase": draw(st.sampled_from(PHASES)),
+        "prediction": draw(st.sampled_from(["0.1", "0.5", "0"])),
+    }
+
+
+@st.composite
+def csv_texts(draw, columns):
+    """Reordered, extra, duplicated or missing columns; ``#`` and blank lines;
+    short and long rows; quoted commas and newlines."""
+    header = list(draw(st.permutations(columns)))
+    for name in draw(st.lists(st.sampled_from(["note", *columns]), max_size=2)):
+        header.insert(draw(st.integers(0, len(header))), name)
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(columns)))
+    last = {name: i for i, name in enumerate(header)}
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if draw(st.booleans()):
+        buf.write("# exported elsewhere\n")
+    writer.writerow(header)
+    for n in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["valid", "valid", "mixed", "blank", "comment"]))
+        if kind == "comment":
+            buf.write("# note\n")
+            continue
+        if kind == "blank":
+            writer.writerow([])
+            continue
+        good = valid_cells(draw, columns, n) if kind == "valid" else {}
+        row = [
+            good[name] if name in good and i == last[name]
+            else draw(st.sampled_from(CELLS.get(name, JUNK)))
+            for i, name in enumerate(header)
+        ]
+        size = draw(st.sampled_from(["full", "full", "full", "short", "long"]))
+        if size == "short":
+            row = row[: draw(st.integers(1, len(row)))]
+        elif size == "long":
+            row += draw(st.lists(st.sampled_from(JUNK), min_size=1, max_size=2))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "in.csv"
+
+
+def _ingested(ingest, path):
+    """The result in comparable form (dict key order included), or the error text."""
+    try:
+        result = ingest(str(path))
+    except DataError as exc:
+        return str(exc)
+    return list(result.items()) if isinstance(result, dict) else result
+
+
+@pytest.mark.parametrize(
+    "ingest,columns",
+    [(ingest_history, HISTORY_COLUMNS), (ingest_predictions, PREDICTION_COLUMNS)],
+    ids=["history", "predictions"],
+)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_record_reader_matches_dictreader(fuzz_path, ingest, columns, data):
+    fuzz_path.write_text(data.draw(csv_texts(columns)), encoding="utf-8", newline="")
+    got = _ingested(ingest, fuzz_path)
+    with mock.patch("csdsim.history._records", dictreader_records):
+        want = _ingested(ingest, fuzz_path)
+    assert got == want
 
 
 # -------------------------------------------------------------- predictions

@@ -26,7 +26,7 @@ def reference_fpr(profile) -> float:
     total = sum(re for re, _ in pairs)
     weighted = sum(re * p for re, p in pairs)
     divisor = 3.0 if total > 2.0 else 2.0 if total > 1.0 else 1.0
-    return weighted / divisor
+    return min(1.0, weighted / divisor)  # a probability
 
 
 def test_fpr_hand_example():
@@ -44,6 +44,7 @@ def test_fpr_hand_example():
         ([(1.0000001, 0.5)], 0.5 * 1.0000001 / 2.0),
         ([(2.0, 0.5)], 0.5),  # total exactly 2: half, not a third
         ([(2.0000001, 0.5)], 0.5 * 2.0000001 / 3.0),
+        ([(1.0, 0.6)] * 6, 1.0),  # 3.6 / 3 = 1.2 would not be a probability
     ],
 )
 def test_fpr_branch_boundaries(profile, expected):

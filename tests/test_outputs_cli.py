@@ -1,5 +1,6 @@
 """Output file contracts and the command-line entry points."""
 
+import csv
 import re
 import statistics
 
@@ -240,6 +241,29 @@ def test_cli_bad_history_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "row 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "first_cell,message",
+    [
+        (b"t\xe9", "codec can't decode"),
+        (b"x" * (csv.field_size_limit() + 1), "field larger than field limit"),
+    ],
+    ids=["not_utf8", "oversized_cell"],
+)
+def test_cli_undecodable_or_oversized_history_exits_two(tmp_path, capsys, first_cell, message):
+    history = tmp_path / "history.csv"
+    history.write_bytes(
+        b"task_id,posted_day,duration_days,registrants,submissions,outcome,failure_phase\n"
+        + first_cell
+        + b",0,5,0,0,starved,\n"
+    )
+    code = main(
+        ["evaluate", "--history", str(history), "--out", str(tmp_path / "x"), *TINY_OVERRIDES]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read history {history}: " in err and message in err
 
 
 @pytest.mark.parametrize(
