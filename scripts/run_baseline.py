@@ -13,19 +13,6 @@ import statistics
 
 from csdsim import RunConfig, run_replications
 
-COUNTER_ORDER = (
-    "arrived",
-    "registered",
-    "submitted",
-    "completed",
-    "failed",
-    "starved",
-    "dropped",
-    "failed_review",
-    "reposted",
-)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=RunConfig().seed)
@@ -38,7 +25,7 @@ def main() -> None:
     print(f"baseline: {cfg.replications} replications, seed {cfg.seed}, horizon {cfg.horizon_days:g} days")
     print()
     print(f"{'counter':<14} {'mean':>9} {'min':>6} {'max':>6}")
-    for key in COUNTER_ORDER:
+    for key in results[0].counters:
         values = [r.counters[key] for r in results]
         print(f"{key:<14} {statistics.mean(values):>9.1f} {min(values):>6} {max(values):>6}")
 

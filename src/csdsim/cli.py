@@ -21,7 +21,6 @@ from .config import (
     load_config,
 )
 from .domain import ModelInvariantError
-from .engine import run_replication
 from .history import (
     DataError,
     evaluate_forecast,
@@ -133,13 +132,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     rows = ingest_history(args.history)
-    result = run_replication(cfg)
-    if args.predictions:
-        latest = ingest_predictions(args.predictions)
-    else:
-        latest = result_latest_predictions(result)
+    # both files are read before any replication, so a bad one costs no run
+    latest = ingest_predictions(args.predictions) if args.predictions else None
+    results = list(run_replications(cfg))
+    if latest is None:
+        latest = result_latest_predictions(results[0])
     evaluation = evaluate_forecast(rows, latest)
-    _emit(cfg, [result], args, evaluation=evaluation)
+    _emit(cfg, results, args, evaluation=evaluation)
     for phase, ev in evaluation.items():
         mre_txt = "n/a" if ev.mre is None else f"{ev.mre:.6f}"
         print(f"{phase}: mre {mre_txt} over {ev.n_days} days")

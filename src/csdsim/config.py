@@ -329,6 +329,11 @@ def validate_config(cfg: RunConfig) -> None:
     _require(cfg.focal_arrival >= 0, "focal_arrival", "must be non-negative")
     _require(cfg.focal_duration > 0, "focal_duration", "must be positive")
     _require(cfg.focal_award > 0, "focal_award", "must be positive")
+    _require(
+        not cfg.focal_enabled or cfg.focal_arrival + cfg.focal_duration <= cfg.horizon_days,
+        "focal_arrival",
+        "need focal_arrival + focal_duration <= horizon_days when focal_enabled",
+    )
 
 
 def follow_through_by_belt(cfg: RunConfig) -> dict:

@@ -1,4 +1,4 @@
-"""Core domain model: task lifecycle states, belts, tasks, agents, counters."""
+"""Core domain model: task lifecycle states, belts, tasks, agents."""
 
 from __future__ import annotations
 
@@ -59,6 +59,9 @@ LEGAL_TRANSITIONS = {
 TERMINAL_STATES = frozenset(
     s for s, nxt in LEGAL_TRANSITIONS.items() if not nxt
 )
+
+# The one state each state is entered from; ARRIVED, where tasks start, has none.
+SOURCE_STATE = {dst: src for src, nxt in LEGAL_TRANSITIONS.items() for dst in nxt}
 
 # Registration stays open only until the first submission lands.
 REGISTRABLE_STATES = frozenset({TaskState.ARRIVED, TaskState.REGISTERED})
@@ -283,42 +286,6 @@ class Agent:
         return sum(self.recent_outcomes) / len(self.recent_outcomes)
 
 
-@dataclass
-class PlatformState:
-    """Monotone task-level tallies feeding the platform health ratios.
-
-    ``failed`` is derived: reviewed-but-unqualified plus dropped tasks.
-    Starvation is tallied separately so completed + failed never exceeds
-    registered. Failure reports add the starved count back in.
-    """
-
-    arrived_total: int = 0
-    registered_total: int = 0
-    submitted_total: int = 0
-    completed_total: int = 0
-    starved_total: int = 0
-    dropped_total: int = 0
-    failed_review_total: int = 0
-    reposted_total: int = 0
-
-    @property
-    def failed(self) -> int:
-        return self.dropped_total + self.failed_review_total
-
-    def snapshot(self) -> dict:
-        return {
-            "arrived": self.arrived_total,
-            "registered": self.registered_total,
-            "submitted": self.submitted_total,
-            "completed": self.completed_total,
-            "failed": self.failed,
-            "starved": self.starved_total,
-            "dropped": self.dropped_total,
-            "failed_review": self.failed_review_total,
-            "reposted": self.reposted_total,
-        }
-
-
 def resolved_count(counters: dict) -> int:
-    """Tasks in a terminal state, from a ``PlatformState.snapshot()``."""
+    """Tasks in a terminal state, from a ``counters`` dict."""
     return counters["completed"] + counters["failed"] + counters["starved"]

@@ -24,6 +24,9 @@ configs ``events_processed`` (the events line of ``report.txt``) differs
 from csdsim 0.1.0 and the trace hash covers fewer events; every CSV is
 unchanged. Per-agent streams are created on first use, which string seeding
 makes independent of creation order.
+
+The platform tallies are read off the ``_move`` audit, ``transition_counts``,
+and the per-belt tallies off the tasks; only arrivals and reposts are ints.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .domain import (
     BeltTable,
     FAILURE_STATES,
     ModelInvariantError,
-    PlatformState,
+    SOURCE_STATE,
     SUBMITTABLE_STATES,
     Submission,
     TERMINAL_STATES,
@@ -126,7 +129,6 @@ class ReplicationResult:
     focal: Optional[dict]
     daily: list
     predictions: list
-    latest_prediction: dict
     task_log: list
     reg_by_belt: Counter
     sub_by_belt: Counter
@@ -174,7 +176,8 @@ class Simulation:
         self.now = 0.0  # fractional days
         self._heap: list = []  # (time, seq, kind, subject); seq gives FIFO ties
         self._seq = 0
-        self.state = PlatformState()
+        self.arrived = 0
+        self.reposted = 0
         self.tasks: dict = {}
         self.agents: dict = {}
         self.active: list = []
@@ -187,11 +190,8 @@ class Simulation:
         self.follow_through = follow_through_by_belt(cfg)
         self.p_qual = {row.belt: row.p_qualified for row in self.belt_table.rows}
         self.predictions: list = []
-        self.latest_prediction: dict = {}
         self.task_log: list = []
         self.daily: list = []
-        self.reg_by_belt: Counter = Counter()
-        self.sub_by_belt: Counter = Counter()
         self.transition_counts: Counter = Counter()
         self.focal_result: Optional[dict] = None
         self._trace = hashlib.blake2b(digest_size=16)
@@ -276,21 +276,36 @@ class Simulation:
             self._pool_pos[last] = pos
         self.pool_sim_sum -= self.tasks[task_id].similarity
 
+    def counters(self) -> dict:
+        """Platform tallies; starved stays apart so completed + failed <= registered."""
+        entered = {dst: self.transition_counts[src, dst] for dst, src in SOURCE_STATE.items()}
+        return {
+            "arrived": self.arrived,
+            "registered": entered[TaskState.REGISTERED],
+            "submitted": entered[TaskState.SUBMITTED],
+            "completed": entered[TaskState.COMPLETED],
+            "failed": entered[TaskState.DROPPED] + entered[TaskState.FAILED],
+            "starved": entered[TaskState.STARVED],
+            "dropped": entered[TaskState.DROPPED],
+            "failed_review": entered[TaskState.FAILED],
+            "reposted": self.reposted,
+        }
+
     def current_tsr(self) -> float:
-        return compute_tsr(self.state.submitted_total, self.state.registered_total)
+        c = self.counters()
+        return compute_tsr(c["submitted"], c["registered"])
 
     def current_fps(self) -> float:
         return compute_fps(self.current_tsr(), self.cfg.fps_slope, self.cfg.fps_intercept)
 
     def _record_prediction(self, task: Task, phase: str, value: float) -> None:
         self.predictions.append((task.task_id, self.now, phase, value))
-        self.latest_prediction[(task.task_id, phase)] = value
 
     # ------------------------------------------------------------- handlers
 
     def _on_task_arrival(self, tid: int) -> None:
         task = self.tasks[tid]
-        self.state.arrived_total += 1
+        self.arrived += 1
         if task.attractable:
             self._pool_add(task)
         self.schedule(task.deadline, EV_DEADLINE, tid)
@@ -347,7 +362,6 @@ class Simulation:
     def _register(self, agent: Agent, task: Task) -> None:
         if not task.registrants:
             self._move(task, TaskState.REGISTERED)
-            self.state.registered_total += 1
         task.registrants.append(agent.agent_id)
         agent.open_list.append(task.task_id)
         if self.cfg.check_invariants and len(agent.open_list) > self.cfg.open_list_cap:
@@ -355,7 +369,6 @@ class Simulation:
                 f"agent {agent.agent_id} exceeded the open list cap"
             )
         agent.pending.append(task.task_id)
-        self.reg_by_belt[agent.belt] += 1
         fpr = compute_fpr(
             (self.agents[a].reliability, self.p_qual[self.agents[a].belt])
             for a in task.registrants
@@ -395,24 +408,20 @@ class Simulation:
             )
         if not task.submissions:
             self._move(task, TaskState.SUBMITTED)
-            self.state.submitted_total += 1
             self._pool_remove(task.task_id)  # registration closes with the first submission
         if agent.quality_rng is None:
             agent.quality_rng = self.streams.get(f"quality/{agent.agent_id}")
         qualified = score_submission(agent.quality_rng.random(), self.cfg.quality_pass)
         task.submissions.append(Submission(agent.agent_id, qualified))
-        self.sub_by_belt[agent.belt] += 1
         self._record_prediction(task, "submission", self.current_fps())
 
     def _on_deadline(self, tid: int) -> None:
         task = self.tasks[tid]
         if task.state is TaskState.ARRIVED:
             self._move(task, TaskState.STARVED)
-            self.state.starved_total += 1
             self._finalize(task)
         elif task.state is TaskState.REGISTERED:
             self._move(task, TaskState.DROPPED)
-            self.state.dropped_total += 1
             self._finalize(task)
         elif task.state is TaskState.SUBMITTED:
             self._move(task, TaskState.PEER_REVIEW)
@@ -425,10 +434,6 @@ class Simulation:
     def _on_review(self, tid: int) -> None:
         task = self.tasks[tid]
         self._move(task, resolve_review(task))
-        if task.state is TaskState.COMPLETED:
-            self.state.completed_total += 1
-        else:
-            self.state.failed_review_total += 1
         self._finalize(task)
 
     def _finalize(self, task: Task) -> None:
@@ -459,12 +464,13 @@ class Simulation:
                 attr_rng.random() < self.cfg.attraction_rate,
             )
             self.tasks[clone.task_id] = clone
-            self.state.reposted_total += 1
+            self.reposted += 1
             self.schedule(self.now, EV_TASK_ARRIVAL, clone.task_id)
         if self.cfg.check_invariants:
             self._check_counters()
 
     def _record_focal(self, task: Task) -> None:
+        final = {phase: v for tid, _day, phase, v in self.predictions if tid == task.task_id}
         self.focal_result = {
             "task_id": task.task_id,
             "outcome": task.state.value,
@@ -474,8 +480,8 @@ class Simulation:
             "submissions": len(task.submissions),
             "reg_by_belt": Counter(self.agents[a].belt for a in task.registrants),
             "sub_by_belt": Counter(self.agents[s.agent_id].belt for s in task.submissions),
-            "final_fpr": self.latest_prediction.get((task.task_id, "registration"), 0.0),
-            "final_fps": self.latest_prediction.get((task.task_id, "submission"), 0.0),
+            "final_fpr": final.get("registration", 0.0),
+            "final_fps": final.get("submission", 0.0),
             "resolved_at": self.now,
         }
 
@@ -496,10 +502,10 @@ class Simulation:
         }
 
     def _check_counters(self) -> None:
-        s = self.state
-        if s.completed_total + s.failed > s.registered_total:
+        c = self.counters()
+        if c["completed"] + c["failed"] > c["registered"]:
             raise ModelInvariantError("completed + failed exceeded registered")
-        if s.submitted_total > s.registered_total:
+        if c["submitted"] > c["registered"]:
             raise ModelInvariantError("submitted exceeded registered")
 
     def _on_focal(self, _subject: int) -> None:
@@ -525,18 +531,15 @@ class Simulation:
     def _on_daily(self, day: int) -> None:
         busy = sum(1 for aid in self.active if self.agents[aid].open_list)
         total = len(self.active)
-        s = self.state
-        counters = s.snapshot()
+        c = self.counters()
         self.daily.append(
             {
-                **counters,  # cumulative counters ride along; the CSV ignores them
+                **c,  # cumulative counters ride along; the CSV ignores them
                 "day": day,
-                "open_tasks": s.arrived_total - resolved_count(counters),
-                "tcr": compute_tcr(s.completed_total, s.registered_total),
-                "tfr": compute_tfr(s.completed_total, s.registered_total),
-                "tsr": compute_tsr(
-                    s.submitted_total, s.registered_total, invert=self.cfg.invert_tsr
-                ),
+                "open_tasks": c["arrived"] - resolved_count(c),
+                "tcr": compute_tcr(c["completed"], c["registered"]),
+                "tfr": compute_tfr(c["completed"], c["registered"]),
+                "tsr": compute_tsr(c["submitted"], c["registered"], invert=self.cfg.invert_tsr),
                 "utilization": utilization(busy, total),
                 "pool_openness": pool_openness(self.pool_sim_sum, len(self.pool)),
                 "busy_agents": busy,
@@ -577,19 +580,19 @@ class Simulation:
             update(pack(time, code, subject))
             self._events += 1
             handler(subject)
-        for task in self.tasks.values():
+        tasks = self.tasks.values()
+        for task in tasks:
             if task.state not in TERMINAL_STATES and task.arrival <= self.cfg.horizon_days:
                 self.task_log.append(self._log_row(task))
         return ReplicationResult(
             seed=self.cfg.seed,
-            counters=self.state.snapshot(),
+            counters=self.counters(),
             focal=self.focal_result,
             daily=self.daily,
             predictions=self.predictions,
-            latest_prediction=self.latest_prediction,
             task_log=self.task_log,
-            reg_by_belt=self.reg_by_belt,
-            sub_by_belt=self.sub_by_belt,
+            reg_by_belt=Counter(self.agents[a].belt for t in tasks for a in t.registrants),
+            sub_by_belt=Counter(self.agents[s.agent_id].belt for t in tasks for s in t.submissions),
             trace_hash=self._trace.hexdigest(),
             events_processed=self._events,
         )

@@ -107,18 +107,33 @@ def _records(fh, label: str, columns):
 
     Reads as ``csv.DictReader`` does: blank rows are skipped unnumbered, a
     duplicated header name reads its last column, and a short row reads None.
+    A ``#`` line is a comment where a record starts, and data inside a quoted cell.
     """
-    reader = csv.reader(line for line in fh if not line.startswith("#"))
+    at_record_start = True
+
+    def lines():  # csv.reader pulls each line only when its record needs one
+        nonlocal at_record_start
+        for line in fh:
+            if not (at_record_start and line.startswith("#")):
+                at_record_start = False
+                yield line
+
+    reader = csv.reader(lines())
     header = next(reader, None) or []
+    at_record_start = True
     index = {name: i for i, name in enumerate(header)}
     missing = set(columns) - set(index)
     if missing:
         raise DataError(f"{label}: missing columns {sorted(missing)}")
     pick = operator.itemgetter(*(index[name] for name in columns))
-    for row_num, row in enumerate(filter(None, reader), start=2):
-        if len(row) < len(header):
-            row += [None] * (len(header) - len(row))
-        yield row_num, pick(row)
+    row_num = 1
+    for row in reader:
+        at_record_start = True
+        if row:
+            row_num += 1
+            if len(row) < len(header):
+                row += [None] * (len(header) - len(row))
+            yield row_num, pick(row)
 
 
 # unreadable file, bytes that are not UTF-8, a cell past csv.field_size_limit()
@@ -319,8 +334,5 @@ def result_history_rows(result) -> list:
 
 
 def result_latest_predictions(result) -> dict:
-    """Adapt one replication's prediction trail to string-keyed form."""
-    return {
-        (str(tid), phase): value
-        for (tid, phase), value in result.latest_prediction.items()
-    }
+    """One replication's last forecast per ``(task_id, phase)``, string-keyed."""
+    return {(str(tid), phase): value for tid, _day, phase, value in result.predictions}

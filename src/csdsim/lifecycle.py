@@ -65,8 +65,8 @@ def sample_duration(rng, cfg: RunConfig) -> float:
 def resolve_review(task: Task) -> TaskState:
     """Score the review queue: COMPLETED if any submission qualified, else FAILED.
 
-    Leaves the task as it is; the caller moves it and owns counter and
-    reliability updates.
+    Leaves the task as it is; the caller moves it, which counts the outcome,
+    and updates reliability.
     """
     if any(s.qualified for s in task.submissions):
         return TaskState.COMPLETED

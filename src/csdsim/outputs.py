@@ -122,7 +122,8 @@ def _baseline_row(cfg: RunConfig, results, belt_names) -> dict:
     fpr_means = []
     fps_finals = []
     for r in results:
-        regs = [v for (tid, phase), v in r.latest_prediction.items() if phase == "registration"]
+        latest = result_latest_predictions(r)
+        regs = [v for (_tid, phase), v in latest.items() if phase == "registration"]
         if regs:
             fpr_means.append(sum(regs) / len(regs))
         fps_finals.append(
@@ -182,17 +183,7 @@ def _report_text(cfg: RunConfig, results, scenario, evaluation) -> str:
     lines.append(f"trace hash (replication 0): {results[0].trace_hash}")
     lines.append("")
     lines.append("platform counters, mean over replications")
-    for key in (
-        "arrived",
-        "registered",
-        "submitted",
-        "completed",
-        "failed",
-        "starved",
-        "dropped",
-        "failed_review",
-        "reposted",
-    ):
+    for key in results[0].counters:
         lines.append(f"  {key}: {_mean(r.counters[key] for r in results):.2f}")
     lines.append(f"  in_flight at horizon: {_mean(r.in_flight for r in results):.2f}")
     lines.append("")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, validate_config
+from .config import RunConfig, validate_config
 from .domain import FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError, resolve_belt_table
 from .engine import run_replication
 
@@ -95,19 +95,12 @@ def _policy_outcome(label: str, focals: list) -> PolicyOutcome:
 def run_sweep(name: str, policies):
     """Run each ``(label, cfg)`` pair of the ``policies`` sequence; aggregate its focal task.
 
-    Every policy's belt table and focal deadline are checked before the
-    first replication, so a config error stops the sweep before any work.
-    Returns the report and the first policy's replication results, which
-    feed the time-series files.
+    Every policy's belt table is resolved before the first replication, so
+    a table error stops the sweep before any work. Returns the report and
+    the first policy's replication results, which feed the time-series files.
     """
-    for label, cfg in policies:
+    for _label, cfg in policies:
         resolve_belt_table(cfg)
-        if cfg.focal_arrival + cfg.focal_duration > cfg.horizon_days:
-            raise ConfigError(
-                f"focal_arrival: policy {label} posts the focal task on day "
-                f"{cfg.focal_arrival:g}; with focal_duration {cfg.focal_duration:g} "
-                f"its deadline falls past horizon_days {cfg.horizon_days:g}"
-            )
     outcomes = []
     first_results = []
     for label, cfg in policies:

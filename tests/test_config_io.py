@@ -141,12 +141,15 @@ def test_bad_value_reports_key():
         "submit_follow_through_gray=1.5",
         "fps_slope=-1",  # forecasts would go negative as the ratio rises
         "fps_intercept=-0.01",
+        # the 30 day focal window from day 40 ends past the 60 day horizon
+        ("focal_enabled=true", "focal_arrival=40"),
     ],
 )
 def test_validation_errors_name_the_key(override):
-    key = override.split("=")[0]
+    overrides = [override] if isinstance(override, str) else list(override)
+    key = overrides[-1].split("=")[0]
     with pytest.raises(ConfigError, match=key):
-        apply_overrides(RunConfig(), [override])
+        apply_overrides(RunConfig(), overrides)
 
 
 def test_override_requires_equals_sign():

@@ -1,17 +1,19 @@
 """Task state machine, belt table semantics, and skill masks."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csdsim import ConfigError, ModelInvariantError, Task, TaskState
+from csdsim import ConfigError, ModelInvariantError, RunConfig, Task, TaskState, run_replication
 from csdsim.domain import (
     DEFAULT_BELT_TABLE,
     FAILURE_STATES,
     LEGAL_TRANSITIONS,
+    SOURCE_STATE,
     TERMINAL_STATES,
     BeltTable,
-    PlatformState,
     can_transition,
     skills_match,
 )
@@ -39,6 +41,17 @@ def test_exactly_seven_legal_edges():
     edges = {(src, dst) for src, dsts in LEGAL_TRANSITIONS.items() for dst in dsts}
     assert edges == EXPECTED_EDGES
     assert len(edges) == 7
+
+
+def test_every_state_but_arrived_has_one_legal_source():
+    # Simulation.counters() reads the moves into a state off its one edge;
+    # a second source would make it miscount silently
+    for state in TaskState:
+        sources = [src for src, nxt in LEGAL_TRANSITIONS.items() if state in nxt]
+        if state is TaskState.ARRIVED:
+            assert sources == [] and state not in SOURCE_STATE
+        else:
+            assert sources == [SOURCE_STATE[state]], state.value
 
 
 def test_terminal_states_have_no_exits():
@@ -165,7 +178,9 @@ def test_skills_match_any_iff_overlap(agent, task):
 
 
 def test_platform_state_snapshot_keys():
-    snap = PlatformState().snapshot()
+    # an empty marketplace: no task and no agent ever arrives
+    empty = dataclasses.replace(RunConfig(), replications=1, task_lambda=0.0, agent_gamma=0.0)
+    snap = run_replication(empty).counters
     assert tuple(snap) == (
         "arrived",
         "registered",
@@ -177,4 +192,4 @@ def test_platform_state_snapshot_keys():
         "failed_review",
         "reposted",
     )
-    assert all(v == 0 for v in snap.values())
+    assert all(type(v) is int and v == 0 for v in snap.values())

@@ -130,6 +130,16 @@ def test_every_terminal_move_is_audited(tiny_cfg):
         assert ended > 0, state.value  # every terminal state is exercised
 
 
+def test_derived_tallies_match_a_census_of_tasks(tiny_cfg):
+    sim, result = run_sim(tiny_cfg)
+    tasks = list(sim.tasks.values())
+    counters = result.counters
+    assert counters["registered"] == sum(1 for task in tasks if task.registrants)
+    assert counters["submitted"] == sum(1 for task in tasks if task.submissions)
+    assert counters["reposted"] == sum(1 for task in tasks if task.repost_count > 0)
+    assert min(counters["registered"], counters["submitted"], counters["reposted"]) > 0
+
+
 def test_open_list_cap_respected(tiny_cfg):
     sim, _ = run_sim(tiny_cfg)
     assert all(

@@ -287,6 +287,15 @@ def test_prediction_validation(tmp_path, body, message):
         ingest_predictions(write_predictions(tmp_path, body))
 
 
+def test_hash_line_inside_a_quoted_cell_is_data(tmp_path):
+    # csv.writer quotes the id, so the cell's second line starts with '#'
+    path = tmp_path / "predictions.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([PREDICTION_COLUMNS, ["t1\n#x", 1.0, "registration", 0.5]])
+    assert path.read_text(encoding="utf-8").splitlines()[2] == '#x",1.0,registration,0.5'
+    assert ingest_predictions(str(path)) == {("t1\n#x", "registration"): 0.5}
+
+
 # ----------------------------------------------------------------- scoring
 
 

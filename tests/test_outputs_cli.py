@@ -6,6 +6,7 @@ import statistics
 
 import pytest
 
+import csdsim.engine
 import csdsim.scenarios
 from csdsim import RunConfig, config_hash, emit_outputs, run_replications
 from csdsim.cli import main
@@ -243,6 +244,17 @@ def test_cli_bad_history_exits_two(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+def test_cli_bad_predictions_exit_two_before_any_replication(tmp_path, data_dir, monkeypatch):
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("task_id,day,phase,prediction\nt1,1,shipping,0.2\n")
+    ran = []
+    monkeypatch.setattr(csdsim.engine.Simulation, "run", ran.append)
+    history = str(data_dir / "eval_history.csv")
+    argv = ["--history", history, "--predictions", str(predictions), "--out", str(tmp_path / "x")]
+    assert main(["evaluate", *argv, *TINY_OVERRIDES]) == 2
+    assert ran == []
+
+
 @pytest.mark.parametrize(
     "first_cell,message",
     [
@@ -350,6 +362,16 @@ def test_cli_evaluate_against_fixture(tmp_path, data_dir, capsys):
     assert "submission: mre 0.020000" in stdout
     text = (out / "evaluation.csv").read_text()
     assert "0.011" in text and "0.02" in text
+
+
+def test_cli_evaluate_runs_the_configured_replications(tmp_path, data_dir):
+    out = tmp_path / "ev"
+    history = str(data_dir / "eval_history.csv")
+    overrides = [*TINY_OVERRIDES, "--set", "replications=2"]
+    code = main(["evaluate", "--history", history, "--out", str(out), *overrides])
+    assert code == 0
+    assert "\nreplications: 2\n" in (out / "report.txt").read_text()
+    assert "\nreplications = 2\n" in (out / "config_used.cfg").read_text()
 
 
 def test_cli_calibrate_prints_fit(capsys):

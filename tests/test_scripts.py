@@ -11,16 +11,21 @@ import csdsim
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name: str) -> str:
+def run_python(*argv: str) -> str:
+    """Run the interpreter on ``argv`` with this csdsim importable; fail unless it exits 0."""
     paths = [str(Path(csdsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     out = subprocess.run(
-        [sys.executable, str(SCRIPTS / name), "--replications", "1"],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     return out.stdout
+
+
+def run_script(name: str) -> str:
+    return run_python(str(SCRIPTS / name), "--replications", "1")
 
 
 def test_run_baseline_prints_counters_and_shares():
@@ -44,3 +49,16 @@ def test_calibration_report_prints_fit_and_belts():
     assert re.search(r"resolved tasks, 1 replications\):\n  fitted     slope [+-]\d", stdout)
     for belt in ("gray", "green", "blue", "yellow", "red"):
         assert re.search(rf"^  {belt}\s+configured\s+\d\.\d{{3}}  analytic", stdout, re.MULTILINE)
+
+
+def test_history_fixture_round_trips_through_evaluate(tmp_path):
+    # what the simulator writes, its own ingesters accept
+    run_python(str(SCRIPTS / "make_history_fixture.py"), "--out", str(tmp_path))
+    stdout = run_python(
+        "-m", "csdsim.cli", "evaluate",
+        "--history", str(tmp_path / "history.csv"),
+        "--predictions", str(tmp_path / "predictions.csv"),
+        "--set", "replications=1",
+        "--out", str(tmp_path / "eval"),
+    )
+    assert re.search(r"^registration: mre ", stdout, re.MULTILINE)
