@@ -323,9 +323,17 @@ def validate_config(cfg: RunConfig) -> None:
                 "admitted_belts",
                 f"unknown belt {belt!r}, expected one of {', '.join(BELT_NAMES)}",
             )
+    _require(cfg.openness_halfwidth > 0, "openness_halfwidth", "must be positive")
     if cfg.openness_gate is not None:
         _require(0.0 <= cfg.openness_gate <= 1.0, "openness_gate", "must be in [0, 1]")
-    _require(cfg.openness_halfwidth > 0, "openness_halfwidth", "must be positive")
+        # gated similarities are drawn from the window clipped to the range
+        _require(
+            cfg.openness_gate - cfg.openness_halfwidth <= cfg.similarity_high
+            and cfg.openness_gate + cfg.openness_halfwidth >= cfg.similarity_low,
+            "openness_gate",
+            "need the window openness_gate +/- openness_halfwidth to overlap"
+            " [similarity_low, similarity_high]",
+        )
     _require(cfg.focal_arrival >= 0, "focal_arrival", "must be non-negative")
     _require(cfg.focal_duration > 0, "focal_duration", "must be positive")
     _require(cfg.focal_award > 0, "focal_award", "must be positive")

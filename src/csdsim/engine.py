@@ -437,7 +437,7 @@ class Simulation:
         self._finalize(task)
 
     def _finalize(self, task: Task) -> None:
-        """Terminal housekeeping: pool, agent books, logs, repost, checks."""
+        """Terminal housekeeping: pool, agent books, logs and repost."""
         self._pool_remove(task.task_id)
         qualified_by = {s.agent_id for s in task.submissions if s.qualified}
         for aid in task.registrants:
@@ -466,8 +466,6 @@ class Simulation:
             self.tasks[clone.task_id] = clone
             self.reposted += 1
             self.schedule(self.now, EV_TASK_ARRIVAL, clone.task_id)
-        if self.cfg.check_invariants:
-            self._check_counters()
 
     def _record_focal(self, task: Task) -> None:
         final = {phase: v for tid, _day, phase, v in self.predictions if tid == task.task_id}
@@ -500,13 +498,6 @@ class Simulation:
             "focal": task.focal,
             "tsr_at_resolution": self.current_tsr(),
         }
-
-    def _check_counters(self) -> None:
-        c = self.counters()
-        if c["completed"] + c["failed"] > c["registered"]:
-            raise ModelInvariantError("completed + failed exceeded registered")
-        if c["submitted"] > c["registered"]:
-            raise ModelInvariantError("submitted exceeded registered")
 
     def _on_focal(self, _subject: int) -> None:
         if self.cfg.openness_gate is not None:

@@ -17,6 +17,8 @@ import numpy as np
 from .config import RunConfig, validate_config
 from .domain import FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError, resolve_belt_table
 from .engine import run_replication
+from .history import result_latest_predictions
+from .lifecycle import compute_fps, compute_tsr
 
 OPENNESS_GATES = (0.60, 0.70, 0.80, 0.90)
 
@@ -31,13 +33,16 @@ DIVERSITY_POLICIES = (
 
 @dataclass(frozen=True)
 class PolicyOutcome:
-    """Aggregate focal-task outcome for one policy across replications."""
+    """One scenario summary row: a policy, or the baseline of a plain run.
+
+    A policy counts ``fail`` and ``success`` by focal task, one per
+    replication; the baseline counts resolved tasks over all replications.
+    """
 
     label: str
     replications: int
     fail: int
     success: int
-    failure_rate: float
     per_rep_failed: tuple
     mean_registrants: float
     mean_submissions: float
@@ -45,6 +50,11 @@ class PolicyOutcome:
     sub_by_belt: Counter
     mean_final_fpr: float
     mean_final_fps: float
+
+    @property
+    def failure_rate(self) -> float:
+        resolved = self.fail + self.success
+        return self.fail / resolved if resolved else 0.0
 
 
 @dataclass(frozen=True)
@@ -63,43 +73,70 @@ def run_replications(cfg: RunConfig):
         yield run_replication(replace(cfg, seed=cfg.seed + r))
 
 
+def mean(values) -> float:
+    """Arithmetic mean, 0.0 for no values; summed left to right like ``sum``."""
+    values = list(values)
+    return sum(values) / len(values) if values else 0.0
+
+
 def _policy_outcome(label: str, focals: list) -> PolicyOutcome:
-    n = len(focals)
     failed_flags = tuple(bool(focal["failed"]) for focal in focals)
     fail = sum(failed_flags)
-    reg_by_belt: Counter = Counter()
-    sub_by_belt: Counter = Counter()
-    for focal in focals:
-        reg_by_belt.update(focal["reg_by_belt"])
-        sub_by_belt.update(focal["sub_by_belt"])
-
-    def mean(key: str) -> float:
-        return sum(focal[key] for focal in focals) / n if n else 0.0
-
     return PolicyOutcome(
         label=label,
-        replications=n,
+        replications=len(focals),
         fail=fail,
-        success=n - fail,
-        failure_rate=fail / n if n else 0.0,
+        success=len(focals) - fail,
         per_rep_failed=failed_flags,
-        mean_registrants=mean("registrants"),
-        mean_submissions=mean("submissions"),
-        reg_by_belt=reg_by_belt,
-        sub_by_belt=sub_by_belt,
-        mean_final_fpr=mean("final_fpr"),
-        mean_final_fps=mean("final_fps"),
+        mean_registrants=mean(focal["registrants"] for focal in focals),
+        mean_submissions=mean(focal["submissions"] for focal in focals),
+        reg_by_belt=sum((focal["reg_by_belt"] for focal in focals), Counter()),
+        sub_by_belt=sum((focal["sub_by_belt"] for focal in focals), Counter()),
+        mean_final_fpr=mean(focal["final_fpr"] for focal in focals),
+        mean_final_fps=mean(focal["final_fps"] for focal in focals),
+    )
+
+
+def baseline_outcome(cfg: RunConfig, results) -> PolicyOutcome:
+    """Platform-wide stand-in for a policy row when no scenario was run."""
+    fpr_means = []
+    for r in results:
+        latest = result_latest_predictions(r)
+        regs = [v for (_tid, phase), v in latest.items() if phase == "registration"]
+        if regs:
+            fpr_means.append(mean(regs))
+    return PolicyOutcome(
+        label="baseline",
+        replications=len(results),
+        fail=sum(r.reported_failures for r in results),
+        success=sum(r.counters["completed"] for r in results),
+        per_rep_failed=(),
+        mean_registrants=mean(sum(r.reg_by_belt.values()) for r in results),
+        mean_submissions=mean(sum(r.sub_by_belt.values()) for r in results),
+        reg_by_belt=sum((r.reg_by_belt for r in results), Counter()),
+        sub_by_belt=sum((r.sub_by_belt for r in results), Counter()),
+        mean_final_fpr=mean(fpr_means),
+        mean_final_fps=mean(
+            compute_fps(
+                compute_tsr(r.counters["submitted"], r.counters["registered"]),
+                cfg.fps_slope,
+                cfg.fps_intercept,
+            )
+            for r in results
+        ),
     )
 
 
 def run_sweep(name: str, policies):
     """Run each ``(label, cfg)`` pair of the ``policies`` sequence; aggregate its focal task.
 
-    Every policy's belt table is resolved before the first replication, so
-    a table error stops the sweep before any work. Returns the report and
-    the first policy's replication results, which feed the time-series files.
+    Every policy is validated and its belt table resolved before the first
+    replication, so a config error stops the sweep before any work. Returns
+    the report and the first policy's replication results, which feed the
+    time-series files.
     """
     for _label, cfg in policies:
+        validate_config(cfg)
         resolve_belt_table(cfg)
     outcomes = []
     first_results = []
@@ -119,11 +156,9 @@ def run_sweep(name: str, policies):
 
 def _focal(base: RunConfig, **lever) -> RunConfig:
     """``base`` with the focal task on, no platform lever, then ``lever`` applied."""
-    cfg = replace(
+    return replace(
         base, **{"focal_enabled": True, "openness_gate": None, "admitted_belts": None, **lever}
     )
-    validate_config(cfg)
-    return cfg
 
 
 def run_openness_scenario(base_cfg: RunConfig, gates=OPENNESS_GATES):

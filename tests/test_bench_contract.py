@@ -4,17 +4,24 @@ The harness times layers by replacing module globals of ``csdsim.engine``
 and methods defined on ``Simulation`` and ``RngStreams``, and times the
 diversity sweep by replacing ``csdsim.scenarios.run_replication``. A
 refactor that inlines, renames or moves one of these names breaks the
-benchmark without failing any other test, so this file pins them.
+benchmark without failing any other test, so this file pins them. It also
+checks that the per-layer metric names ``BENCHMARK.json`` builds from event
+kinds, rejection reasons and diversity policy labels match the code.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
+import csdsim.agents
 import csdsim.engine
 import csdsim.history
 import csdsim.scenarios
 from csdsim.engine import RngStreams, Simulation
+
+BENCHMARK_JSON = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 # Wrapped in place through ``vars(csdsim.engine)``: each must be a global there.
 ENGINE_GLOBALS = (
@@ -63,3 +70,20 @@ def test_diversity_scenario_runs_each_policy_through_run_replication(tiny_cfg, m
     monkeypatch.setattr(csdsim.scenarios, "run_replication", counted)
     csdsim.scenarios.run_diversity_scenario(dataclasses.replace(tiny_cfg, replications=1))
     assert seen == [belts for _label, belts in csdsim.scenarios.DIVERSITY_POLICIES]
+
+
+def test_bench_per_layer_names_follow_the_code():
+    """Event kinds, rejection reasons and diversity labels name bench metrics."""
+    derived = {f"engine.events.{kind}" for kind in Simulation._HANDLERS}
+    derived |= {
+        f"agents.reject.{value}"
+        for name, value in vars(csdsim.agents).items()
+        if name.startswith("REASON_")
+    }
+    derived |= {
+        f"scenarios.policy_ms.{label}" for label, _belts in csdsim.scenarios.DIVERSITY_POLICIES
+    }
+    prefixes = ("engine.events.", "agents.reject.", "scenarios.policy_ms.")
+    per_layer = json.loads(BENCHMARK_JSON.read_text())["per_layer"]
+    declared = {m["name"] for m in per_layer if m["name"].startswith(prefixes)}
+    assert derived == declared

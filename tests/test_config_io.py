@@ -143,6 +143,8 @@ def test_bad_value_reports_key():
         "fps_intercept=-0.01",
         # the 30 day focal window from day 40 ends past the 60 day horizon
         ("focal_enabled=true", "focal_arrival=40"),
+        # the window [0.02, 0.18] misses the similarity range [0.3, 0.98]
+        "openness_gate=0.1",
     ],
 )
 def test_validation_errors_name_the_key(override):

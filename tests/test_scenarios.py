@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 import scipy.stats as scipy_stats
 
-from csdsim import RunConfig, calibrate_fps, run_sweep, what_if_posting_day
+import csdsim.scenarios
+from csdsim import (
+    ConfigError,
+    RunConfig,
+    calibrate_fps,
+    run_replications,
+    run_sweep,
+    what_if_posting_day,
+)
 from csdsim.history import mre, pearson_with_p, t_test_one_sample
-from csdsim.scenarios import DIVERSITY_POLICIES, OPENNESS_GATES
+from csdsim.scenarios import DIVERSITY_POLICIES, OPENNESS_GATES, baseline_outcome
 
 
 # -------------------------------------------------------------- statistics
@@ -133,6 +141,29 @@ def test_run_sweep_is_deterministic(scenario_cfg):
     first, _ = run_sweep("probe", [("probe", cfg)])
     second, _ = run_sweep("probe", [("probe", cfg)])
     assert first == second
+
+
+def test_run_sweep_validates_every_policy_before_any_replication(scenario_cfg, monkeypatch):
+    valid = dataclasses.replace(scenario_cfg, focal_enabled=True)
+    # the 30 day focal window from day 40 ends past the 60 day horizon
+    late = dataclasses.replace(scenario_cfg, focal_enabled=True, focal_arrival=40.0)
+    ran = []
+    monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
+    with pytest.raises(ConfigError, match="focal_arrival"):
+        run_sweep("probe", [("valid", valid), ("late", late)])
+    assert ran == []
+
+
+def test_baseline_outcome_counts_resolved_tasks_over_all_replications(tiny_cfg):
+    results = list(run_replications(tiny_cfg))
+    outcome = baseline_outcome(tiny_cfg, results)
+    assert outcome.label == "baseline"
+    assert outcome.replications == 2
+    assert outcome.per_rep_failed == ()
+    assert outcome.fail == sum(r.reported_failures for r in results)
+    assert outcome.success == sum(r.counters["completed"] for r in results)
+    assert outcome.failure_rate == outcome.fail / (outcome.fail + outcome.success)
+    assert outcome.mean_registrants == sum(sum(r.reg_by_belt.values()) for r in results) / 2
 
 
 def test_what_if_posting_day_labels(scenario_cfg):
