@@ -9,8 +9,9 @@ of a config yields an equal config.
 from __future__ import annotations
 
 import hashlib
+import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 
@@ -36,7 +37,7 @@ BELT_NAMES = ("gray", "green", "blue", "yellow", "red")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All simulator knobs, grouped by the layer they drive."""
+    """All simulator knobs, grouped by layer; building one, ``replace`` too, validates it."""
 
     # Run shape
     seed: int = 42
@@ -117,6 +118,9 @@ class RunConfig:
     # External tables
     belt_table_path: Optional[str] = None
 
+    def __post_init__(self):
+        validate_config(self)
+
 
 _HINTS = typing.get_type_hints(RunConfig)
 _FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
@@ -130,6 +134,9 @@ def _strip_optional(hint):
         if len(args) == 1:
             return args[0], True
     return hint, False
+
+
+_FLOAT_FIELDS = tuple(name for name in _FIELD_NAMES if _strip_optional(_HINTS[name])[0] is float)
 
 
 def _parse_value(key: str, raw: str):
@@ -187,12 +194,12 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def _assign(cfg: RunConfig, assignments) -> RunConfig:
-    """``cfg`` with each ``(where, "key = value")`` assignment applied, validated.
+    """``cfg`` with each ``(where, "key = value")`` assignment applied.
 
     ``where`` names the assignment's source in error messages. Unknown keys
     are rejected rather than silently dropped.
     """
-    values = {name: getattr(cfg, name) for name in _FIELD_NAMES}
+    changes = {}
     for where, text in assignments:
         key, sep, raw = text.partition("=")
         if not sep:
@@ -200,10 +207,8 @@ def _assign(cfg: RunConfig, assignments) -> RunConfig:
         key = key.strip()
         if key not in _FIELD_NAMES:
             raise ConfigError(f"unknown config key: {key}")
-        values[key] = _parse_value(key, raw)
-    out = RunConfig(**values)
-    validate_config(out)
-    return out
+        changes[key] = _parse_value(key, raw)
+    return replace(cfg, **changes)
 
 
 def parse_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
@@ -225,6 +230,8 @@ def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     return parse_config(text, base=base)
 
 
@@ -240,6 +247,9 @@ def _require(ok: bool, key: str, rule: str):
 
 def validate_config(cfg: RunConfig) -> None:
     """Range and choice checks. Error messages always name the key."""
+    for key in _FLOAT_FIELDS:
+        value = getattr(cfg, key)
+        _require(value is None or math.isfinite(value), key, "must be finite")
     _require(cfg.replications >= 1, "replications", "must be at least 1")
     _require(cfg.horizon_days > 0, "horizon_days", "must be positive")
     _require(cfg.task_lambda >= 0, "task_lambda", "must be non-negative")

@@ -66,9 +66,6 @@ SOURCE_STATE = {dst: src for src, nxt in LEGAL_TRANSITIONS.items() for dst in nx
 # Registration stays open only until the first submission lands.
 REGISTRABLE_STATES = frozenset({TaskState.ARRIVED, TaskState.REGISTERED})
 
-# States in which a registrant may still submit work.
-SUBMITTABLE_STATES = frozenset({TaskState.REGISTERED, TaskState.SUBMITTED})
-
 FAILURE_STATES = frozenset({TaskState.FAILED, TaskState.STARVED, TaskState.DROPPED})
 
 # The same states as outcome strings, as task logs and history CSVs spell them.
@@ -106,30 +103,34 @@ class BeltTable:
     rows: tuple
 
     @classmethod
-    def from_rows(cls, rows) -> "BeltTable":
+    def from_rows(cls, rows, source: str = "belt table") -> "BeltTable":
         """Build a table from (belt, upper, share, p) rows, renormalizing shares.
 
-        Rows must be sorted by ascending upper bound and end with an unbounded
-        belt; published shares may not sum exactly to one.
+        Rows name each belt once, sorted by ascending upper bound, and end with
+        an unbounded belt; published shares may not sum exactly to one.
+        ``source`` starts every error message.
         """
         rows = [BeltRow(*r) if not isinstance(r, BeltRow) else r for r in rows]
         if not rows:
-            raise ConfigError("belt table: no rows")
+            raise ConfigError(f"{source}: no rows")
+        names = [r.belt for r in rows]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"{source}: each belt may appear once, got {', '.join(names)}")
         bounds = [r.upper_bound for r in rows]
         if bounds != sorted(bounds):
-            raise ConfigError("belt table: rows must be sorted by upper_bound")
+            raise ConfigError(f"{source}: rows must be sorted by upper_bound")
         if not math.isinf(rows[-1].upper_bound):
-            raise ConfigError("belt table: last row must have an unbounded rating")
+            raise ConfigError(f"{source}: last row must have an unbounded rating")
         total = sum(r.share for r in rows)
         if total <= 0:
-            raise ConfigError("belt table: shares must sum to a positive value")
+            raise ConfigError(f"{source}: shares must sum to a positive value")
         normed = tuple(
             BeltRow(r.belt, r.upper_bound, r.share / total, r.p_qualified)
             for r in rows
         )
         for r in normed:
             if not (0.0 <= r.p_qualified <= 1.0):
-                raise ConfigError(f"belt table: p_qualified out of range for {r.belt}")
+                raise ConfigError(f"{source}: p_qualified out of range for {r.belt}")
         return cls(rows=normed)
 
     def belt_of(self, rating: float) -> str:
@@ -156,7 +157,8 @@ DEFAULT_BELT_TABLE = BeltTable.from_rows(
 def load_belt_table(path: str) -> BeltTable:
     """Load a belt table CSV: belt,upper_bound,share,p_qualified.
 
-    An empty upper_bound cell marks the unbounded top belt.
+    An empty upper_bound cell marks the unbounded top belt; every row has one
+    cell per header column.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -168,7 +170,10 @@ def load_belt_table(path: str) -> BeltTable:
                 )
             rows = []
             for rec in reader:
-                raw_bound = (rec["upper_bound"] or "").strip()
+                # DictReader keys extra cells under None and fills missing ones with None
+                if None in rec or None in rec.values():
+                    raise ConfigError(f"belt table {path}: line {reader.line_num}: bad cell count")
+                raw_bound = rec["upper_bound"].strip()
                 bound = math.inf if not raw_bound else float(raw_bound)
                 rows.append(
                     (
@@ -182,7 +187,7 @@ def load_belt_table(path: str) -> BeltTable:
         raise ConfigError(f"cannot read belt table {path}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"belt table {path}: bad numeric cell: {exc}") from None
-    return BeltTable.from_rows(rows)
+    return BeltTable.from_rows(rows, source=f"belt table {path}")
 
 
 def resolve_belt_table(cfg: RunConfig) -> BeltTable:

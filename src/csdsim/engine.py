@@ -52,11 +52,9 @@ from .agents import (
 from .config import RunConfig, follow_through_by_belt
 from .domain import (
     Agent,
-    BeltTable,
     FAILURE_STATES,
     ModelInvariantError,
     SOURCE_STATE,
-    SUBMITTABLE_STATES,
     Submission,
     TERMINAL_STATES,
     Task,
@@ -169,9 +167,9 @@ class ReplicationResult:
 class Simulation:
     """One replication of the marketplace under a fixed config."""
 
-    def __init__(self, cfg: RunConfig, belt_table: Optional[BeltTable] = None):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.belt_table = belt_table if belt_table is not None else resolve_belt_table(cfg)
+        self.belt_table = resolve_belt_table(cfg)
         self.streams = RngStreams(cfg.seed)
         self.now = 0.0  # fractional days
         self._heap: list = []  # (time, seq, kind, subject); seq gives FIFO ties
@@ -389,10 +387,11 @@ class Simulation:
         rng = agent.sub_rng
         gap = rng.expovariate(self.cfg.sub_rate_per_day)
         self.schedule(self.now + gap, EV_SUB_ATTEMPT, aid)
-        # one-shot: whichever task is picked is decided now, submit or not
+        # one-shot: whichever task is picked is decided now, submit or not; past
+        # its deadline a pending task is in PEER_REVIEW and takes no more work
         index = int(rng.random() * len(agent.pending))
         task = self.tasks[agent.pending.pop(index)]
-        if task.state not in SUBMITTABLE_STATES or self.now >= task.deadline:
+        if self.now >= task.deadline:
             return
         if rng.random() >= self.follow_through[agent.belt]:
             return
@@ -573,7 +572,7 @@ class Simulation:
             handler(subject)
         tasks = self.tasks.values()
         for task in tasks:
-            if task.state not in TERMINAL_STATES and task.arrival <= self.cfg.horizon_days:
+            if task.state not in TERMINAL_STATES:
                 self.task_log.append(self._log_row(task))
         return ReplicationResult(
             seed=self.cfg.seed,
@@ -589,5 +588,5 @@ class Simulation:
         )
 
 
-def run_replication(cfg: RunConfig, belt_table: Optional[BeltTable] = None) -> ReplicationResult:
-    return Simulation(cfg, belt_table=belt_table).run()
+def run_replication(cfg: RunConfig) -> ReplicationResult:
+    return Simulation(cfg).run()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig, validate_config
+from .config import ConfigError, RunConfig
 from .domain import FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError, resolve_belt_table
 from .engine import run_replication
 from .history import result_latest_predictions
@@ -130,13 +130,13 @@ def baseline_outcome(cfg: RunConfig, results) -> PolicyOutcome:
 def run_sweep(name: str, policies):
     """Run each ``(label, cfg)`` pair of the ``policies`` sequence; aggregate its focal task.
 
-    Every policy is validated and its belt table resolved before the first
-    replication, so a config error stops the sweep before any work. Returns
-    the report and the first policy's replication results, which feed the
-    time-series files.
+    Every policy's belt table is resolved before the first replication, so a
+    table error stops the sweep before any work. Returns the report and the
+    first policy's replication results, which feed the time-series files.
     """
+    if not policies:
+        raise ConfigError(f"{name}: no policies to run")
     for _label, cfg in policies:
-        validate_config(cfg)
         resolve_belt_table(cfg)
     outcomes = []
     first_results = []

@@ -145,6 +145,13 @@ def test_bad_value_reports_key():
         ("focal_enabled=true", "focal_arrival=40"),
         # the window [0.02, 0.18] misses the similarity range [0.3, 0.98]
         "openness_gate=0.1",
+        # non-finite numbers would never let the event loop finish
+        "task_lambda=inf",
+        "horizon_days=inf",
+        "reg_rate_per_day=inf",
+        "agent_gamma=nan",
+        "sub_rate_per_day=-inf",
+        "openness_gate=nan",
     ],
 )
 def test_validation_errors_name_the_key(override):
@@ -152,6 +159,22 @@ def test_validation_errors_name_the_key(override):
     key = overrides[-1].split("=")[0]
     with pytest.raises(ConfigError, match=key):
         apply_overrides(RunConfig(), overrides)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"focal_enabled": True, "focal_arrival": 40.0}, "focal_arrival: need"),
+        ({"task_lambda": float("inf")}, "task_lambda: must be finite"),
+        ({"openness_gate": float("nan")}, "openness_gate: must be finite"),
+        ({"horizon_days": float("-inf")}, "horizon_days: must be finite"),
+    ],
+)
+def test_every_built_config_is_validated(changes, message):
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(RunConfig(), **changes)
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**changes)
 
 
 def test_override_requires_equals_sign():

@@ -276,6 +276,38 @@ def test_cli_diversity_on_a_table_missing_a_policy_belt_exits_one(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, name, content",
+    [
+        ("--config", "run.cfg", b"seed = 7\n# caf\xe9\n"),
+        (
+            "belt_table_path",
+            "belts.csv",
+            b"belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\nred\n",
+        ),
+        (
+            "belt_table_path",
+            "belts.csv",
+            b"belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3,7\nred,,0.1,0.6\n",
+        ),
+        (
+            "belt_table_path",
+            "belts.csv",
+            b"belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\ngray,,0.1,0.6\n",
+        ),
+    ],
+    ids=["config_not_utf8", "belt_row_short", "belt_row_long", "belt_repeated"],
+)
+def test_cli_bad_config_or_belt_table_file_exits_one(tmp_path, capsys, flag, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    source = ["--config", str(path)] if flag == "--config" else ["--set", f"{flag}={path}"]
+    code = main(["run", "--out", str(tmp_path / "x"), *TINY_OVERRIDES, *source])
+    assert code == 1
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_bad_history_exits_two(tmp_path, capsys):
     history = tmp_path / "history.csv"
     history.write_text(

@@ -143,15 +143,28 @@ def test_run_sweep_is_deterministic(scenario_cfg):
     assert first == second
 
 
-def test_run_sweep_validates_every_policy_before_any_replication(scenario_cfg, monkeypatch):
+def test_run_sweep_validates_every_policy_before_any_replication(
+    scenario_cfg, monkeypatch, tmp_path
+):
+    # the 30 day focal window from day 40 ends past the 60 day horizon, so
+    # such a policy cannot even be built
+    with pytest.raises(ConfigError, match="focal_arrival"):
+        dataclasses.replace(scenario_cfg, focal_enabled=True, focal_arrival=40.0)
+    table = tmp_path / "belts.csv"
+    table.write_text("belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\nred,,0.1,0.6\n")
     valid = dataclasses.replace(scenario_cfg, focal_enabled=True)
-    # the 30 day focal window from day 40 ends past the 60 day horizon
-    late = dataclasses.replace(scenario_cfg, focal_enabled=True, focal_arrival=40.0)
+    # gray and red have follow-through keys; only the admitted blue belt is absent
+    blue = dataclasses.replace(valid, belt_table_path=str(table), admitted_belts=("blue",))
     ran = []
     monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
-    with pytest.raises(ConfigError, match="focal_arrival"):
-        run_sweep("probe", [("valid", valid), ("late", late)])
+    with pytest.raises(ConfigError, match="admitted_belts"):
+        run_sweep("probe", [("valid", valid), ("blue", blue)])
     assert ran == []
+
+
+def test_run_sweep_refuses_an_empty_policy_list(scenario_cfg):
+    with pytest.raises(ConfigError, match="openness"):
+        csdsim.scenarios.run_openness_scenario(scenario_cfg, gates=())
 
 
 def test_baseline_outcome_counts_resolved_tasks_over_all_replications(tiny_cfg):
