@@ -32,7 +32,8 @@ DEFAULT_SKILLS = (
     "qa",
 )
 
-BELT_NAMES = ("gray", "green", "blue", "yellow", "red")
+# Each belt of the active belt table needs a key named this prefix plus the belt.
+FOLLOW_THROUGH_PREFIX = "submit_follow_through_"
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,7 @@ def _strip_optional(hint):
 
 
 _FLOAT_FIELDS = tuple(name for name in _FIELD_NAMES if _strip_optional(_HINTS[name])[0] is float)
+FOLLOW_THROUGH_FIELDS = tuple(n for n in _FIELD_NAMES if n.startswith(FOLLOW_THROUGH_PREFIX))
 
 
 def _parse_value(key: str, raw: str):
@@ -297,12 +299,6 @@ def validate_config(cfg: RunConfig) -> None:
     _require(cfg.novelty_exponent > 0, "novelty_exponent", "must be positive")
     _require(0.0 <= cfg.familiarity_pivot <= 1.0, "familiarity_pivot", "must be in [0, 1]")
     _require(cfg.familiarity_gain >= 0, "familiarity_gain", "must be non-negative")
-    for belt in cfg.familiarity_belts:
-        _require(
-            belt in BELT_NAMES,
-            "familiarity_belts",
-            f"unknown belt {belt!r}, expected one of {', '.join(BELT_NAMES)}",
-        )
     _require(cfg.pool_crowding_coeff >= 0, "pool_crowding_coeff", "must be non-negative")
     _require(
         cfg.supply_concentration_max >= 1,
@@ -312,8 +308,7 @@ def validate_config(cfg: RunConfig) -> None:
     _require(cfg.sub_rate_per_day > 0, "sub_rate_per_day", "must be positive")
     _require(cfg.sub_product_threshold > 0, "sub_product_threshold", "must be positive")
     _require(cfg.crowd_penalty_coeff >= 0, "crowd_penalty_coeff", "must be non-negative")
-    for belt in BELT_NAMES:
-        key = f"submit_follow_through_{belt}"
+    for key in FOLLOW_THROUGH_FIELDS:
         _require(0.0 <= getattr(cfg, key) <= 1.0, key, "must be in [0, 1]")
     _require(0.0 <= cfg.quality_pass <= 100.0, "quality_pass", "must be in [0, 100]")
     # the FPS forecast is linear in the submission ratio t in [0, 1], so it
@@ -327,12 +322,6 @@ def validate_config(cfg: RunConfig) -> None:
     _require(cfg.repost_max >= 0, "repost_max", "must be non-negative")
     if cfg.admitted_belts is not None:
         _require(len(cfg.admitted_belts) > 0, "admitted_belts", "must not be empty")
-        for belt in cfg.admitted_belts:
-            _require(
-                belt in BELT_NAMES,
-                "admitted_belts",
-                f"unknown belt {belt!r}, expected one of {', '.join(BELT_NAMES)}",
-            )
     _require(cfg.openness_halfwidth > 0, "openness_halfwidth", "must be positive")
     if cfg.openness_gate is not None:
         _require(0.0 <= cfg.openness_gate <= 1.0, "openness_gate", "must be in [0, 1]")
@@ -352,8 +341,3 @@ def validate_config(cfg: RunConfig) -> None:
         "focal_arrival",
         "need focal_arrival + focal_duration <= horizon_days when focal_enabled",
     )
-
-
-def follow_through_by_belt(cfg: RunConfig) -> dict:
-    """Per-belt submission follow-through probabilities as one mapping."""
-    return {belt: getattr(cfg, f"submit_follow_through_{belt}") for belt in BELT_NAMES}

@@ -5,11 +5,11 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
-from .config import ConfigError, RunConfig, follow_through_by_belt
+from .config import FOLLOW_THROUGH_FIELDS, FOLLOW_THROUGH_PREFIX, ConfigError, RunConfig
 
 
 class ModelInvariantError(Exception):
@@ -90,12 +90,13 @@ def failure_phase(outcome: str, submissions: int) -> Optional[str]:
 
 @dataclass(frozen=True)
 class BeltRow:
-    """One competence tier: rating interval, population share, quality odds."""
+    """One competence tier: rating interval, population share, quality and submit odds."""
 
     belt: str
     upper_bound: float  # inclusive; a rating on the boundary stays in this belt
     share: float
     p_qualified: float
+    follow_through: Optional[float] = None  # joined from the config by resolve_belt_table
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,7 @@ class BeltTable:
         total = sum(r.share for r in rows)
         if total <= 0:
             raise ConfigError(f"{source}: shares must sum to a positive value")
-        normed = tuple(
-            BeltRow(r.belt, r.upper_bound, r.share / total, r.p_qualified)
-            for r in rows
-        )
+        normed = tuple(replace(r, share=r.share / total) for r in rows)
         for r in normed:
             if not (0.0 <= r.p_qualified <= 1.0):
                 raise ConfigError(f"{source}: p_qualified out of range for {r.belt}")
@@ -191,29 +189,35 @@ def load_belt_table(path: str) -> BeltTable:
 
 
 def resolve_belt_table(cfg: RunConfig) -> BeltTable:
-    """The active belt table.
+    """The active belt table, each row joined to its follow-through key.
 
-    Every belt in it needs a follow-through key, and every admitted belt
-    must be in it: otherwise no agent could ever register.
+    The one check of belt names: every belt in the table needs a
+    follow-through key, and every admitted and familiarity belt must be in
+    the table, or the config names a crowd that does not exist.
     """
-    if not cfg.belt_table_path:
-        return DEFAULT_BELT_TABLE
-    table = load_belt_table(cfg.belt_table_path)
+    path = cfg.belt_table_path
+    table = load_belt_table(path) if path else DEFAULT_BELT_TABLE
+    source = path or "the built-in belt table"
     names = table.names()
-    known = follow_through_by_belt(cfg)
-    missing = [belt for belt in names if belt not in known]
+    missing = [belt for belt in names if FOLLOW_THROUGH_PREFIX + belt not in FOLLOW_THROUGH_FIELDS]
     if missing:
+        known = ", ".join(key.removeprefix(FOLLOW_THROUGH_PREFIX) for key in FOLLOW_THROUGH_FIELDS)
         raise ConfigError(
-            f"belt_table_path: belts {', '.join(missing)} in {cfg.belt_table_path} "
-            f"have no submit_follow_through_<belt> key (known: {', '.join(known)})"
+            f"belt_table_path: belts {', '.join(missing)} in {source} "
+            f"have no submit_follow_through_<belt> key (known: {known})"
         )
-    absent = [belt for belt in cfg.admitted_belts or () if belt not in names]
-    if absent:
-        raise ConfigError(
-            f"admitted_belts: belts {', '.join(absent)} are not in {cfg.belt_table_path} "
-            f"(its belts: {', '.join(names)})"
-        )
-    return table
+    for key in ("admitted_belts", "familiarity_belts"):
+        absent = [belt for belt in getattr(cfg, key) or () if belt not in names]
+        if absent:
+            raise ConfigError(
+                f"{key}: belts {', '.join(absent)} are not in {source} "
+                f"(its belts: {', '.join(names)})"
+            )
+    rows = tuple(
+        replace(row, follow_through=getattr(cfg, FOLLOW_THROUGH_PREFIX + row.belt))
+        for row in table.rows
+    )
+    return BeltTable(rows=rows)
 
 
 def skills_match(agent_mask: int, task_mask: int, mode: str) -> bool:

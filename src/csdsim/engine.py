@@ -49,7 +49,7 @@ from .agents import (
     submission_crowd_suppression,
     update_reliability,
 )
-from .config import RunConfig, follow_through_by_belt
+from .config import RunConfig
 from .domain import (
     Agent,
     FAILURE_STATES,
@@ -185,7 +185,7 @@ class Simulation:
         self.admitted = frozenset(cfg.admitted_belts) if cfg.admitted_belts else None
         self.concentration = supply_concentration(self.belt_table, self.admitted, cfg)
         self.scan_count = max(1, round(self.concentration))
-        self.follow_through = follow_through_by_belt(cfg)
+        self.follow_through = {row.belt: row.follow_through for row in self.belt_table.rows}
         self.p_qual = {row.belt: row.p_qualified for row in self.belt_table.rows}
         self.predictions: list = []
         self.task_log: list = []

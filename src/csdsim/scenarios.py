@@ -15,20 +15,31 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .domain import FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError, resolve_belt_table
+from .domain import DEFAULT_BELT_TABLE, FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError
+from .domain import resolve_belt_table
 from .engine import run_replication
 from .history import result_latest_predictions
 from .lifecycle import compute_fps, compute_tsr
 
 OPENNESS_GATES = (0.60, 0.70, 0.80, 0.90)
 
-# Admission policies for the crowd-diversity scenario, narrowest first.
-DIVERSITY_POLICIES = (
-    ("elite_only", ("yellow", "red")),
-    ("mid_and_up", ("blue", "yellow", "red")),
-    ("green_and_up", ("green", "blue", "yellow", "red")),
+# Admission policies for the crowd-diversity scenario, narrowest first: the
+# belts each admits, by rank in the belt table; None admits everyone.
+DIVERSITY_RANKS = (
+    ("elite_only", slice(-2, None)),  # the top two belts
+    ("mid_and_up", slice(-3, None)),  # the top three
+    ("green_and_up", slice(1, None)),  # every belt above the lowest
     ("all_welcome", None),
 )
+
+
+def diversity_policies(table) -> tuple:
+    """``(label, admitted_belts)`` for each rank policy, on ``table``'s belts."""
+    names = table.names()
+    return tuple((label, names[ranks] if ranks else None) for label, ranks in DIVERSITY_RANKS)
+
+
+DIVERSITY_POLICIES = diversity_policies(DEFAULT_BELT_TABLE)
 
 
 @dataclass(frozen=True)
@@ -169,8 +180,9 @@ def run_openness_scenario(base_cfg: RunConfig, gates=OPENNESS_GATES):
     )
 
 
-def run_diversity_scenario(base_cfg: RunConfig, policies=DIVERSITY_POLICIES):
-    """Vary who may register platform-wide; the focal task rides along."""
+def run_diversity_scenario(base_cfg: RunConfig):
+    """Vary who may register platform-wide, by belt rank; the focal task rides along."""
+    policies = diversity_policies(resolve_belt_table(base_cfg))
     return run_sweep(
         "diversity",
         [(label, _focal(base_cfg, admitted_belts=belts)) for label, belts in policies],

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csdsim import ConfigError, RunConfig, emit_outputs, run_replication
-from csdsim.config import BELT_NAMES
+from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.history import ingest_predictions, result_latest_predictions
 
 # Keys for which every drawn bad value (NaN, +inf, -inf, -1) is out of range.
@@ -45,7 +45,7 @@ def small_configs(draw):
         "openness_gate": draw(st.none() | st.floats(0.1, 1.0)),
         "admitted_belts": draw(
             st.none()
-            | st.lists(st.sampled_from(BELT_NAMES), min_size=1, max_size=3, unique=True).map(tuple)
+            | st.lists(st.sampled_from(DEFAULT_BELT_TABLE.names()), min_size=1, max_size=3, unique=True).map(tuple)
         ),
         "fps_slope": draw(st.floats(-0.1, 0.6)),
         "fps_intercept": draw(st.floats(0.0, 0.6)),

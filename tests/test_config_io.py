@@ -135,7 +135,6 @@ def test_bad_value_reports_key():
         "quality_pass=150",
         "arrival_rate_unit=per_week",
         "match_mode=some",
-        "admitted_belts=purple",
         "openness_gate=2.0",
         "sub_product_threshold=-0.1",
         "submit_follow_through_gray=1.5",

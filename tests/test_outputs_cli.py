@@ -198,36 +198,56 @@ def test_cli_admitted_belt_missing_from_belt_table_exits_one(tmp_path, capsys):
     assert not (tmp_path / "x" / "report.txt").exists()
 
 
-@pytest.mark.parametrize(
-    "belts",
-    [
-        "gray,1000,0.9,0.3\nred,,0.1,0.6\n",
-        "gray,900,0.9,0.25\nblue,1500,0.05,0.39\nyellow,2200,0.04,0.6\nred,,0.01,0.6\n",
-    ],
-    ids=["gray_red", "no_green"],
+def test_cli_admitted_belt_outside_the_built_in_table_exits_one(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(csdsim.engine.Simulation, "run", ran.append)
+    out = tmp_path / "x"
+    code = main(["run", "--out", str(out), *TINY_OVERRIDES, "--set", "admitted_belts=purple"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "admitted_belts: belts purple are not in the built-in belt table" in err
+    assert ran == []  # refused before the first replication
+    assert not out.exists()
+
+
+GRAY_BLUE_RED = (
+    "belt,upper_bound,share,p_qualified\ngray,900,0.9,0.25\nblue,1500,0.08,0.39\nred,,0.02,0.6\n"
 )
-def test_cli_diversity_on_a_table_missing_a_policy_belt_exits_one(
-    tmp_path, capsys, monkeypatch, belts
-):
+
+
+def test_cli_diversity_on_a_three_belt_table_admits_by_rank(tmp_path, capsys, monkeypatch):
     table = tmp_path / "belts.csv"
-    table.write_text("belt,upper_bound,share,p_qualified\n" + belts)
+    table.write_text(GRAY_BLUE_RED)
+    original = csdsim.scenarios.run_replication
+    seen = []
+
+    def counted(cfg):
+        seen.append(cfg.admitted_belts)
+        return original(cfg)
+
+    monkeypatch.setattr(csdsim.scenarios, "run_replication", counted)
+    argv = ["scenario", "diversity", "--out", str(tmp_path / "x"), *TINY_OVERRIDES]
+    argv += ["--set", f"belt_table_path={table}", "--set", "familiarity_belts=gray"]
+    assert main(argv) == 0
+    # the top two, the top three, every belt above the lowest, everyone
+    assert seen == [("blue", "red"), ("gray", "blue", "red"), ("blue", "red"), None]
+    stdout = capsys.readouterr().out
+    for label in ("elite_only", "mid_and_up", "green_and_up", "all_welcome"):
+        assert f"{label}: fail " in stdout
+
+
+def test_cli_familiarity_belt_missing_from_belt_table_exits_one(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "belts.csv"
+    table.write_text(GRAY_BLUE_RED)
     ran = []
     monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
     out = tmp_path / "x"
-    code = main(
-        [
-            "scenario",
-            "diversity",
-            "--out",
-            str(out),
-            *TINY_OVERRIDES,
-            "--set",
-            f"belt_table_path={table}",
-        ]
-    )
+    argv = ["scenario", "diversity", "--out", str(out), *TINY_OVERRIDES]
+    code = main([*argv, "--set", f"belt_table_path={table}"])
     assert code == 1
-    assert "admitted_belts" in capsys.readouterr().err
-    assert ran == []  # refused before the first replication of any policy
+    # the default familiarity_belts are gray and green
+    assert "familiarity_belts: belts green are not in" in capsys.readouterr().err
+    assert ran == []
     assert not out.exists()
 
 

@@ -17,8 +17,14 @@ from csdsim import (
     run_sweep,
     what_if_posting_day,
 )
+from csdsim.domain import BeltTable
 from csdsim.history import mre, pearson_with_p, t_test_one_sample
-from csdsim.scenarios import DIVERSITY_POLICIES, OPENNESS_GATES, baseline_outcome
+from csdsim.scenarios import (
+    DIVERSITY_POLICIES,
+    OPENNESS_GATES,
+    baseline_outcome,
+    diversity_policies,
+)
 
 
 # -------------------------------------------------------------- statistics
@@ -196,3 +202,20 @@ def test_calibrate_fps_fits_something(tiny_cfg):
     assert math.isfinite(slope) and math.isfinite(intercept)
     # refitting under the same seed is reproducible
     assert (slope, intercept, n) == calibrate_fps(tiny_cfg)
+
+
+def test_diversity_policies_admit_by_rank():
+    # on the built-in table the rank policies spell out these belts
+    assert DIVERSITY_POLICIES == (
+        ("elite_only", ("yellow", "red")),
+        ("mid_and_up", ("blue", "yellow", "red")),
+        ("green_and_up", ("green", "blue", "yellow", "red")),
+        ("all_welcome", None),
+    )
+    two = BeltTable.from_rows([("low", 1000.0, 0.9, 0.3), ("high", math.inf, 0.1, 0.6)])
+    assert diversity_policies(two) == (
+        ("elite_only", ("low", "high")),
+        ("mid_and_up", ("low", "high")),
+        ("green_and_up", ("high",)),
+        ("all_welcome", None),
+    )
