@@ -306,6 +306,11 @@ def validate_config(cfg: RunConfig) -> None:
         "must be at least 1",
     )
     _require(cfg.sub_rate_per_day > 0, "sub_rate_per_day", "must be positive")
+    # attempts reschedule themselves; a mean gap this far under the float
+    # spacing near the horizon would leave the clock stuck at one instant
+    max_rate = 1.0 / (2**20 * math.ulp(cfg.horizon_days))
+    for key in ("reg_rate_per_day", "sub_rate_per_day"):
+        _require(getattr(cfg, key) <= max_rate, key, f"must be at most {max_rate:.3g} per day")
     _require(cfg.sub_product_threshold > 0, "sub_product_threshold", "must be positive")
     _require(cfg.crowd_penalty_coeff >= 0, "crowd_penalty_coeff", "must be non-negative")
     for key in FOLLOW_THROUGH_FIELDS:

@@ -183,6 +183,8 @@ def load_belt_table(path: str) -> BeltTable:
                 )
     except OSError as exc:
         raise ConfigError(f"cannot read belt table {path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # a ValueError, so caught before the numeric case
+        raise ConfigError(f"belt table {path} is not UTF-8 text: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"belt table {path}: bad numeric cell: {exc}") from None
     return BeltTable.from_rows(rows, source=f"belt table {path}")

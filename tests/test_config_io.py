@@ -135,6 +135,8 @@ def test_bad_value_reports_key():
         "quality_pass=150",
         "arrival_rate_unit=per_week",
         "match_mode=some",
+        # gaps of 1e-20 days fall below the clock's resolution
+        "reg_rate_per_day=1e20",
         "openness_gate=2.0",
         "sub_product_threshold=-0.1",
         "submit_follow_through_gray=1.5",
@@ -151,6 +153,7 @@ def test_bad_value_reports_key():
         "agent_gamma=nan",
         "sub_rate_per_day=-inf",
         "openness_gate=nan",
+        "sub_rate_per_day=1e20",
     ],
 )
 def test_validation_errors_name_the_key(override):

@@ -252,34 +252,46 @@ def test_cli_familiarity_belt_missing_from_belt_table_exits_one(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "flag, name, content",
+    "flag, name, content, message",
     [
-        ("--config", "run.cfg", b"seed = 7\n# caf\xe9\n"),
+        ("--config", "run.cfg", b"seed = 7\n# caf\xe9\n", "is not UTF-8 text"),
         (
             "belt_table_path",
             "belts.csv",
             b"belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\nred\n",
+            "line 3: bad cell count",
         ),
         (
             "belt_table_path",
             "belts.csv",
             b"belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3,7\nred,,0.1,0.6\n",
+            "line 2: bad cell count",
         ),
         (
             "belt_table_path",
             "belts.csv",
             b"belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\ngray,,0.1,0.6\n",
+            "each belt may appear once",
+        ),
+        (
+            "belt_table_path",
+            "belts.csv",
+            b"belt,upper_bound,share,p_qualified\ngr\xe9y,1000,0.9,0.3\nred,,0.1,0.6\n",
+            "is not UTF-8 text",
         ),
     ],
-    ids=["config_not_utf8", "belt_row_short", "belt_row_long", "belt_repeated"],
+    ids=["config_not_utf8", "belt_row_short", "belt_row_long", "belt_repeated", "belt_not_utf8"],
 )
-def test_cli_bad_config_or_belt_table_file_exits_one(tmp_path, capsys, flag, name, content):
+def test_cli_bad_config_or_belt_table_file_exits_one(
+    tmp_path, capsys, flag, name, content, message
+):
     path = tmp_path / name
     path.write_bytes(content)
     source = ["--config", str(path)] if flag == "--config" else ["--set", f"{flag}={path}"]
     code = main(["run", "--out", str(tmp_path / "x"), *TINY_OVERRIDES, *source])
     assert code == 1
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
     assert not (tmp_path / "x").exists()
 
 
