@@ -1,12 +1,15 @@
 """Property test over small configs: each one is refused when built, or runs.
 
 A config that ``RunConfig`` accepts must run one replication to completion,
-keep every forecast a probability, and write a ``task_predictions.csv`` that
-the predictions ingester reads back to the same latest forecasts. Rates stay
-bounded: a finite but huge rate schedules events closer together than the
-clock can resolve, so such a run would not finish.
+keep criterion 5's structural invariants and every forecast a probability,
+write a ``task_predictions.csv`` that the predictions ingester reads back to
+the same latest forecasts, and log tasks that the history ingester accepts.
+Registration and submission rates whose mean gap falls below the clock's
+resolution are refused when built; arrival rates stay small, because a huge
+one is a memory limit rather than a config error.
 """
 
+import csv
 import math
 import tempfile
 from pathlib import Path
@@ -15,9 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdsim import ConfigError, RunConfig, emit_outputs, run_replication
+from csdsim import ConfigError, RunConfig, Simulation, emit_outputs
 from csdsim.domain import DEFAULT_BELT_TABLE
-from csdsim.history import ingest_predictions, result_latest_predictions
+from csdsim.history import (
+    HISTORY_COLUMNS,
+    ingest_history,
+    ingest_predictions,
+    result_latest_predictions,
+)
 
 # Keys for which every drawn bad value (NaN, +inf, -inf, -1) is out of range.
 BAD_KEYS = (
@@ -30,6 +38,19 @@ BAD_KEYS = (
     "fps_intercept",
 )
 BAD_VALUES = (math.nan, math.inf, -math.inf, -1.0)
+
+# Cumulative daily counters, which never fall from one day to the next.
+DAILY_COUNTERS = (
+    "arrived",
+    "registered",
+    "submitted",
+    "completed",
+    "failed",
+    "starved",
+    "dropped",
+    "failed_review",
+    "reposted",
+)
 
 
 @st.composite
@@ -73,10 +94,34 @@ def test_a_config_is_refused_when_built_or_runs(drawn):
         cfg = RunConfig(**changes)
     except ConfigError:
         return
-    result = run_replication(cfg)
+    sim = Simulation(cfg)
+    result = sim.run()
+    assert_structural_invariants(sim, result)
     assert all(0.0 <= value <= 1.0 for _tid, _day, _phase, value in result.predictions)
     assert (result.focal is not None) == cfg.focal_enabled
     with tempfile.TemporaryDirectory() as out:
         emit_outputs(cfg, [result], out)
         written = ingest_predictions(str(Path(out) / "task_predictions.csv"))
+        history = Path(out) / "history.csv"
+        with open(history, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(HISTORY_COLUMNS)
+            writer.writerows([rec[c] for c in HISTORY_COLUMNS] for rec in result.task_log)
+        # an empty history is refused by design, so only a logged task is read back
+        if result.task_log:
+            assert len(ingest_history(str(history))) == len(result.task_log)
     assert written == result_latest_predictions(result)
+
+
+def assert_structural_invariants(sim, result):
+    """Criterion 5: the open-list cap, submissions within registrants, monotone counters."""
+    assert all(len(agent.open_list) <= sim.cfg.open_list_cap for agent in sim.agents.values())
+    for task in sim.tasks.values():
+        assert {s.agent_id for s in task.submissions} <= set(task.registrants)
+    previous = dict.fromkeys(DAILY_COUNTERS, 0)
+    for row in result.daily:
+        for key in DAILY_COUNTERS:
+            assert row[key] >= previous[key], key
+            previous[key] = row[key]
+    c = result.counters
+    assert c["completed"] + c["failed"] <= c["registered"]
