@@ -1,6 +1,8 @@
 """Output file contracts and the command-line entry points."""
 
 import csv
+import dataclasses
+import hashlib
 import re
 import statistics
 
@@ -109,6 +111,49 @@ def test_reemission_is_byte_identical(emitted, tmp_path):
         assert (first_out / name).read_bytes() == (second_out / name).read_bytes(), name
 
 
+# sha256 of every emitted file but evaluation.csv, whose p-value cells come
+# from scipy's stdtr. Recorded before the summary rows became PolicyOutcome
+# records; that refactor moved no byte.
+BASELINE_DIGESTS = {
+    "platform_daily.csv": "1dd749e2e94551a4f07bec9b0aab51c9a26f286cc0ebbcaf63fad81cc4e3aa2a",
+    "task_predictions.csv": "71ac4339bd27772a987da94445d722dd92bbf5432cfa680e9b248da6cc0a40db",
+    "scenario_summary.csv": "b76d39ebd2e9c99dadcd06509b6f47b9d279bc11dbe6c3e2a32facabac1c698b",
+    "utilization_control_chart.csv": (
+        "ca884889ad289a4ab0cc358033593f4de8d5dec330caa4342b7157b8a310ad18"
+    ),
+    "report.txt": "fb781fc94e6076f2b8ca2acec8c42857cf28da083e6983cfe00d01d931eb34f4",
+}
+SWEEP_DIGESTS = {
+    "platform_daily.csv": "6c418a97219fa75257a334fa043edd353983df794b7a62996dd58da9e2d87766",
+    "task_predictions.csv": "838a16c3168c4e9a82fdd96fd88f1827f43ff3d522b5831a053df0b4bd27e3c8",
+    "scenario_summary.csv": "160142ea9f937a102726f0e40532c530c82eddfab3a10a9e67735c9e817f746f",
+    "utilization_control_chart.csv": (
+        "1b321b6b347c900637167fa892db6fc42d056425e16a4dd8148b6ff208e35473"
+    ),
+    "report.txt": "0ef7f5a4bb644665b3db4fb1a0a949641268d5403b976a10a9364fafb20d848a",
+}
+
+
+def file_digests(out):
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in OUTPUT_FILES
+        if name != "evaluation.csv"
+    }
+
+
+def test_baseline_emission_matches_recorded_bytes(emitted):
+    _, _, out, _ = emitted
+    assert file_digests(out) == BASELINE_DIGESTS
+
+
+def test_sweep_emission_matches_recorded_bytes(tiny_cfg, tmp_path):
+    cfg = dataclasses.replace(tiny_cfg, replications=1)
+    report, results = csdsim.scenarios.run_openness_scenario(cfg, gates=(0.60, 0.90))
+    emit_outputs(cfg, results, tmp_path, scenario=report)
+    assert file_digests(tmp_path) == SWEEP_DIGESTS
+
+
 # ----------------------------------------------------------------------- CLI
 
 
@@ -215,9 +260,27 @@ GRAY_BLUE_RED = (
 )
 
 
-def test_cli_diversity_on_a_three_belt_table_admits_by_rank(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "table_text, admitted",
+    [
+        (
+            "belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\nred,,0.1,0.6\n",
+            [("gray", "red"), ("gray", "red"), ("red",), None],
+        ),
+        (
+            "belt,upper_bound,share,p_qualified\ngray,900,0.9,0.25\nblue,1500,0.05,0.39\n"
+            "yellow,2200,0.04,0.6\nred,,0.01,0.6\n",
+            [("yellow", "red"), ("blue", "yellow", "red"), ("blue", "yellow", "red"), None],
+        ),
+        (GRAY_BLUE_RED, [("blue", "red"), ("gray", "blue", "red"), ("blue", "red"), None]),
+    ],
+    ids=["gray_red", "no_green", "gray_blue_red"],
+)
+def test_cli_diversity_on_a_custom_table_admits_by_rank(
+    tmp_path, capsys, monkeypatch, table_text, admitted
+):
     table = tmp_path / "belts.csv"
-    table.write_text(GRAY_BLUE_RED)
+    table.write_text(table_text)
     original = csdsim.scenarios.run_replication
     seen = []
 
@@ -230,7 +293,7 @@ def test_cli_diversity_on_a_three_belt_table_admits_by_rank(tmp_path, capsys, mo
     argv += ["--set", f"belt_table_path={table}", "--set", "familiarity_belts=gray"]
     assert main(argv) == 0
     # the top two, the top three, every belt above the lowest, everyone
-    assert seen == [("blue", "red"), ("gray", "blue", "red"), ("blue", "red"), None]
+    assert seen == admitted
     stdout = capsys.readouterr().out
     for label in ("elite_only", "mid_and_up", "green_and_up", "all_welcome"):
         assert f"{label}: fail " in stdout
