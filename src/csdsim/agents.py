@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .config import RunConfig
-from .domain import Agent, BeltTable, REGISTRABLE_STATES, Task, skills_match
+from .domain import Agent, REGISTRABLE_STATES, Task, skills_match
 
 # Reasons a registration attempt dies before any dice are rolled.
 REASON_NOT_REGISTRABLE = "not_registrable"
@@ -58,9 +58,9 @@ def decide_register(
     draw: float,
     crowd_draw: float,
     *,
-    threshold: float = 0.8,
-    competition_cap: int = 18,
-    crowded_p: float = 0.3,
+    threshold: float,
+    competition_cap: int,
+    crowded_p: float,
 ) -> bool:
     """Commit-or-balk rule at the registration desk.
 

@@ -71,6 +71,11 @@ FAILURE_STATES = frozenset({TaskState.FAILED, TaskState.STARVED, TaskState.DROPP
 # The same states as outcome strings, as task logs and history CSVs spell them.
 FAILURE_OUTCOMES = frozenset(state.value for state in FAILURE_STATES)
 
+# The two phases a task can fail in, as forecasts and history CSVs spell them.
+REGISTRATION_PHASE = "registration"
+SUBMISSION_PHASE = "submission"
+PHASES = (REGISTRATION_PHASE, SUBMISSION_PHASE)
+
 
 def can_transition(current: TaskState, target: TaskState) -> bool:
     return target in LEGAL_TRANSITIONS[current]
@@ -85,7 +90,7 @@ def failure_phase(outcome: str, submissions: int) -> Optional[str]:
     """
     if outcome not in FAILURE_OUTCOMES:
         return None
-    return "submission" if submissions else "registration"
+    return SUBMISSION_PHASE if submissions else REGISTRATION_PHASE
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ class BeltTable:
         an unbounded belt; published shares may not sum exactly to one.
         ``source`` starts every error message.
         """
-        rows = [BeltRow(*r) if not isinstance(r, BeltRow) else r for r in rows]
+        rows = [BeltRow(*r) for r in rows]
         if not rows:
             raise ConfigError(f"{source}: no rows")
         names = [r.belt for r in rows]
@@ -245,7 +250,6 @@ class Task:
     arrival: float
     duration: float
     similarity: float
-    award: float
     skills: int
     attractable: bool
     repost_count: int = 0
@@ -276,11 +280,10 @@ class Agent:
     """One crowd member with a fixed rating and a rolling reliability record."""
 
     agent_id: int
-    arrival: float
     rating: float
     belt: str
     skills: int
-    recent_outcomes: deque = field(default_factory=lambda: deque(maxlen=15))
+    recent_outcomes: deque
     open_list: list = field(default_factory=list)
     # event-loop process state, owned by the engine
     pending: list = field(default_factory=list)

@@ -54,7 +54,9 @@ from .domain import (
     Agent,
     FAILURE_STATES,
     ModelInvariantError,
+    REGISTRATION_PHASE,
     SOURCE_STATE,
+    SUBMISSION_PHASE,
     Submission,
     TERMINAL_STATES,
     Task,
@@ -74,9 +76,8 @@ from .lifecycle import (
     sample_duration,
 )
 from .platform import (
-    arrival_count,
+    arrival_times,
     pool_openness,
-    sample_award,
     sample_similarity,
     spawn_agent,
     supply_concentration,
@@ -198,12 +199,9 @@ class Simulation:
     # ------------------------------------------------------------- setup
 
     def _draw_ambient_tasks(self) -> None:
-        arrival_rng = self.streams.get("task-arrival")
-        count = arrival_count(arrival_rng, self.cfg.task_lambda, self.cfg)
-        arrivals = [self.cfg.horizon_days * arrival_rng.random() for _ in range(count)]
+        arrivals = arrival_times(self.streams.get("task-arrival"), self.cfg.task_lambda, self.cfg)
         sim_rng = self.streams.get("similarity")
         dur_rng = self.streams.get("duration")
-        award_rng = self.streams.get("award")
         attr_rng = self.streams.get("attraction")
         skill_rng = self.streams.get("skills")
         for when in arrivals:
@@ -212,7 +210,6 @@ class Simulation:
                 arrival=when,
                 duration=sample_duration(dur_rng, self.cfg),
                 similarity=sample_similarity(sim_rng, self.cfg),
-                award=sample_award(award_rng, self.cfg),
                 skills=sample_skill_mask(
                     skill_rng,
                     self.cfg.task_skills_min,
@@ -225,14 +222,11 @@ class Simulation:
             self.schedule(when, EV_TASK_ARRIVAL, task.task_id)
 
     def _draw_population(self) -> None:
-        arrival_rng = self.streams.get("agent-arrival")
-        count = arrival_count(arrival_rng, self.cfg.agent_gamma, self.cfg)
-        arrivals = [self.cfg.horizon_days * arrival_rng.random() for _ in range(count)]
+        arrivals = arrival_times(self.streams.get("agent-arrival"), self.cfg.agent_gamma, self.cfg)
         exp_rng = self.streams.get("experience")
         skill_rng = self.streams.get("skills")
         for aid, when in enumerate(arrivals):
-            agent = spawn_agent(aid, when, exp_rng, skill_rng, self.cfg, self.belt_table)
-            self.agents[aid] = agent
+            self.agents[aid] = spawn_agent(aid, exp_rng, skill_rng, self.cfg, self.belt_table)
             self.schedule(when, EV_AGENT_START, aid)
 
     def setup(self) -> None:
@@ -371,7 +365,7 @@ class Simulation:
             (self.agents[a].reliability, self.p_qual[self.agents[a].belt])
             for a in task.registrants
         )
-        self._record_prediction(task, "registration", fpr)
+        self._record_prediction(task, REGISTRATION_PHASE, fpr)
         if not agent.sub_armed:
             if agent.sub_rng is None:
                 agent.sub_rng = self.streams.get(f"submission/{agent.agent_id}")
@@ -412,7 +406,7 @@ class Simulation:
             agent.quality_rng = self.streams.get(f"quality/{agent.agent_id}")
         qualified = score_submission(agent.quality_rng.random(), self.cfg.quality_pass)
         task.submissions.append(Submission(agent.agent_id, qualified))
-        self._record_prediction(task, "submission", self.current_fps())
+        self._record_prediction(task, SUBMISSION_PHASE, self.current_fps())
 
     def _on_deadline(self, tid: int) -> None:
         task = self.tasks[tid]
@@ -477,8 +471,8 @@ class Simulation:
             "submissions": len(task.submissions),
             "reg_by_belt": Counter(self.agents[a].belt for a in task.registrants),
             "sub_by_belt": Counter(self.agents[s.agent_id].belt for s in task.submissions),
-            "final_fpr": final.get("registration", 0.0),
-            "final_fps": final.get("submission", 0.0),
+            "final_fpr": final.get(REGISTRATION_PHASE, 0.0),
+            "final_fps": final.get(SUBMISSION_PHASE, 0.0),
             "resolved_at": self.now,
         }
 
@@ -510,7 +504,6 @@ class Simulation:
             arrival=self.now,
             duration=self.cfg.focal_duration,
             similarity=similarity,
-            award=self.cfg.focal_award,
             skills=0,  # no stated requirements: every skill set is welcome
             attractable=True,
             focal=True,

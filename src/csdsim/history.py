@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import stdtr
 
-from .domain import FAILURE_OUTCOMES, failure_phase
+from .domain import FAILURE_OUTCOMES, PHASES, TaskState, failure_phase
 
 
 class DataError(Exception):
@@ -43,10 +43,8 @@ HISTORY_COLUMNS = (
 
 PREDICTION_COLUMNS = ("task_id", "day", "phase", "prediction")
 
-VALID_OUTCOMES = frozenset(
-    ("completed", "failed", "starved", "dropped", "arrived", "registered", "submitted")
-)
-PHASES = ("registration", "submission")
+# Every state a task can rest in; one in PEER_REVIEW is resolved the same instant.
+VALID_OUTCOMES = frozenset(s.value for s in TaskState if s is not TaskState.PEER_REVIEW)
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,6 @@ def repost(task: Task, now: float, new_id: int, attractable: bool) -> Task:
         arrival=now,
         duration=task.duration,
         similarity=task.similarity,
-        award=task.award,
         skills=task.skills,
         attractable=attractable,
         repost_count=task.repost_count + 1,

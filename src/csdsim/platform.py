@@ -25,10 +25,11 @@ def poisson_count(rng, lam: float) -> int:
         count += 1
 
 
-def arrival_count(rng, rate: float, cfg: RunConfig) -> int:
-    """Expected arrivals for one run under the configured rate unit."""
+def arrival_times(rng, rate: float, cfg: RunConfig) -> list:
+    """One run's arrival times: a Poisson count under the configured rate
+    unit, then a uniform time on the horizon for each arrival."""
     lam = rate * cfg.horizon_days if cfg.arrival_rate_unit == "per_day" else rate
-    return poisson_count(rng, lam)
+    return [cfg.horizon_days * rng.random() for _ in range(poisson_count(rng, lam))]
 
 
 def sample_similarity(rng, cfg: RunConfig) -> float:
@@ -42,10 +43,6 @@ def sample_similarity(rng, cfg: RunConfig) -> float:
     low = max(cfg.similarity_low, cfg.openness_gate - cfg.openness_halfwidth)
     high = min(cfg.similarity_high, cfg.openness_gate + cfg.openness_halfwidth)
     return rng.uniform(low, high)
-
-
-def sample_award(rng, cfg: RunConfig) -> float:
-    return rng.uniform(cfg.award_low, cfg.award_high)
 
 
 def sample_experience(rng, cfg: RunConfig) -> float:
@@ -63,7 +60,6 @@ def sample_skill_mask(rng, lo: int, hi: int, vocabulary) -> int:
 
 def spawn_agent(
     agent_id: int,
-    arrival: float,
     exp_rng,
     skill_rng,
     cfg: RunConfig,
@@ -72,7 +68,6 @@ def spawn_agent(
     rating = sample_experience(exp_rng, cfg)
     return Agent(
         agent_id=agent_id,
-        arrival=arrival,
         rating=rating,
         belt=belt_table.belt_of(rating),
         skills=sample_skill_mask(skill_rng, cfg.agent_skills_min, cfg.agent_skills_max, cfg.skill_vocabulary),

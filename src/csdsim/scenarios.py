@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .domain import DEFAULT_BELT_TABLE, FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError
-from .domain import resolve_belt_table
+from .domain import REGISTRATION_PHASE, resolve_belt_table
 from .engine import run_replication
 from .history import result_latest_predictions
 from .lifecycle import compute_fps, compute_tsr
@@ -113,7 +113,7 @@ def baseline_outcome(cfg: RunConfig, results) -> PolicyOutcome:
     fpr_means = []
     for r in results:
         latest = result_latest_predictions(r)
-        regs = [v for (_tid, phase), v in latest.items() if phase == "registration"]
+        regs = [v for (_tid, phase), v in latest.items() if phase == REGISTRATION_PHASE]
         if regs:
             fpr_means.append(mean(regs))
     return PolicyOutcome(

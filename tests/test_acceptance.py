@@ -232,7 +232,7 @@ def test_criterion_03_distribution_fidelity():
     exp_rng = streams.get("experience-agents")
     skill_rng = streams.get("skills")
     gray = sum(
-        spawn_agent(i, 0.0, exp_rng, skill_rng, cfg, DEFAULT_BELT_TABLE).belt == "gray"
+        spawn_agent(i, exp_rng, skill_rng, cfg, DEFAULT_BELT_TABLE).belt == "gray"
         for i in range(n)
     )
     if abs(gray / n - 0.832) > 0.02:

@@ -27,12 +27,16 @@ from csdsim.agents import (
 )
 
 CFG = RunConfig()
+REGISTER_KNOBS = dict(
+    threshold=CFG.reg_threshold,
+    competition_cap=CFG.competition_cap,
+    crowded_p=CFG.crowded_bernoulli_p,
+)
 
 
 def make_agent(**kw) -> Agent:
     defaults = dict(
         agent_id=1,
-        arrival=0.0,
         rating=500.0,
         belt="gray",
         skills=0b1,
@@ -48,7 +52,6 @@ def make_task(**kw) -> Task:
         arrival=0.0,
         duration=5.0,
         similarity=0.5,
-        award=400.0,
         skills=0b1,
         attractable=True,
     )
@@ -71,7 +74,7 @@ def make_task(**kw) -> Task:
     ],
 )
 def test_decide_register_pinned_rows(count, draw, crowd_draw, expected):
-    assert decide_register(count, draw, crowd_draw) is expected
+    assert decide_register(count, draw, crowd_draw, **REGISTER_KNOBS) is expected
 
 
 @given(
@@ -81,7 +84,9 @@ def test_decide_register_pinned_rows(count, draw, crowd_draw, expected):
     crowd_b=st.floats(min_value=0, max_value=1),
 )
 def test_under_cap_ignores_crowd_draw(count, draw, crowd_a, crowd_b):
-    assert decide_register(count, draw, crowd_a) == decide_register(count, draw, crowd_b)
+    assert decide_register(count, draw, crowd_a, **REGISTER_KNOBS) == decide_register(
+        count, draw, crowd_b, **REGISTER_KNOBS
+    )
 
 
 @given(
@@ -91,7 +96,9 @@ def test_under_cap_ignores_crowd_draw(count, draw, crowd_a, crowd_b):
     crowd=st.floats(min_value=0, max_value=1),
 )
 def test_over_cap_ignores_interest_draw(count, draw_a, draw_b, crowd):
-    assert decide_register(count, draw_a, crowd) == decide_register(count, draw_b, crowd)
+    assert decide_register(count, draw_a, crowd, **REGISTER_KNOBS) == decide_register(
+        count, draw_b, crowd, **REGISTER_KNOBS
+    )
 
 
 def test_registration_preconditions_reason_codes():

@@ -32,7 +32,7 @@ EXPECTED_EDGES = {
 
 
 def make_task(state=TaskState.ARRIVED) -> Task:
-    task = Task(task_id=1, arrival=0.0, duration=5.0, similarity=0.5, award=300.0, skills=0, attractable=True)
+    task = Task(task_id=1, arrival=0.0, duration=5.0, similarity=0.5, skills=0, attractable=True)
     task.state = state
     return task
 
@@ -90,7 +90,7 @@ def test_can_transition_matches_table(src, dst):
 
 
 def test_deadline_is_arrival_plus_duration():
-    task = Task(task_id=3, arrival=2.5, duration=10.0, similarity=0.5, award=1.0, skills=0, attractable=True)
+    task = Task(task_id=3, arrival=2.5, duration=10.0, similarity=0.5, skills=0, attractable=True)
     assert task.deadline == 12.5
 
 
@@ -98,7 +98,7 @@ def test_root_id_defaults_to_task_id():
     task = make_task()
     assert task.root_id == task.task_id
     clone = Task(
-        task_id=9, arrival=1.0, duration=2.0, similarity=0.4, award=1.0, skills=0, attractable=True, root_id=1
+        task_id=9, arrival=1.0, duration=2.0, similarity=0.4, skills=0, attractable=True, root_id=1
     )
     assert clone.root_id == 1
 

@@ -9,7 +9,7 @@ import pytest
 
 from csdsim import ModelInvariantError, RunConfig, TaskState, run_replication
 from csdsim.domain import LEGAL_TRANSITIONS, TERMINAL_STATES
-from csdsim.engine import EV_DAILY, EV_REG_ATTEMPT, RngStreams, Simulation
+from csdsim.engine import EV_AGENT_START, EV_DAILY, EV_REG_ATTEMPT, RngStreams, Simulation
 
 
 def run_sim(cfg):
@@ -98,7 +98,7 @@ def test_policy_knobs_leave_ambient_arrivals_alone(tiny_cfg):
     def ambient_fingerprint(cfg):
         sim, _ = run_sim(cfg)
         return sorted(
-            (t.arrival, t.duration, t.similarity, t.award, t.skills)
+            (t.arrival, t.duration, t.similarity, t.skills)
             for t in sim.tasks.values()
             if t.repost_count == 0 and not t.focal
         )
@@ -248,11 +248,7 @@ def test_reposts_preserve_lineage(tiny_cfg):
         root = sim.tasks[task.root_id]
         assert root.root_id == root.task_id
         assert task.repost_count <= tiny_cfg.repost_max
-        assert (task.duration, task.similarity, task.award) == (
-            root.duration,
-            root.similarity,
-            root.award,
-        )
+        assert (task.duration, task.similarity) == (root.duration, root.similarity)
 
 
 def test_repost_disabled_produces_none(tiny_cfg):
@@ -331,8 +327,10 @@ def test_default_trace_hash_is_pinned():
 
 def test_daily_total_agents_counts_every_arrival(tiny_cfg):
     gated = dataclasses.replace(tiny_cfg, admitted_belts=("yellow", "red"))
-    sim, result = run_sim(gated)
-    arrivals = [agent.arrival for agent in sim.agents.values()]
+    sim = RecordingSimulation(gated)
+    result = sim.run()
+    arrivals = [time for time, kind, _aid in sim.scheduled if kind == EV_AGENT_START]
+    assert len(arrivals) == len(sim.agents)
     for row in result.daily:
         assert row["total_agents"] == sum(1 for t in arrivals if t <= row["day"])
 

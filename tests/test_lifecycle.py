@@ -110,7 +110,6 @@ def make_task(**kw) -> Task:
         arrival=0.0,
         duration=5.0,
         similarity=0.5,
-        award=100.0,
         skills=0,
         attractable=True,
     )
@@ -180,9 +179,8 @@ def test_repost_restarts_the_clock():
     assert clone.attractable is False
     assert not clone.focal
     # content rides along unchanged
-    assert (clone.duration, clone.similarity, clone.award, clone.skills) == (
+    assert (clone.duration, clone.similarity, clone.skills) == (
         original.duration,
         original.similarity,
-        original.award,
         original.skills,
     )

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from csdsim import RunConfig
 from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.platform import (
-    arrival_count,
+    arrival_times,
     implied_belt_shares,
     poisson_count,
     pool_openness,
     rating_share,
-    sample_award,
     sample_experience,
     sample_similarity,
     sample_skill_mask,
@@ -52,9 +51,11 @@ def test_poisson_count_is_a_count(lam, seed):
 
 
 def test_arrival_count_rate_units():
-    per_run = arrival_count(random.Random(3), 87.0, CFG)
+    times = arrival_times(random.Random(3), 87.0, CFG)
+    assert all(0.0 <= t < CFG.horizon_days for t in times)
+    per_run = len(times)
     per_day_cfg = dataclasses.replace(CFG, arrival_rate_unit="per_day")
-    per_day = arrival_count(random.Random(3), 87.0, per_day_cfg)
+    per_day = len(arrival_times(random.Random(3), 87.0, per_day_cfg))
     # per-day scales by the horizon: wildly more arrivals
     assert per_day > per_run * 10
 
@@ -82,12 +83,6 @@ def test_similarity_gate_clamps_to_global_bounds():
     assert max(draws) <= 0.40 + 1e-12
 
 
-def test_award_bounds():
-    rng = random.Random(7)
-    draws = [sample_award(rng, CFG) for _ in range(500)]
-    assert 250.0 <= min(draws) and max(draws) <= 1250.0
-
-
 def test_experience_bounds():
     rng = random.Random(8)
     draws = [sample_experience(rng, CFG) for _ in range(2000)]
@@ -104,9 +99,8 @@ def test_skill_mask_counts():
 
 
 def test_spawn_agent_is_consistent():
-    agent = spawn_agent(5, 1.5, random.Random(10), random.Random(11), CFG, DEFAULT_BELT_TABLE)
+    agent = spawn_agent(5, random.Random(10), random.Random(11), CFG, DEFAULT_BELT_TABLE)
     assert agent.agent_id == 5
-    assert agent.arrival == 1.5
     assert agent.belt == DEFAULT_BELT_TABLE.belt_of(agent.rating)
     assert agent.recent_outcomes.maxlen == CFG.reliability_window
     assert agent.open_list == [] and agent.pending == []
