@@ -17,7 +17,7 @@ from csdsim import RunConfig
 from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.engine import RngStreams
 from csdsim.lifecycle import sample_duration
-from csdsim.platform import rating_share
+from csdsim.platform import implied_belt_shares
 from csdsim.scenarios import calibrate_fps
 
 
@@ -36,12 +36,9 @@ def main() -> None:
     print()
 
     print("belt shares, configured table vs population-implied:")
-    lower = 0.0
+    analytic = implied_belt_shares(DEFAULT_BELT_TABLE, cfg)
     for row in DEFAULT_BELT_TABLE.rows:
-        upper = min(row.upper_bound, cfg.experience_max)
-        analytic = rating_share(lower, upper, cfg)
-        print(f"  {row.belt:<7} configured {row.share:6.3f}  analytic {analytic:6.3f}")
-        lower = row.upper_bound
+        print(f"  {row.belt:<7} configured {row.share:6.3f}  analytic {analytic[row.belt]:6.3f}")
 
     rng = RngStreams(args.seed).get("duration")
     n = 20_000

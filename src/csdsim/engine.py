@@ -12,18 +12,14 @@ clock in fractional days, and a plain ``heapq`` list holds
 per processed event, in processing order: the event time as a little-endian
 float64, the kind code as a uint8 (the kind's index in
 ``Simulation._HANDLERS``) and the subject as an int64, 17 bytes in all
-(``struct`` format ``<dBq``). csdsim 0.1.0 hashed a text line per event
-instead, so every ``trace_hash`` differs from it; the events are the same.
+(``struct`` format ``<dBq``).
 
 An agent that can never register (its belt is not admitted, or its rating
 is zero) still arrives and counts toward utilization, but gets no
 registration cycle. That cycle would draw only from the agent's own
 ``registration/{aid}`` stream and reject every task, so skipping it moves
-no other draw and no outcome. It does remove events, so for belt-gated
-configs ``events_processed`` (the events line of ``report.txt``) differs
-from csdsim 0.1.0 and the trace hash covers fewer events; every CSV is
-unchanged. Per-agent streams are created on first use, which string seeding
-makes independent of creation order.
+no other draw and no outcome. Per-agent streams are created on first use,
+which string seeding makes independent of creation order.
 
 The platform tallies are read off the ``_move`` audit, ``transition_counts``,
 and the per-belt tallies off the tasks; only arrivals and reposts are ints.

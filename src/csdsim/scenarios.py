@@ -182,7 +182,12 @@ def run_openness_scenario(base_cfg: RunConfig, gates=OPENNESS_GATES):
 
 def run_diversity_scenario(base_cfg: RunConfig):
     """Vary who may register platform-wide, by belt rank; the focal task rides along."""
-    policies = diversity_policies(resolve_belt_table(base_cfg))
+    table = resolve_belt_table(base_cfg)
+    if len(table.rows) < 2:  # green_and_up would admit no belt
+        raise ConfigError(
+            f"scenario diversity needs at least two belts; {base_cfg.belt_table_path} has one"
+        )
+    policies = diversity_policies(table)
     return run_sweep(
         "diversity",
         [(label, _focal(base_cfg, admitted_belts=belts)) for label, belts in policies],

@@ -299,6 +299,21 @@ def test_cli_diversity_on_a_custom_table_admits_by_rank(
         assert f"{label}: fail " in stdout
 
 
+def test_cli_diversity_on_a_one_belt_table_exits_one(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "belts.csv"
+    table.write_text("belt,upper_bound,share,p_qualified\ngray,,1.0,0.3\n")
+    ran = []
+    monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
+    out = tmp_path / "x"
+    argv = ["scenario", "diversity", "--out", str(out), *TINY_OVERRIDES]
+    code = main([*argv, "--set", f"belt_table_path={table}", "--set", "familiarity_belts=gray"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"scenario diversity needs at least two belts; {table} has one" in err
+    assert ran == []  # refused before the first replication
+    assert not out.exists()
+
+
 def test_cli_familiarity_belt_missing_from_belt_table_exits_one(tmp_path, capsys, monkeypatch):
     table = tmp_path / "belts.csv"
     table.write_text(GRAY_BLUE_RED)

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end on one replication."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import csdsim
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_python(*argv: str) -> str:
@@ -62,3 +64,14 @@ def test_history_fixture_round_trips_through_evaluate(tmp_path):
         "--out", str(tmp_path / "eval"),
     )
     assert re.search(r"^registration: mre ", stdout, re.MULTILINE)
+
+
+def test_eval_fixture_is_what_its_generator_writes(tmp_path, monkeypatch):
+    # criterion 9's exact MREs are read off these committed files
+    spec = importlib.util.spec_from_file_location("make_eval_fixture", SCRIPTS / "make_eval_fixture.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "DATA_DIR", tmp_path)
+    script.main()
+    for name in ("eval_history.csv", "eval_predictions.csv"):
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
