@@ -119,7 +119,6 @@ class RngStreams:
 class ReplicationResult:
     """Everything one replication hands back to reporting and scenarios."""
 
-    seed: int
     counters: dict
     focal: Optional[dict]
     daily: list
@@ -190,7 +189,6 @@ class Simulation:
         self.transition_counts: Counter = Counter()
         self.focal_result: Optional[dict] = None
         self._trace = hashlib.blake2b(digest_size=16)
-        self._events = 0
 
     # ------------------------------------------------------------- setup
 
@@ -283,12 +281,6 @@ class Simulation:
         c = self.counters()
         return compute_tsr(c["submitted"], c["registered"])
 
-    def current_fps(self) -> float:
-        return compute_fps(self.current_tsr(), self.cfg.fps_slope, self.cfg.fps_intercept)
-
-    def _record_prediction(self, task: Task, phase: str, value: float) -> None:
-        self.predictions.append((task.task_id, self.now, phase, value))
-
     # ------------------------------------------------------------- handlers
 
     def _on_task_arrival(self, tid: int) -> None:
@@ -352,16 +344,12 @@ class Simulation:
             self._move(task, TaskState.REGISTERED)
         task.registrants.append(agent.agent_id)
         agent.open_list.append(task.task_id)
-        if self.cfg.check_invariants and len(agent.open_list) > self.cfg.open_list_cap:
-            raise ModelInvariantError(
-                f"agent {agent.agent_id} exceeded the open list cap"
-            )
         agent.pending.append(task.task_id)
         fpr = compute_fpr(
             (self.agents[a].reliability, self.p_qual[self.agents[a].belt])
             for a in task.registrants
         )
-        self._record_prediction(task, REGISTRATION_PHASE, fpr)
+        self.predictions.append((task.task_id, self.now, REGISTRATION_PHASE, fpr))
         if not agent.sub_armed:
             if agent.sub_rng is None:
                 agent.sub_rng = self.streams.get(f"submission/{agent.agent_id}")
@@ -391,10 +379,6 @@ class Simulation:
             self._submit(agent, task)
 
     def _submit(self, agent: Agent, task: Task) -> None:
-        if self.cfg.check_invariants and agent.agent_id not in task.registrants:
-            raise ModelInvariantError(
-                f"agent {agent.agent_id} submitted to task {task.task_id} without registering"
-            )
         if not task.submissions:
             self._move(task, TaskState.SUBMITTED)
             self._pool_remove(task.task_id)  # registration closes with the first submission
@@ -402,7 +386,8 @@ class Simulation:
             agent.quality_rng = self.streams.get(f"quality/{agent.agent_id}")
         qualified = score_submission(agent.quality_rng.random(), self.cfg.quality_pass)
         task.submissions.append(Submission(agent.agent_id, qualified))
-        self._record_prediction(task, SUBMISSION_PHASE, self.current_fps())
+        fps = compute_fps(self.current_tsr(), self.cfg.fps_slope, self.cfg.fps_intercept)
+        self.predictions.append((task.task_id, self.now, SUBMISSION_PHASE, fps))
 
     def _on_deadline(self, tid: int) -> None:
         task = self.tasks[tid]
@@ -552,19 +537,15 @@ class Simulation:
         update = self._trace.update
         while heap:
             time, _seq, kind, subject = pop(heap)
-            if time < self.now:
-                raise ModelInvariantError(f"clock moved backwards: {self.now} -> {time}")
             self.now = time
             code, handler = dispatch[kind]
             update(pack(time, code, subject))
-            self._events += 1
             handler(subject)
         tasks = self.tasks.values()
         for task in tasks:
             if task.state not in TERMINAL_STATES:
                 self.task_log.append(self._log_row(task))
         return ReplicationResult(
-            seed=self.cfg.seed,
             counters=self.counters(),
             focal=self.focal_result,
             daily=self.daily,
@@ -573,7 +554,7 @@ class Simulation:
             reg_by_belt=Counter(self.agents[a].belt for t in tasks for a in t.registrants),
             sub_by_belt=Counter(self.agents[s.agent_id].belt for t in tasks for s in t.submissions),
             trace_hash=self._trace.hexdigest(),
-            events_processed=self._events,
+            events_processed=self._seq,  # every accepted schedule call is popped once
         )
 
 

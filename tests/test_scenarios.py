@@ -13,6 +13,7 @@ from csdsim import (
     ConfigError,
     RunConfig,
     calibrate_fps,
+    run_replication,
     run_replications,
     run_sweep,
     what_if_posting_day,
@@ -133,7 +134,9 @@ def test_run_sweep_aggregates_replications(scenario_cfg):
         assert outcome.fail + outcome.success == 3
         assert outcome.failure_rate == pytest.approx(outcome.fail / 3)
     # the results are the first policy's, one per replication on seed + r
-    assert [r.seed for r in results] == [cfg.seed, cfg.seed + 1, cfg.seed + 2]
+    assert [r.trace_hash for r in results] == [
+        run_replication(dataclasses.replace(cfg, seed=cfg.seed + r)).trace_hash for r in range(3)
+    ]
     assert all(r.focal is not None for r in results)
     first = report.outcomes[0]
     assert first.per_rep_failed == tuple(bool(r.focal["failed"]) for r in results)
