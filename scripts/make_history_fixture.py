@@ -33,18 +33,7 @@ def main() -> None:
         fh.write(f"# simulated task history, seed={cfg.seed}\n")
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
-        for rec in result.task_log:
-            writer.writerow(
-                [
-                    rec["task_id"],
-                    rec["posted_day"],
-                    rec["duration_days"],
-                    rec["registrants"],
-                    rec["submissions"],
-                    rec["outcome"],
-                    rec["failure_phase"] or "",
-                ]
-            )
+        writer.writerows([rec[c] for c in HISTORY_COLUMNS] for rec in result.task_log)
 
     predictions_path = args.out / "predictions.csv"
     with open(predictions_path, "w", encoding="utf-8", newline="") as fh:

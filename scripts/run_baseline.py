@@ -35,7 +35,7 @@ def main() -> None:
         f"reported failures: mean {statistics.mean(failures):.1f},"
         f" stdev {statistics.stdev(failures) if len(failures) > 1 else 0.0:.1f}"
     )
-    print("outcome shares of registered tasks:")
+    print("outcome shares of resolved tasks:")
     print(f"  success         {statistics.mean(r.success_ratio for r in results):7.1%}")
     print(f"  unqualified     {statistics.mean(r.unqualified_ratio for r in results):7.1%}")
     print(f"  zero-submission {statistics.mean(r.zero_submission_ratio for r in results):7.1%}")

@@ -16,9 +16,8 @@ from pathlib import Path
 from .config import (
     ConfigError,
     RunConfig,
-    apply_overrides,
+    build_config,
     echo_config,
-    load_config,
 )
 from .domain import ModelInvariantError
 from .history import (
@@ -89,11 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cfg(args) -> RunConfig:
-    path = args.config or os.environ.get(ENV_CONFIG)
-    cfg = load_config(path) if path else RunConfig()
-    if args.overrides:
-        cfg = apply_overrides(cfg, args.overrides)
-    return cfg
+    return build_config(args.config or os.environ.get(ENV_CONFIG), args.overrides)
 
 
 def _emit(cfg, results, args, scenario=None, evaluation=None) -> None:

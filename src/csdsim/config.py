@@ -213,28 +213,38 @@ def _assign(cfg: RunConfig, assignments) -> RunConfig:
     return replace(cfg, **changes)
 
 
-def parse_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
-    """Parse flat ``key = value`` text on top of ``base`` (defaults if None).
+def _file_assignments(text: str) -> list:
+    """``("line N", line)`` for each line of flat config text; blanks and ``#`` lines skipped."""
+    lines = ((n, line.strip()) for n, line in enumerate(text.splitlines(), start=1))
+    return [(f"line {n}", line) for n, line in lines if line and not line.startswith("#")]
 
-    Lines starting with ``#`` and blank lines are ignored.
+
+def parse_config(text: str) -> RunConfig:
+    """Parse flat ``key = value`` text on top of the defaults."""
+    return _assign(RunConfig(), _file_assignments(text))
+
+
+def build_config(path: Optional[str], pairs) -> RunConfig:
+    """Defaults, then the file at ``path`` (if any), then each ``key=value`` pair.
+
+    All the assignments are applied at once, so the merged config is what is
+    validated: a file that is only valid with its overrides is accepted.
     """
     assignments = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            assignments.append((f"line {lineno}", stripped))
-    return _assign(base if base is not None else RunConfig(), assignments)
+    if path:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                assignments = _file_assignments(fh.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    assignments += [("override", pair) for pair in pairs]
+    return _assign(RunConfig(), assignments)
 
 
-def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
-    return parse_config(text, base=base)
+def load_config(path: str) -> RunConfig:
+    return build_config(path, ())
 
 
 def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:

@@ -1,7 +1,9 @@
 """Property test over small configs: each one is refused when built, or runs.
 
 A config that ``RunConfig`` accepts must run one replication to completion,
-keep criterion 5's structural invariants and every forecast a probability,
+keep criterion 5's structural invariants (the open-list cap and
+register-before-submit at every step, not only at the end) and every
+forecast a probability,
 write a ``task_predictions.csv`` that the predictions ingester reads back to
 the same latest forecasts, and log tasks that the history ingester accepts.
 Registration and submission rates whose mean gap falls below the clock's
@@ -53,6 +55,18 @@ DAILY_COUNTERS = (
 )
 
 
+class CheckedSimulation(Simulation):
+    """Asserts the engine's two structural rules around every registration and submission."""
+
+    def _register(self, agent, task):
+        super()._register(agent, task)
+        assert len(agent.open_list) <= self.cfg.open_list_cap
+
+    def _submit(self, agent, task):
+        assert agent.agent_id in task.registrants
+        super()._submit(agent, task)
+
+
 @st.composite
 def small_configs(draw):
     changes = {
@@ -94,7 +108,7 @@ def test_a_config_is_refused_when_built_or_runs(drawn):
         cfg = RunConfig(**changes)
     except ConfigError:
         return
-    sim = Simulation(cfg)
+    sim = CheckedSimulation(cfg)
     result = sim.run()
     assert_structural_invariants(sim, result)
     assert all(0.0 <= value <= 1.0 for _tid, _day, _phase, value in result.predictions)

@@ -1,6 +1,8 @@
 """Config parsing, echoing, validation, and the belt table loader."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from csdsim import (
     load_config,
     parse_config,
 )
-from csdsim.config import DEFAULT_SKILLS
+from csdsim.config import DEFAULT_SKILLS, _format_value, build_config
 from csdsim.domain import DEFAULT_BELT_TABLE, load_belt_table
 
 # Frozen defaults. Any drift here is a deliberate model change and must be
@@ -216,13 +218,48 @@ def test_load_config_file(tmp_path):
     assert cfg.task_lambda == 10.0
 
 
-def test_load_config_with_base(tmp_path):
-    base = dataclasses.replace(RunConfig(), replications=3)
+def test_build_config_applies_the_file_then_the_overrides(tmp_path):
     path = tmp_path / "run.cfg"
+    path.write_text("seed = 9\n\n# comment line\nreplications = 2\n")
+    cfg = build_config(str(path), ["seed=11"])
+    assert (cfg.seed, cfg.replications) == (11, 2)
+    assert build_config(None, ["seed=11"]) == dataclasses.replace(RunConfig(), seed=11)
+    # a malformed assignment is named by its file line or as an override
+    path.write_text("seed = 9\n\nnonsense\n")
+    with pytest.raises(ConfigError, match="^line 3: "):
+        build_config(str(path), [])
     path.write_text("seed = 9\n")
-    cfg = load_config(str(path), base=base)
-    assert cfg.replications == 3
-    assert cfg.seed == 9
+    with pytest.raises(ConfigError, match="^override: "):
+        build_config(str(path), ["seed"])
+
+
+def readme_levers():
+    """``(key, default)`` for each key of README's main levers table, in row order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("The main levers:", 1)[1].split("\n\n")[1]
+    levers = []
+    for row in table.splitlines()[2:]:  # past the header and its rule
+        keys_cell, defaults_cell = row.split("|")[1:3]
+        keys = re.findall(r"`([^`]+)`", keys_cell)
+        defaults = [d.strip() for d in defaults_cell.split(",")]
+        assert len(keys) == len(defaults), row
+        levers += zip(keys, defaults)
+    return levers
+
+
+def _same_value(documented: str, actual: str) -> bool:
+    try:
+        return float(documented) == float(actual)
+    except ValueError:
+        return documented == actual
+
+
+def test_readme_lever_defaults_match_run_config():
+    levers = readme_levers()
+    assert len(levers) == 19
+    for key, documented in levers:
+        actual = _format_value(getattr(RunConfig(), key))
+        assert _same_value(documented, actual), f"README says {key} = {documented}, RunConfig has {actual}"
 
 
 # ------------------------------------------------------------ belt table CSV

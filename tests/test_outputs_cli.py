@@ -187,6 +187,20 @@ def test_cli_env_config_fallback(tmp_path, monkeypatch):
     assert (out / "platform_daily.csv").read_text().startswith("# seed=5 ")
 
 
+def test_cli_file_and_overrides_are_validated_together(tmp_path):
+    # the file alone breaks the focal window; the --set mends it
+    cfg_path = tmp_path / "f.cfg"
+    cfg_path.write_text("focal_enabled = true\nhorizon_days = 20\n")
+    merged, all_set = tmp_path / "merged", tmp_path / "all_set"
+    focal = ["--set", "focal_duration=5"]
+    assert main(["run", "--out", str(merged), *TINY_OVERRIDES, "--config", str(cfg_path), *focal]) == 0
+    file_keys = ["--set", "focal_enabled=true", "--set", "horizon_days=20"]
+    assert main(["run", "--out", str(all_set), *TINY_OVERRIDES, *file_keys, *focal]) == 0
+    echo = (merged / "config_used.cfg").read_text()
+    assert echo == (all_set / "config_used.cfg").read_text()
+    assert "focal_duration = 5.0\n" in echo
+
+
 def test_cli_set_overrides_file(tmp_path, monkeypatch):
     cfg_path = tmp_path / "env.cfg"
     cfg_path.write_text("seed = 5\n")

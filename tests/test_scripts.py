@@ -34,6 +34,7 @@ def test_run_baseline_prints_counters_and_shares():
     stdout = run_script("run_baseline.py")
     assert stdout.startswith("baseline: 1 replications, seed 42")
     assert re.search(r"^arrived\s+\d+\.\d", stdout, re.MULTILINE)
+    assert "outcome shares of resolved tasks:" in stdout
     assert re.search(r"^  zero-submission\s+\d+\.\d%$", stdout, re.MULTILINE)
 
 
