@@ -3,9 +3,9 @@
 A config that ``RunConfig`` accepts must run one replication to completion,
 keep criterion 5's structural invariants (the open-list cap and
 register-before-submit at every step, not only at the end) and every
-forecast a probability,
-write a ``task_predictions.csv`` that the predictions ingester reads back to
-the same latest forecasts, and log tasks that the history ingester accepts.
+forecast a probability, write a ``task_predictions.csv`` that the
+predictions ingester reads back to the same latest forecasts, and log tasks
+that the history ingester accepts.
 Registration and submission rates whose mean gap falls below the clock's
 resolution are refused when built; arrival rates stay small, because a huge
 one is a memory limit rather than a config error.
