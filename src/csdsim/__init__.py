@@ -3,7 +3,6 @@
 from .config import (
     ConfigError,
     RunConfig,
-    apply_overrides,
     config_hash,
     echo_config,
     load_config,
@@ -46,7 +45,6 @@ __all__ = [
     "Simulation",
     "Task",
     "TaskState",
-    "apply_overrides",
     "calibrate_fps",
     "config_hash",
     "echo_config",

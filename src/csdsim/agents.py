@@ -36,17 +36,14 @@ def permanent_exclusion(agent: Agent, admitted: Optional[frozenset] = None) -> O
 
 
 def registration_preconditions(
-    agent: Agent, task: Task, cfg: RunConfig, admitted: Optional[frozenset] = None
+    agent: Agent, task: Task, open_list_cap: int, match_mode: str
 ) -> Optional[str]:
-    """Return a reason code when the pair cannot register, else None."""
+    """Reason code when the pair cannot register, else None; never a permanent exclusion."""
     if task.state not in REGISTRABLE_STATES:
         return REASON_NOT_REGISTRABLE
-    reason = permanent_exclusion(agent, admitted)
-    if reason is not None:
-        return reason
-    if len(agent.open_list) >= cfg.open_list_cap:
+    if len(agent.open_list) >= open_list_cap:
         return REASON_OPEN_LIST_FULL
-    if not skills_match(agent.skills, task.skills, cfg.match_mode):
+    if not skills_match(agent.skills, task.skills, match_mode):
         return REASON_SKILL_MISMATCH
     if task.task_id in agent.open_list:
         return REASON_ALREADY_REGISTERED
@@ -97,14 +94,13 @@ def pool_crowding_factor(
 def registration_engagement(
     similarity: float,
     mean_other_similarity: float,
-    belt: str,
+    appeal: float,
     concentration: float,
     cfg: RunConfig,
 ) -> float:
-    """Probability that a browsing agent stops on this task at all."""
-    w = preference_weight(similarity, belt, cfg)
+    """Probability that a browsing agent stops on this task, given its belt's ``appeal``."""
     crowd = pool_crowding_factor(similarity, mean_other_similarity, cfg)
-    return min(1.0, w * crowd * cfg.engagement_scale * concentration)
+    return min(1.0, appeal * crowd * cfg.engagement_scale * concentration)
 
 
 def decide_submit(draw: float, p_qualified: float, threshold: float) -> bool:

@@ -13,12 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    build_config,
-    echo_config,
-)
+from .config import ConfigError, RunConfig, build_config, echo_config
 from .domain import ModelInvariantError
 from .history import (
     DataError,

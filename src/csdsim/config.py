@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 
@@ -195,8 +195,8 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(echo_config(cfg).encode("utf-8")).hexdigest()
 
 
-def _assign(cfg: RunConfig, assignments) -> RunConfig:
-    """``cfg`` with each ``(where, "key = value")`` assignment applied.
+def _assign(assignments) -> RunConfig:
+    """The defaults with each ``(where, "key = value")`` assignment applied.
 
     ``where`` names the assignment's source in error messages. Unknown keys
     are rejected rather than silently dropped.
@@ -208,9 +208,9 @@ def _assign(cfg: RunConfig, assignments) -> RunConfig:
             raise ConfigError(f"{where}: expected key = value, got {text!r}")
         key = key.strip()
         if key not in _FIELD_NAMES:
-            raise ConfigError(f"unknown config key: {key}")
+            raise ConfigError(f"{where}: unknown config key: {key}")
         changes[key] = _parse_value(key, raw)
-    return replace(cfg, **changes)
+    return RunConfig(**changes)
 
 
 def _file_assignments(text: str) -> list:
@@ -221,7 +221,7 @@ def _file_assignments(text: str) -> list:
 
 def parse_config(text: str) -> RunConfig:
     """Parse flat ``key = value`` text on top of the defaults."""
-    return _assign(RunConfig(), _file_assignments(text))
+    return _assign(_file_assignments(text))
 
 
 def build_config(path: Optional[str], pairs) -> RunConfig:
@@ -240,16 +240,11 @@ def build_config(path: Optional[str], pairs) -> RunConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     assignments += [("override", pair) for pair in pairs]
-    return _assign(RunConfig(), assignments)
+    return _assign(assignments)
 
 
 def load_config(path: str) -> RunConfig:
     return build_config(path, ())
-
-
-def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
-    """Apply ``key=value`` strings (CLI --set) on top of an existing config."""
-    return _assign(cfg, (("override", pair) for pair in pairs))
 
 
 def _require(ok: bool, key: str, rule: str):

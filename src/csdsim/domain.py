@@ -258,6 +258,7 @@ class Task:
     state: TaskState = TaskState.ARRIVED
     registrants: list = field(default_factory=list)
     submissions: list = field(default_factory=list)
+    appeal: dict = field(default_factory=dict)  # preference_weight by belt, set when pooled
 
     def __post_init__(self):
         if self.root_id < 0:

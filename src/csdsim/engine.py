@@ -19,7 +19,10 @@ is zero) still arrives and counts toward utilization, but gets no
 registration cycle. That cycle would draw only from the agent's own
 ``registration/{aid}`` stream and reject every task, so skipping it moves
 no other draw and no outcome. Per-agent streams are created on first use,
-which string seeding makes independent of creation order.
+which string seeding makes independent of creation order. Permanent
+exclusion is checked once, at agent start, never in a scan. A scan that meets
+a full open list makes the one ``random()`` draw of each remaining pick and
+stops: the list and the pool cannot change in an attempt that registers nothing.
 
 The platform tallies are read off the ``_move`` audit, ``transition_counts``,
 and the per-belt tallies off the tasks; only arrivals and reposts are ints.
@@ -36,9 +39,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .agents import (
+    REASON_OPEN_LIST_FULL,
     decide_register,
     decide_submit,
     permanent_exclusion,
+    preference_weight,
     registration_engagement,
     registration_preconditions,
     score_submission,
@@ -166,6 +171,7 @@ class Simulation:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.belt_table = resolve_belt_table(cfg)
+        self.belts = self.belt_table.names()
         self.streams = RngStreams(cfg.seed)
         self.now = 0.0  # fractional days
         self._heap: list = []  # (time, seq, kind, subject); seq gives FIFO ties
@@ -248,6 +254,7 @@ class Simulation:
         return True
 
     def _pool_add(self, task: Task) -> None:
+        task.appeal = {b: preference_weight(task.similarity, b, self.cfg) for b in self.belts}
         self._pool_pos[task.task_id] = len(self.pool)
         self.pool.append(task.task_id)
         self.pool_sim_sum += task.similarity
@@ -302,34 +309,40 @@ class Simulation:
     def _on_reg_attempt(self, aid: int) -> None:
         agent = self.agents[aid]
         rng = agent.reg_rng
+        cfg = self.cfg
         # keep the cycle alive first so the per-attempt draw order is stable
-        gap = rng.expovariate(self.cfg.reg_rate_per_day)
+        gap = rng.expovariate(cfg.reg_rate_per_day)
         self.schedule(self.now + gap, EV_REG_ATTEMPT, aid)
-        for _ in range(self.scan_count):
-            size = len(self.pool)
-            if size == 0:
-                return
-            task = self.tasks[self.pool[int(rng.random() * size)]]
-            if registration_preconditions(agent, task, self.cfg, self.admitted) is not None:
+        # neither the pool nor the open list changes before a registration ends the attempt
+        pool = self.pool
+        size = len(pool)
+        if size == 0:
+            return
+        random_, tasks, scans = rng.random, self.tasks, self.scan_count
+        cap, mode = cfg.open_list_cap, cfg.match_mode
+        for pick in range(scans):
+            task = tasks[pool[int(random_() * size)]]
+            reason = registration_preconditions(agent, task, cap, mode)
+            if reason is not None:
+                if reason == REASON_OPEN_LIST_FULL:
+                    for _ in range(scans - pick - 1):  # each later pick would fail alike
+                        random_()
+                    return
                 continue
-            if size > 1:
-                mean_other = (self.pool_sim_sum - task.similarity) / (size - 1)
-            else:
-                mean_other = 0.0
+            mean_other = (self.pool_sim_sum - task.similarity) / (size - 1) if size > 1 else 0.0
             p_engage = registration_engagement(
-                task.similarity, mean_other, agent.belt, self.concentration, self.cfg
+                task.similarity, mean_other, task.appeal[agent.belt], self.concentration, cfg
             )
-            if rng.random() >= p_engage:
+            if random_() >= p_engage:
                 continue
-            draw = rng.random()
-            crowd_draw = rng.random()
+            draw, crowd_draw = random_(), random_()
             if decide_register(
                 len(task.registrants),
                 draw,
                 crowd_draw,
-                threshold=self.cfg.reg_threshold,
-                competition_cap=self.cfg.competition_cap,
-                crowded_p=self.cfg.crowded_bernoulli_p,
+                threshold=cfg.reg_threshold,
+                competition_cap=cfg.competition_cap,
+                crowded_p=cfg.crowded_bernoulli_p,
             ):
                 self._register(agent, task)
                 return

@@ -101,32 +101,46 @@ def test_over_cap_ignores_interest_draw(count, draw_a, draw_b, crowd):
     )
 
 
+def check(agent, task, cap=CFG.open_list_cap, mode=CFG.match_mode):
+    return registration_preconditions(agent, task, cap, mode)
+
+
 def test_registration_preconditions_reason_codes():
-    cfg = CFG
     agent = make_agent()
     task = make_task()
-    assert registration_preconditions(agent, task, cfg) is None
+    assert check(agent, task) is None
 
     done = make_task()
     done.state = TaskState.COMPLETED
-    assert registration_preconditions(agent, done, cfg) == REASON_NOT_REGISTRABLE
-
-    assert (
-        registration_preconditions(agent, task, cfg, admitted=frozenset({"red"}))
-        == REASON_BELT_EXCLUDED
-    )
+    assert check(agent, done) == REASON_NOT_REGISTRABLE
 
     full = make_agent(open_list=[1, 2, 3, 4, 5])
-    assert registration_preconditions(full, task, cfg) == REASON_OPEN_LIST_FULL
+    assert check(full, task) == REASON_OPEN_LIST_FULL
+    assert check(full, task, cap=6) is None
 
-    novice = make_agent(rating=0.0)
-    assert registration_preconditions(novice, task, cfg) == REASON_ZERO_RATING
+    # permanent exclusion is the engine's check at agent start, not the scan's
+    assert check(make_agent(rating=0.0), task) is None
 
     mismatched = make_agent(skills=0b10)
-    assert registration_preconditions(mismatched, task, cfg) == REASON_SKILL_MISMATCH
+    assert check(mismatched, task) == REASON_SKILL_MISMATCH
+    partial = make_agent(skills=0b01)
+    assert check(partial, make_task(skills=0b11)) is None
+    assert check(partial, make_task(skills=0b11), mode="all") == REASON_SKILL_MISMATCH
 
     repeat = make_agent(open_list=[task.task_id])
-    assert registration_preconditions(repeat, task, cfg) == REASON_ALREADY_REGISTERED
+    assert check(repeat, task) == REASON_ALREADY_REGISTERED
+
+
+def test_registration_preconditions_check_order():
+    """not_registrable, then open_list_full, then skill_mismatch, then already_registered."""
+    task = make_task()
+    repeat_full_mismatched = make_agent(skills=0b10, open_list=[task.task_id, 1, 2, 3, 4])
+    assert check(repeat_full_mismatched, task) == REASON_OPEN_LIST_FULL
+    done = make_task()
+    done.state = TaskState.SUBMITTED
+    assert check(repeat_full_mismatched, done) == REASON_NOT_REGISTRABLE
+    repeat_mismatched = make_agent(skills=0b10, open_list=[task.task_id])
+    assert check(repeat_mismatched, task) == REASON_SKILL_MISMATCH
 
 
 @pytest.mark.parametrize(
@@ -143,8 +157,6 @@ def test_registration_preconditions_reason_codes():
 def test_permanent_exclusion_rows(belt, rating, admitted, expected):
     agent = make_agent(belt=belt, rating=rating)
     assert permanent_exclusion(agent, admitted) == expected
-    # any registrable task then turns the agent down for the same reason
-    assert registration_preconditions(agent, make_task(), CFG, admitted) == expected
 
 
 def test_preference_weight_novelty_branch():
@@ -178,7 +190,8 @@ def test_preference_weight_rebound_inactive_below_pivot():
     concentration=st.floats(min_value=1, max_value=25),
 )
 def test_engagement_is_a_probability(similarity, other, belt, concentration):
-    p = registration_engagement(similarity, other, belt, concentration, CFG)
+    appeal = preference_weight(similarity, belt, CFG)
+    p = registration_engagement(similarity, other, appeal, concentration, CFG)
     assert 0.0 <= p <= 1.0
 
 

@@ -54,6 +54,20 @@ def test_method_is_defined_on_its_class(owner, name):
     assert callable(vars(owner).get(name))
 
 
+def test_preconditions_take_four_positional_arguments(tiny_cfg, monkeypatch):
+    """The harness wraps ``registration_preconditions`` as ``wrapper(a, b, c, d)``."""
+    original = csdsim.engine.registration_preconditions
+    calls = []
+
+    def wrapper(a, b, c, d):
+        calls.append((a, b, c, d))
+        return original(a, b, c, d)
+
+    monkeypatch.setattr(csdsim.engine, "registration_preconditions", wrapper)
+    csdsim.engine.run_replication(dataclasses.replace(tiny_cfg, horizon_days=5.0))
+    assert calls
+
+
 def test_imported_names_exist():
     assert callable(csdsim.history.result_latest_predictions)
     assert csdsim.scenarios.DIVERSITY_POLICIES

@@ -2,10 +2,10 @@
 
 A config that ``RunConfig`` accepts must run one replication to completion,
 keep criterion 5's structural invariants (the open-list cap and
-register-before-submit at every step, not only at the end) and every
-forecast a probability, write a ``task_predictions.csv`` that the
-predictions ingester reads back to the same latest forecasts, and log tasks
-that the history ingester accepts.
+register-before-submit at every step, not only at the end), register no
+permanently excluded agent, keep every forecast a probability, write a
+``task_predictions.csv`` that the predictions ingester reads back to the
+same latest forecasts, and log tasks that the history ingester accepts.
 Registration and submission rates whose mean gap falls below the clock's
 resolution are refused when built; arrival rates stay small, because a huge
 one is a memory limit rather than a config error.
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csdsim import ConfigError, RunConfig, Simulation, emit_outputs
+from csdsim.agents import permanent_exclusion, preference_weight
 from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.history import (
     HISTORY_COLUMNS,
@@ -56,9 +57,15 @@ DAILY_COUNTERS = (
 
 
 class CheckedSimulation(Simulation):
-    """Asserts the engine's two structural rules around every registration and submission."""
+    """Asserts the engine's structural rules around every registration and submission.
+
+    A registration also re-checks what the scan no longer does: the agent is
+    not permanently excluded, and the task's stored appeal is its belt's weight.
+    """
 
     def _register(self, agent, task):
+        assert permanent_exclusion(agent, self.admitted) is None
+        assert task.appeal[agent.belt] == preference_weight(task.similarity, agent.belt, self.cfg)
         super()._register(agent, task)
         assert len(agent.open_list) <= self.cfg.open_list_cap
 

@@ -9,7 +9,6 @@ import pytest
 from csdsim import (
     ConfigError,
     RunConfig,
-    apply_overrides,
     config_hash,
     echo_config,
     load_config,
@@ -95,8 +94,8 @@ def test_echo_parse_round_trip():
 
 
 def test_round_trip_survives_overrides():
-    cfg = apply_overrides(
-        RunConfig(),
+    cfg = build_config(
+        None,
         [
             "seed=7",
             "invert_tsr=true",
@@ -162,7 +161,7 @@ def test_validation_errors_name_the_key(override):
     overrides = [override] if isinstance(override, str) else list(override)
     key = overrides[-1].split("=")[0]
     with pytest.raises(ConfigError, match=key):
-        apply_overrides(RunConfig(), overrides)
+        build_config(None, overrides)
 
 
 @pytest.mark.parametrize(
@@ -183,16 +182,16 @@ def test_every_built_config_is_validated(changes, message):
 
 def test_override_requires_equals_sign():
     with pytest.raises(ConfigError):
-        apply_overrides(RunConfig(), ["seed"])
+        build_config(None, ["seed"])
     with pytest.raises(ConfigError):  # an empty override is an error, not a blank line
-        apply_overrides(RunConfig(), [""])
+        build_config(None, [""])
 
 
-def test_none_literal_parses():
-    cfg = apply_overrides(
-        RunConfig(), ["openness_gate=0.7", "admitted_belts=green"]
-    )
-    cfg = apply_overrides(cfg, ["openness_gate=none", "admitted_belts=none"])
+def test_none_literal_parses(tmp_path):
+    path = tmp_path / "gated.cfg"
+    path.write_text("openness_gate = 0.7\nadmitted_belts = green\n")
+    assert build_config(str(path), []).openness_gate == 0.7
+    cfg = build_config(str(path), ["openness_gate=none", "admitted_belts=none"])
     assert cfg.openness_gate is None
     assert cfg.admitted_belts is None
 

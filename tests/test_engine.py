@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import struct
 
 import pytest
@@ -300,6 +301,30 @@ def test_agents_that_can_never_register_get_no_cycle(tiny_cfg):
     attempted = {subject for _, kind, subject in sim.scheduled if kind == EV_REG_ATTEMPT}
     assert attempted and not attempted & excluded
     assert not {f"registration/{aid}" for aid in excluded} & sim.streams.names
+
+
+def test_dead_scan_makes_the_draws_of_every_pick(tiny_cfg):
+    """A scan that meets a full open list leaves the stream where a full scan would."""
+    cfg = dataclasses.replace(tiny_cfg, admitted_belts=("yellow", "red"))
+    sim = Simulation(cfg)
+    sim.setup()
+    assert sim.scan_count > 1
+    for task in list(sim.tasks.values())[:5]:
+        sim._pool_add(task)
+    aid = next(a.agent_id for a in sim.agents.values() if a.belt in cfg.admitted_belts)
+    agent = sim.agents[aid]
+    agent.reg_rng = sim.streams.get(f"registration/{aid}")
+    agent.open_list = list(range(100, 100 + cfg.open_list_cap))
+    open_list, pool = list(agent.open_list), list(sim.pool)
+    twin = random.Random()
+    twin.setstate(agent.reg_rng.getstate())
+    sim._on_reg_attempt(aid)
+    # the gap to the next attempt, then one pick draw per scan
+    twin.expovariate(cfg.reg_rate_per_day)
+    for _ in range(sim.scan_count):
+        twin.random()
+    assert agent.reg_rng.getstate() == twin.getstate()
+    assert agent.open_list == open_list and sim.pool == pool
 
 
 def test_trace_hash_is_one_packed_record_per_event(tiny_cfg):

@@ -216,6 +216,15 @@ def test_cli_bad_config_key_exits_one(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_cli_unknown_key_names_its_source(tmp_path, capsys):
+    cfg_path = tmp_path / "f.cfg"
+    cfg_path.write_text("seed = 5\nbogus = 1\n")
+    assert main(["run", "--out", str(tmp_path / "x"), "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: line 2: unknown config key: bogus\n"
+    assert main(["run", "--out", str(tmp_path / "y"), "--set", "bogus=1"]) == 1
+    assert capsys.readouterr().err == "error: override: unknown config key: bogus\n"
+
+
 def test_cli_fps_line_leaving_unit_interval_exits_one(tmp_path, capsys):
     code = main(["run", "--out", str(tmp_path / "x"), *TINY_OVERRIDES, "--set", "fps_slope=-1"])
     assert code == 1
