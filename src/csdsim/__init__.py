@@ -5,7 +5,6 @@ from .config import (
     RunConfig,
     config_hash,
     echo_config,
-    load_config,
     parse_config,
 )
 from .domain import (
@@ -53,7 +52,6 @@ __all__ = [
     "ingest_history",
     "ingest_predictions",
     "load_belt_table",
-    "load_config",
     "parse_config",
     "run_diversity_scenario",
     "run_openness_scenario",

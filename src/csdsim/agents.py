@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .config import RunConfig
-from .domain import Agent, REGISTRABLE_STATES, Task, skills_match
+from .domain import Agent, Task, TaskState
 
 # Reasons a registration attempt dies before any dice are rolled.
 REASON_NOT_REGISTRABLE = "not_registrable"
@@ -19,6 +19,8 @@ REASON_OPEN_LIST_FULL = "open_list_full"
 REASON_SKILL_MISMATCH = "skill_mismatch"
 REASON_ZERO_RATING = "zero_rating"
 REASON_BELT_EXCLUDED = "belt_excluded"
+
+_ARRIVED, _REGISTERED = TaskState.ARRIVED, TaskState.REGISTERED  # the registrable states
 
 
 def permanent_exclusion(agent: Agent, admitted: Optional[frozenset] = None) -> Optional[str]:
@@ -39,11 +41,13 @@ def registration_preconditions(
     agent: Agent, task: Task, open_list_cap: int, match_mode: str
 ) -> Optional[str]:
     """Reason code when the pair cannot register, else None; never a permanent exclusion."""
-    if task.state not in REGISTRABLE_STATES:
+    state = task.state
+    if state is not _ARRIVED and state is not _REGISTERED:
         return REASON_NOT_REGISTRABLE
     if len(agent.open_list) >= open_list_cap:
         return REASON_OPEN_LIST_FULL
-    if not skills_match(agent.skills, task.skills, match_mode):
+    need = task.skills  # mask 0 states no skills: every skill set is welcome
+    if need and (agent.skills & need != need if match_mode == "all" else not agent.skills & need):
         return REASON_SKILL_MISMATCH
     if task.task_id in agent.open_list:
         return REASON_ALREADY_REGISTERED
@@ -83,14 +87,6 @@ def preference_weight(similarity: float, belt: str, cfg: RunConfig) -> float:
     return max(0.0, novelty)
 
 
-def pool_crowding_factor(
-    similarity: float, mean_other_similarity: float, cfg: RunConfig
-) -> float:
-    """Attention discount when the open pool is full of lookalike tasks."""
-    factor = 1.0 - cfg.pool_crowding_coeff * similarity * mean_other_similarity
-    return max(0.0, factor)
-
-
 def registration_engagement(
     similarity: float,
     mean_other_similarity: float,
@@ -99,8 +95,8 @@ def registration_engagement(
     cfg: RunConfig,
 ) -> float:
     """Probability that a browsing agent stops on this task, given its belt's ``appeal``."""
-    crowd = pool_crowding_factor(similarity, mean_other_similarity, cfg)
-    return min(1.0, appeal * crowd * cfg.engagement_scale * concentration)
+    crowding = max(0.0, 1.0 - cfg.pool_crowding_coeff * similarity * mean_other_similarity)
+    return min(1.0, appeal * crowding * cfg.engagement_scale * concentration)
 
 
 def decide_submit(draw: float, p_qualified: float, threshold: float) -> bool:
@@ -128,5 +124,7 @@ def score_submission(draw: float, quality_pass: float) -> bool:
 
 
 def update_reliability(agent: Agent, qualified: bool) -> None:
-    """Record one registration outcome in the agent's rolling window."""
-    agent.recent_outcomes.append(1.0 if qualified else 0.0)
+    """Record one registration outcome; as the window's only writer, refresh ``reliability``."""
+    window = agent.recent_outcomes
+    window.append(1.0 if qualified else 0.0)
+    agent.reliability = sum(window) / len(window)

@@ -243,10 +243,6 @@ def build_config(path: Optional[str], pairs) -> RunConfig:
     return _assign(assignments)
 
 
-def load_config(path: str) -> RunConfig:
-    return build_config(path, ())
-
-
 def _require(ok: bool, key: str, rule: str):
     if not ok:
         raise ConfigError(f"{key}: {rule}")

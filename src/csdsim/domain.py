@@ -63,9 +63,6 @@ TERMINAL_STATES = frozenset(
 # The one state each state is entered from; ARRIVED, where tasks start, has none.
 SOURCE_STATE = {dst: src for src, nxt in LEGAL_TRANSITIONS.items() for dst in nxt}
 
-# Registration stays open only until the first submission lands.
-REGISTRABLE_STATES = frozenset({TaskState.ARRIVED, TaskState.REGISTERED})
-
 FAILURE_STATES = frozenset({TaskState.FAILED, TaskState.STARVED, TaskState.DROPPED})
 
 # The same states as outcome strings, as task logs and history CSVs spell them.
@@ -227,15 +224,6 @@ def resolve_belt_table(cfg: RunConfig) -> BeltTable:
     return BeltTable(rows=rows)
 
 
-def skills_match(agent_mask: int, task_mask: int, mode: str) -> bool:
-    """A task with no stated requirements welcomes every skill set."""
-    if task_mask == 0:
-        return True
-    if mode == "all":
-        return agent_mask & task_mask == task_mask
-    return agent_mask & task_mask != 0
-
-
 @dataclass(frozen=True)
 class Submission:
     agent_id: int
@@ -285,6 +273,7 @@ class Agent:
     belt: str
     skills: int
     recent_outcomes: deque
+    reliability: float = 0.0  # qualified fraction of recent_outcomes, kept by update_reliability
     open_list: list = field(default_factory=list)
     # event-loop process state, owned by the engine
     pending: list = field(default_factory=list)
@@ -292,13 +281,6 @@ class Agent:
     reg_rng: object = None
     sub_rng: object = None
     quality_rng: object = None
-
-    @property
-    def reliability(self) -> float:
-        """Qualified fraction over the recent registration outcomes window."""
-        if not self.recent_outcomes:
-            return 0.0
-        return sum(self.recent_outcomes) / len(self.recent_outcomes)
 
 
 def resolved_count(counters: dict) -> int:

@@ -3,7 +3,9 @@
 Determinism contract: a run is a pure function of the config. All randomness
 flows through named substreams of the master seed, events tie-break FIFO by
 insertion order, and nothing fires past the horizon. Two runs with the same
-config produce byte-identical outputs and equal trace hashes.
+config produce byte-identical outputs and equal trace hashes. Registration and
+submission gaps are ``-log(1.0 - rng.random()) / rate``: the draws of
+``random.expovariate`` on Python 3.10-3.13, without depending on its internals.
 
 The clock and the future event list live on ``Simulation``: ``now`` is the
 clock in fractional days, and a plain ``heapq`` list holds
@@ -36,6 +38,7 @@ import random
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from math import log
 from typing import Optional
 
 from .agents import (
@@ -303,7 +306,7 @@ class Simulation:
         if permanent_exclusion(agent, self.admitted) is not None:
             return
         agent.reg_rng = self.streams.get(f"registration/{aid}")
-        gap = agent.reg_rng.expovariate(self.cfg.reg_rate_per_day)
+        gap = -log(1.0 - agent.reg_rng.random()) / self.cfg.reg_rate_per_day
         self.schedule(self.now + gap, EV_REG_ATTEMPT, aid)
 
     def _on_reg_attempt(self, aid: int) -> None:
@@ -311,7 +314,7 @@ class Simulation:
         rng = agent.reg_rng
         cfg = self.cfg
         # keep the cycle alive first so the per-attempt draw order is stable
-        gap = rng.expovariate(cfg.reg_rate_per_day)
+        gap = -log(1.0 - rng.random()) / cfg.reg_rate_per_day
         self.schedule(self.now + gap, EV_REG_ATTEMPT, aid)
         # neither the pool nor the open list changes before a registration ends the attempt
         pool = self.pool
@@ -358,15 +361,13 @@ class Simulation:
         task.registrants.append(agent.agent_id)
         agent.open_list.append(task.task_id)
         agent.pending.append(task.task_id)
-        fpr = compute_fpr(
-            (self.agents[a].reliability, self.p_qual[self.agents[a].belt])
-            for a in task.registrants
-        )
+        agents, p_qual = self.agents, self.p_qual
+        fpr = compute_fpr((agents[a].reliability, p_qual[agents[a].belt]) for a in task.registrants)
         self.predictions.append((task.task_id, self.now, REGISTRATION_PHASE, fpr))
         if not agent.sub_armed:
             if agent.sub_rng is None:
                 agent.sub_rng = self.streams.get(f"submission/{agent.agent_id}")
-            gap = agent.sub_rng.expovariate(self.cfg.sub_rate_per_day)
+            gap = -log(1.0 - agent.sub_rng.random()) / self.cfg.sub_rate_per_day
             self.schedule(self.now + gap, EV_SUB_ATTEMPT, agent.agent_id)
             agent.sub_armed = True
 
@@ -376,7 +377,7 @@ class Simulation:
             agent.sub_armed = False
             return
         rng = agent.sub_rng
-        gap = rng.expovariate(self.cfg.sub_rate_per_day)
+        gap = -log(1.0 - rng.random()) / self.cfg.sub_rate_per_day
         self.schedule(self.now + gap, EV_SUB_ATTEMPT, aid)
         # one-shot: whichever task is picked is decided now, submit or not; past
         # its deadline a pending task is in PEER_REVIEW and takes no more work

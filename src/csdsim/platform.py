@@ -50,11 +50,36 @@ def sample_experience(rng, cfg: RunConfig) -> float:
     return rng.betavariate(cfg.experience_alpha, cfg.experience_beta) * cfg.experience_max
 
 
+def _below(getrandbits, n: int) -> int:
+    """``Random._randbelow(n)``: a uniform int in [0, n), for n > 0."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def sample_skill_mask(rng, lo: int, hi: int, vocabulary) -> int:
-    count = rng.randint(lo, hi)
+    """Bit mask of ``rng.sample(range(len(vocabulary)), rng.randint(lo, hi))``, drawn by
+    their stdlib algorithm on ``getrandbits`` so no draw depends on their internals."""
+    n = len(vocabulary)
+    if not 0 <= lo <= hi <= n:
+        raise ValueError(f"need 0 <= lo <= hi <= {n}, got lo={lo}, hi={hi}")
+    getrandbits = rng.getrandbits
+    count = lo + _below(getrandbits, hi - lo + 1)
     mask = 0
-    for index in rng.sample(range(len(vocabulary)), count):
-        mask |= 1 << index
+    if n <= 21 + (4 ** math.ceil(math.log(count * 3, 4)) if count > 5 else 0):
+        pool = list(range(n))  # sample's small-population branch: a partial shuffle
+        for i in range(count):
+            j = _below(getrandbits, n - i)
+            mask |= 1 << pool[j]
+            pool[j] = pool[n - i - 1]
+    else:
+        for _ in range(count):  # its set branch: redraw an index already taken
+            j = _below(getrandbits, n)
+            while mask >> j & 1:
+                j = _below(getrandbits, n)
+            mask |= 1 << j
     return mask
 
 

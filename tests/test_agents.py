@@ -17,7 +17,6 @@ from csdsim.agents import (
     decide_register,
     decide_submit,
     permanent_exclusion,
-    pool_crowding_factor,
     preference_weight,
     registration_engagement,
     registration_preconditions,
@@ -196,11 +195,15 @@ def test_engagement_is_a_probability(similarity, other, belt, concentration):
 
 
 def test_pool_crowding_factor_floor():
+    """Engagement's lookalike-pool discount is 1 - coeff * similarity * mean_other, floored at 0."""
     import dataclasses
 
-    assert pool_crowding_factor(1.0, 1.0, CFG) == pytest.approx(0.5)
-    crowded = dataclasses.replace(CFG, pool_crowding_coeff=2.0)
-    assert pool_crowding_factor(1.0, 1.0, crowded) == 0.0  # clamped, never negative
+    appeal = 0.1  # small enough that the 1.0 cap stays out of the way
+    plain = appeal * CFG.engagement_scale
+    assert registration_engagement(1.0, 1.0, appeal, 1.0, CFG) == pytest.approx(0.5 * plain)
+    assert registration_engagement(0.0, 1.0, appeal, 1.0, CFG) == pytest.approx(plain)
+    crowded = dataclasses.replace(CFG, pool_crowding_coeff=2.0)  # would drive the factor to -1
+    assert registration_engagement(1.0, 1.0, appeal, 1.0, crowded) == 0.0
 
 
 # --------------------------------------------------------------- submission

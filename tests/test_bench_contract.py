@@ -11,6 +11,7 @@ kinds, rejection reasons and diversity policy labels match the code.
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,27 @@ def test_preconditions_take_four_positional_arguments(tiny_cfg, monkeypatch):
     monkeypatch.setattr(csdsim.engine, "registration_preconditions", wrapper)
     csdsim.engine.run_replication(dataclasses.replace(tiny_cfg, horizon_days=5.0))
     assert calls
+
+
+def test_every_event_goes_through_schedule(tiny_cfg, monkeypatch):
+    """The harness counts events by kind by wrapping ``Simulation.schedule``.
+
+    An event pushed onto the heap some other way would be missing from those
+    counts, so the accepted calls per kind must sum to ``events_processed``.
+    """
+    original = vars(Simulation)["schedule"]
+    accepted = Counter()
+
+    def counting(sim, time, kind, subject):
+        ok = original(sim, time, kind, subject)
+        accepted[kind] += ok
+        return ok
+
+    monkeypatch.setattr(Simulation, "schedule", counting)
+    result = csdsim.engine.run_replication(dataclasses.replace(tiny_cfg, focal_enabled=True))
+    assert set(accepted) <= set(Simulation._HANDLERS)
+    assert accepted[csdsim.engine.EV_REG_ATTEMPT] > 0
+    assert sum(accepted.values()) == result.events_processed
 
 
 def test_imported_names_exist():

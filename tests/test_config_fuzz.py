@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csdsim import ConfigError, RunConfig, Simulation, emit_outputs
@@ -61,6 +61,8 @@ class CheckedSimulation(Simulation):
 
     A registration also re-checks what the scan no longer does: the agent is
     not permanently excluded, and the task's stored appeal is its belt's weight.
+    And each registrant's stored reliability, which the forecast reads, is its
+    window's qualified fraction.
     """
 
     def _register(self, agent, task):
@@ -68,6 +70,10 @@ class CheckedSimulation(Simulation):
         assert task.appeal[agent.belt] == preference_weight(task.similarity, agent.belt, self.cfg)
         super()._register(agent, task)
         assert len(agent.open_list) <= self.cfg.open_list_cap
+        for aid in task.registrants:
+            window = self.agents[aid].recent_outcomes
+            expected = sum(window) / len(window) if window else 0.0
+            assert self.agents[aid].reliability == expected
 
     def _submit(self, agent, task):
         assert agent.agent_id in task.registrants
@@ -103,6 +109,9 @@ def small_configs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(drawn=small_configs())
+# The default config at full size: the small drawn configs complete almost no
+# task, so only here do registrants' windows hold qualified outcomes.
+@example(drawn=({"seed": 1000, "replications": 1}, None))
 def test_a_config_is_refused_when_built_or_runs(drawn):
     changes, bad = drawn
     if bad is not None:

@@ -11,7 +11,6 @@ from csdsim import (
     RunConfig,
     config_hash,
     echo_config,
-    load_config,
     parse_config,
 )
 from csdsim.config import DEFAULT_SKILLS, _format_value, build_config
@@ -212,7 +211,7 @@ def test_echo_lists_every_field_once():
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 9\ntask_lambda = 10\n# comment line\n\n")
-    cfg = load_config(str(path))
+    cfg = build_config(str(path), ())
     assert cfg.seed == 9
     assert cfg.task_lambda == 10.0
 

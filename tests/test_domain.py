@@ -1,12 +1,14 @@
 """Task state machine, belt table semantics, and skill masks."""
 
 import dataclasses
+from collections import deque
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csdsim import ConfigError, ModelInvariantError, RunConfig, Task, TaskState, run_replication
+from csdsim import Agent, ConfigError, ModelInvariantError, RunConfig, Task, TaskState, run_replication
+from csdsim.agents import REASON_SKILL_MISMATCH, registration_preconditions
 from csdsim.domain import (
     DEFAULT_BELT_TABLE,
     FAILURE_STATES,
@@ -15,7 +17,6 @@ from csdsim.domain import (
     TERMINAL_STATES,
     BeltTable,
     can_transition,
-    skills_match,
 )
 
 ALL_STATES = list(TaskState)
@@ -152,6 +153,13 @@ def test_from_rows_rejects_unordered_bounds():
 # ------------------------------------------------------------------ skills
 
 
+def skill_check(agent_mask, task_mask, mode):
+    """``registration_preconditions`` on a pair that only the skill rule can turn down."""
+    agent = Agent(agent_id=1, rating=500.0, belt="gray", skills=agent_mask, recent_outcomes=deque())
+    task = Task(task_id=1, arrival=0.0, duration=5.0, similarity=0.5, skills=task_mask, attractable=True)
+    return registration_preconditions(agent, task, 5, mode)
+
+
 @pytest.mark.parametrize(
     "agent,task,mode,expected",
     [
@@ -165,7 +173,7 @@ def test_from_rows_rejects_unordered_bounds():
     ],
 )
 def test_skills_match(agent, task, mode, expected):
-    assert skills_match(agent, task, mode) is expected
+    assert skill_check(agent, task, mode) == (None if expected else REASON_SKILL_MISMATCH)
 
 
 @given(
@@ -173,8 +181,8 @@ def test_skills_match(agent, task, mode, expected):
     task=st.integers(min_value=0, max_value=2**10 - 1),
 )
 def test_skills_match_any_iff_overlap(agent, task):
-    assert skills_match(agent, task, "any") == (task == 0 or bool(agent & task))
-    assert skills_match(agent, task, "all") == (task & agent == task)
+    for mode, matches in (("any", task == 0 or bool(agent & task)), ("all", task & agent == task)):
+        assert skill_check(agent, task, mode) == (None if matches else REASON_SKILL_MISMATCH)
 
 
 def test_platform_state_snapshot_keys():

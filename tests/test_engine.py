@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import struct
 
@@ -76,6 +77,18 @@ def test_rng_streams_are_independent_and_reproducible():
 
 
 # ------------------------------------------------------------- determinism
+
+
+@pytest.mark.parametrize("rate", [0.1, 1.0, 3.0, 24.0])
+def test_gap_expression_is_expovariates(rate):
+    """The engine draws each gap as ``-log(1.0 - r.random()) / rate``: bit for bit
+    ``expovariate(rate)`` on a twin stream, leaving the same stream state."""
+    rng = random.Random(f"gap/{rate}")
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    for _ in range(5_000):
+        assert -math.log(1.0 - rng.random()) / rate == twin.expovariate(rate)
+    assert rng.getstate() == twin.getstate()
 
 
 def test_same_seed_reproduces_everything(tiny_cfg):

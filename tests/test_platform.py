@@ -98,6 +98,42 @@ def test_skill_mask_counts():
         assert mask < (1 << len(vocab))
 
 
+def stdlib_mask(rng, lo, hi, n):
+    mask = 0
+    for index in rng.sample(range(n), rng.randint(lo, hi)):
+        mask |= 1 << index
+    return mask
+
+
+def test_skill_mask_draws_what_randint_and_sample_draw():
+    """The mask and the stream state after it equal ``randint`` plus ``sample`` on a twin.
+
+    n runs from 1 to 60 with a spread of lo <= hi <= n, so both of ``sample``'s
+    branches are hit: the pool shuffle, and the set branch (n > 21, count <= 5).
+    """
+    cases = set_branch = 0
+    for n in range(1, 61):
+        vocab = tuple(f"skill{i}" for i in range(n))
+        bounds = {(lo, hi) for lo in range(n + 1) for hi in range(lo, min(n, lo + 6) + 1)}
+        bounds |= {(0, n), (1, n), (n // 2, n)}
+        for lo, hi in sorted(bounds):
+            rng = random.Random(f"{n}/{lo}/{hi}")
+            twin = random.Random()
+            twin.setstate(rng.getstate())
+            assert sample_skill_mask(rng, lo, hi, vocab) == stdlib_mask(twin, lo, hi, n)
+            assert rng.getstate() == twin.getstate()
+            cases += 1
+            set_branch += n > 21 and hi <= 5
+    assert set_branch > 800 and cases > 12_000
+
+
+@pytest.mark.parametrize("lo,hi", [(2, 1), (-1, 2), (1, 11)])
+def test_skill_mask_refuses_bounds_outside_0_to_n(lo, hi):
+    """Bad bounds raise instead of letting the rejection loop spin forever."""
+    with pytest.raises(ValueError):
+        sample_skill_mask(random.Random(1), lo, hi, CFG.skill_vocabulary)
+
+
 def test_spawn_agent_is_consistent():
     agent = spawn_agent(5, random.Random(10), random.Random(11), CFG, DEFAULT_BELT_TABLE)
     assert agent.agent_id == 5
