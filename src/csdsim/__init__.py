@@ -1,12 +1,6 @@
 """Deterministic simulator of a competitive crowdsourced development market."""
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    config_hash,
-    echo_config,
-    parse_config,
-)
+from .config import ConfigError, RunConfig, config_hash, echo_config
 from .domain import (
     Agent,
     BeltTable,
@@ -52,7 +46,6 @@ __all__ = [
     "ingest_history",
     "ingest_predictions",
     "load_belt_table",
-    "parse_config",
     "run_diversity_scenario",
     "run_openness_scenario",
     "run_replication",

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, build_config, echo_config
+from .config import ConfigError, build_config, echo_config
 from .domain import ModelInvariantError
 from .history import (
     DataError,
@@ -82,10 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(args) -> RunConfig:
-    return build_config(args.config or os.environ.get(ENV_CONFIG), args.overrides)
-
-
 def _emit(cfg, results, args, scenario=None, evaluation=None) -> None:
     paths = emit_outputs(cfg, results, args.out, scenario=scenario, evaluation=evaluation)
     echo_path = Path(args.out) / "config_used.cfg"
@@ -95,8 +91,7 @@ def _emit(cfg, results, args, scenario=None, evaluation=None) -> None:
     print(f"wrote {echo_path}")
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_run(cfg, args) -> int:
     results = list(run_replications(cfg))
     _emit(cfg, results, args)
     mean_failures = sum(r.reported_failures for r in results) / len(results)
@@ -104,9 +99,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(cfg, args) -> int:
     """``scenario`` and ``whatif``: run one policy sweep, emit, print each policy."""
-    cfg = _load_cfg(args)
     if args.command == "whatif":
         report, results = what_if_posting_day(cfg, args.day)
     elif args.family == "openness":
@@ -119,8 +113,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_evaluate(cfg, args) -> int:
     rows = ingest_history(args.history)
     # both files are read before any replication, so a bad one costs no run
     latest = ingest_predictions(args.predictions) if args.predictions else None
@@ -135,8 +128,7 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_calibrate(cfg, args) -> int:
     slope, intercept, points = calibrate_fps(cfg)
     print(f"fps_slope = {slope!r}")
     print(f"fps_intercept = {intercept!r}")
@@ -157,7 +149,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = build_config(args.config or os.environ.get(ENV_CONFIG), args.overrides)
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,8 @@
 
 Every tunable in the simulator lives here as a dataclass field so that a
 config file, a CLI override, and a test all speak the same vocabulary.
-``parse_config`` and ``echo_config`` round-trip exactly: parsing the echo
-of a config yields an equal config.
+``build_config`` and ``echo_config`` round-trip exactly: building from a
+file that holds the echo of a config yields an equal config.
 """
 
 from __future__ import annotations
@@ -213,32 +213,24 @@ def _assign(assignments) -> RunConfig:
     return RunConfig(**changes)
 
 
-def _file_assignments(text: str) -> list:
-    """``("line N", line)`` for each line of flat config text; blanks and ``#`` lines skipped."""
-    lines = ((n, line.strip()) for n, line in enumerate(text.splitlines(), start=1))
-    return [(f"line {n}", line) for n, line in lines if line and not line.startswith("#")]
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse flat ``key = value`` text on top of the defaults."""
-    return _assign(_file_assignments(text))
-
-
 def build_config(path: Optional[str], pairs) -> RunConfig:
     """Defaults, then the file at ``path`` (if any), then each ``key=value`` pair.
 
     All the assignments are applied at once, so the merged config is what is
     validated: a file that is only valid with its overrides is accepted.
+    Blank file lines and ``#`` lines are skipped.
     """
-    assignments = []
+    text = ""
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                assignments = _file_assignments(fh.read())
+                text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    lines = ((n, line.strip()) for n, line in enumerate(text.splitlines(), start=1))
+    assignments = [(f"line {n}", line) for n, line in lines if line and not line.startswith("#")]
     assignments += [("override", pair) for pair in pairs]
     return _assign(assignments)
 

@@ -170,25 +170,21 @@ def load_belt_table(path: str) -> BeltTable:
                 )
             rows = []
             for rec in reader:
+                where = f"belt table {path}: line {reader.line_num}"
                 # DictReader keys extra cells under None and fills missing ones with None
                 if None in rec or None in rec.values():
-                    raise ConfigError(f"belt table {path}: line {reader.line_num}: bad cell count")
-                raw_bound = rec["upper_bound"].strip()
-                bound = math.inf if not raw_bound else float(raw_bound)
-                rows.append(
-                    (
-                        rec["belt"].strip(),
-                        bound,
-                        float(rec["share"]),
-                        float(rec["p_qualified"]),
-                    )
-                )
-    except OSError as exc:
-        raise ConfigError(f"cannot read belt table {path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # a ValueError, so caught before the numeric case
+                    raise ConfigError(f"{where}: bad cell count")
+                try:
+                    raw_bound = rec["upper_bound"].strip()
+                    bound = math.inf if not raw_bound else float(raw_bound)
+                    share, p_qualified = float(rec["share"]), float(rec["p_qualified"])
+                    rows.append((rec["belt"].strip(), bound, share, p_qualified))
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: bad numeric cell: {exc}") from None
+    except UnicodeDecodeError as exc:  # a ValueError, so caught before the next clause
         raise ConfigError(f"belt table {path} is not UTF-8 text: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"belt table {path}: bad numeric cell: {exc}") from None
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: a path with a NUL, say
+        raise ConfigError(f"cannot read belt table {path}: {exc}") from None
     return BeltTable.from_rows(rows, source=f"belt table {path}")
 
 

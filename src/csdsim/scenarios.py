@@ -166,10 +166,15 @@ def run_sweep(name: str, policies):
 
 
 def _focal(base: RunConfig, **lever) -> RunConfig:
-    """``base`` with the focal task on, no platform lever, then ``lever`` applied."""
-    return replace(
-        base, **{"focal_enabled": True, "openness_gate": None, "admitted_belts": None, **lever}
-    )
+    """``base`` with the focal task on and ``lever`` applied.
+
+    A sweep sets the platform levers itself, so a base that sets one is
+    refused rather than silently overridden.
+    """
+    for key in ("openness_gate", "admitted_belts"):
+        if getattr(base, key) is not None:
+            raise ConfigError(f"{key}: a policy sweep sets this lever itself; leave it unset")
+    return replace(base, focal_enabled=True, **lever)
 
 
 def run_openness_scenario(base_cfg: RunConfig, gates=OPENNESS_GATES):

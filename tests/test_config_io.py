@@ -6,13 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from csdsim import (
-    ConfigError,
-    RunConfig,
-    config_hash,
-    echo_config,
-    parse_config,
-)
+from csdsim import ConfigError, RunConfig, config_hash, echo_config
 from csdsim.config import DEFAULT_SKILLS, _format_value, build_config
 from csdsim.domain import DEFAULT_BELT_TABLE, load_belt_table
 
@@ -87,12 +81,19 @@ def test_defaults_are_frozen():
     assert actual == FROZEN_DEFAULTS
 
 
-def test_echo_parse_round_trip():
+def build_from_text(tmp_path, text: str) -> RunConfig:
+    """``build_config`` on a file holding ``text``, with no overrides."""
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    return build_config(str(path), ())
+
+
+def test_echo_parse_round_trip(tmp_path):
     cfg = RunConfig()
-    assert parse_config(echo_config(cfg)) == cfg
+    assert build_from_text(tmp_path, echo_config(cfg)) == cfg
 
 
-def test_round_trip_survives_overrides():
+def test_round_trip_survives_overrides(tmp_path):
     cfg = build_config(
         None,
         [
@@ -103,21 +104,21 @@ def test_round_trip_survives_overrides():
             "task_lambda=12.5",
         ],
     )
-    again = parse_config(echo_config(cfg))
+    again = build_from_text(tmp_path, echo_config(cfg))
     assert again == cfg
     assert again.admitted_belts == ("green", "blue")
     assert again.openness_gate == 0.85
     assert again.invert_tsr is True
 
 
-def test_unknown_key_is_named():
-    with pytest.raises(ConfigError, match="nonsense"):
-        parse_config("nonsense = 1")
+def test_unknown_key_is_named(tmp_path):
+    with pytest.raises(ConfigError, match="^line 1: unknown config key: nonsense$"):
+        build_from_text(tmp_path, "nonsense = 1")
 
 
-def test_bad_value_reports_key():
-    with pytest.raises(ConfigError, match="seed"):
-        parse_config("seed = not_a_number")
+def test_bad_value_reports_key(tmp_path):
+    with pytest.raises(ConfigError, match="^seed: expected an integer"):
+        build_from_text(tmp_path, "seed = not_a_number")
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,18 @@ def test_submissions_are_registrants(tiny_cfg):
     assert checked > 0  # the run produced actual submissions to check
 
 
+def test_crowd_suppression_holds_submissions_to_lone_registrants():
+    # past a cap of one registrant, a 1e9 penalty all but forbids submitting
+    cfg = RunConfig(seed=1000, replications=1, competition_cap=1, crowd_penalty_coeff=1e9)
+    plain, _ = run_sim(RunConfig(seed=1000, replications=1))
+    sim, _ = run_sim(cfg)
+    crowded = [t for t in plain.tasks.values() if t.submissions and len(t.registrants) > 1]
+    submitted = [t for t in sim.tasks.values() if t.submissions]
+    assert crowded  # without the penalty, crowded tasks do get submissions
+    assert 0 < len(submitted) < len(crowded)
+    assert all(len(t.registrants) == 1 for t in submitted)
+
+
 def test_counter_identities(tiny_cfg):
     _, result = run_sim(tiny_cfg)
     c = result.counters

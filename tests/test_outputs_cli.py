@@ -8,10 +8,12 @@ import statistics
 
 import pytest
 
+import csdsim.cli
 import csdsim.engine
 import csdsim.scenarios
-from csdsim import RunConfig, config_hash, emit_outputs, run_replications
+from csdsim import ModelInvariantError, RunConfig, config_hash, emit_outputs, run_replications
 from csdsim.cli import main
+from csdsim.config import build_config
 from csdsim.outputs import DAILY_COLUMNS, EVALUATION_COLUMNS, OUTPUT_FILES
 
 TINY_OVERRIDES = [
@@ -87,6 +89,16 @@ def test_control_chart_is_three_sigma(emitted):
     assert float(row["mean"]) == pytest.approx(mean, abs=1e-12)
     assert float(row["ucl"]) == pytest.approx(mean + 3 * sigma, abs=1e-12)
     assert float(row["lcl"]) == pytest.approx(mean - 3 * sigma, abs=1e-12)
+
+
+def test_control_chart_is_header_only_without_a_day(tmp_path):
+    # a horizon under one day records no daily row, so there is no series to chart
+    cfg = RunConfig(replications=1, horizon_days=0.5, task_lambda=5.0, agent_gamma=10.0)
+    results = list(run_replications(cfg))
+    assert results[0].daily == []
+    emit_outputs(cfg, results, tmp_path)
+    lines = (tmp_path / "utilization_control_chart.csv").read_text().splitlines()
+    assert lines[1:] == ["day,utilization,mean,ucl,lcl"]
 
 
 def test_evaluation_csv_headers(emitted):
@@ -169,11 +181,9 @@ def test_cli_run_writes_everything(tmp_path, capsys):
 
 
 def test_cli_config_used_round_trips(tmp_path):
-    from csdsim import parse_config
-
     out = tmp_path / "cli_out"
     main(["run", "--out", str(out), *TINY_OVERRIDES])
-    cfg = parse_config((out / "config_used.cfg").read_text())
+    cfg = build_config(str(out / "config_used.cfg"), ())
     assert cfg.task_lambda == 25.0
     assert cfg.replications == 1
 
@@ -352,48 +362,101 @@ def test_cli_familiarity_belt_missing_from_belt_table_exits_one(tmp_path, capsys
     assert not out.exists()
 
 
+BELT_HEADER = b"belt,upper_bound,share,p_qualified\n"
+BELT_SOURCE = ["--set", "belt_table_path={path}"]
+CONFIG_SOURCE = ["--config", "{path}"]
+
+
 @pytest.mark.parametrize(
-    "flag, name, content, message",
+    "content, source, message",
     [
-        ("--config", "run.cfg", b"seed = 7\n# caf\xe9\n", "is not UTF-8 text"),
+        (b"seed = 7\n# caf\xe9\n", CONFIG_SOURCE, "config file {path} is not UTF-8 text"),
+        (None, CONFIG_SOURCE, "cannot read config file {path}: "),
         (
-            "belt_table_path",
-            "belts.csv",
-            b"belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\nred\n",
-            "line 3: bad cell count",
+            BELT_HEADER + b"gray,1000,0.9,0.3\nred\n",
+            BELT_SOURCE,
+            "belt table {path}: line 3: bad cell count",
         ),
         (
-            "belt_table_path",
-            "belts.csv",
-            b"belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3,7\nred,,0.1,0.6\n",
-            "line 2: bad cell count",
+            BELT_HEADER + b"gray,1000,0.9,0.3,7\nred,,0.1,0.6\n",
+            BELT_SOURCE,
+            "belt table {path}: line 2: bad cell count",
         ),
         (
-            "belt_table_path",
-            "belts.csv",
-            b"belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\ngray,,0.1,0.6\n",
-            "each belt may appear once",
+            BELT_HEADER + b"gray,1000,0.9,0.3\ngray,,0.1,0.6\n",
+            BELT_SOURCE,
+            "belt table {path}: each belt may appear once",
         ),
         (
-            "belt_table_path",
-            "belts.csv",
-            b"belt,upper_bound,share,p_qualified\ngr\xe9y,1000,0.9,0.3\nred,,0.1,0.6\n",
-            "is not UTF-8 text",
+            BELT_HEADER + b"gr\xe9y,1000,0.9,0.3\nred,,0.1,0.6\n",
+            BELT_SOURCE,
+            "belt table {path} is not UTF-8 text",
         ),
+        (BELT_HEADER, BELT_SOURCE, "belt table {path}: no rows"),
+        (
+            BELT_HEADER + b"gray,1000,0,0.3\nred,,0,0.6\n",
+            BELT_SOURCE,
+            "belt table {path}: shares must sum to a positive value",
+        ),
+        (
+            b"belt,upper_bound,share\ngray,1000,0.9\nred,,0.1\n",
+            BELT_SOURCE,
+            "belt table {path}: header must contain belt, p_qualified",
+        ),
+        (
+            BELT_HEADER + b"gray,1000,0.9,0.3\nred,,many,0.6\n",
+            BELT_SOURCE,
+            "belt table {path}: line 3: bad numeric cell",
+        ),
+        (
+            BELT_HEADER + b"x" * (csv.field_size_limit() + 1) + b",1000,0.9,0.3\nred,,0.1,0.6\n",
+            BELT_SOURCE,
+            "cannot read belt table {path}: field larger than field limit",
+        ),
+        (None, BELT_SOURCE, "cannot read belt table {path}: "),
+        (None, ["--set", "invert_tsr=maybe"], "invert_tsr: expected true or false"),
+        (None, ["--set", "task_lambda=abc"], "task_lambda: expected a number"),
+        (None, ["--set", "skill_vocabulary=,"], "skill_vocabulary: expected a comma separated list"),
     ],
-    ids=["config_not_utf8", "belt_row_short", "belt_row_long", "belt_repeated", "belt_not_utf8"],
+    ids=[
+        "config_not_utf8",
+        "config_missing",
+        "belt_row_short",
+        "belt_row_long",
+        "belt_repeated",
+        "belt_not_utf8",
+        "belt_header_only",
+        "belt_shares_zero",
+        "belt_column_missing",
+        "belt_cell_not_numeric",
+        "belt_cell_oversized",
+        "belt_table_missing",
+        "set_bool_not_bool",
+        "set_float_not_number",
+        "set_list_empty",
+    ],
 )
-def test_cli_bad_config_or_belt_table_file_exits_one(
-    tmp_path, capsys, flag, name, content, message
-):
-    path = tmp_path / name
-    path.write_bytes(content)
-    source = ["--config", str(path)] if flag == "--config" else ["--set", f"{flag}={path}"]
-    code = main(["run", "--out", str(tmp_path / "x"), *TINY_OVERRIDES, *source])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert str(path) in err and message in err
-    assert not (tmp_path / "x").exists()
+def test_cli_bad_config_or_belt_table_file_exits_one(tmp_path, capsys, content, source, message):
+    # each error names its file or its key, and no artifact is written
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "x"
+    argv = [arg.format(path=path) for arg in source]
+    assert main(["run", "--out", str(out), *TINY_OVERRIDES, *argv]) == 1
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_model_invariant_violation_exits_three(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise ModelInvariantError("task 3: illegal move")
+
+    monkeypatch.setattr(csdsim.cli, "run_replications", broken)
+    out = tmp_path / "x"
+    assert main(["run", "--out", str(out), *TINY_OVERRIDES]) == 3
+    assert capsys.readouterr().err == "error: task 3: illegal move\n"
+    assert not out.exists()
 
 
 def test_cli_bad_history_exits_two(tmp_path, capsys):
@@ -474,6 +537,27 @@ def test_cli_openness_gates_outside_the_similarity_range_exit_one(tmp_path, caps
     argv = ["scenario", "openness", "--out", str(out), "--set", "similarity_high=0.5"]
     assert main([*argv, *TINY_OVERRIDES]) == 1
     assert "openness_gate" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["scenario", "openness", "--set", "admitted_belts=red"], "admitted_belts"),
+        (["scenario", "diversity", "--set", "openness_gate=0.9"], "openness_gate"),
+        (["whatif", "--day", "25", "--set", "openness_gate=0.9"], "openness_gate"),
+    ],
+    ids=["openness_admitted_belts", "diversity_openness_gate", "whatif_openness_gate"],
+)
+def test_cli_sweep_refuses_a_lever_it_would_drop(tmp_path, capsys, monkeypatch, argv, key):
+    # every policy of a sweep sets both platform levers itself, so a lever in
+    # the base config would be dropped while config_used.cfg still echoed it
+    ran = []
+    monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out), *TINY_OVERRIDES]) == 1
+    assert f"error: {key}: " in capsys.readouterr().err
     assert ran == []
     assert not out.exists()
 

@@ -199,6 +199,16 @@ def test_what_if_posting_day_labels(scenario_cfg):
     assert report.outcomes[0].per_rep_failed == tuple(bool(r.focal["failed"]) for r in results)
 
 
+def test_calibrate_fps_degenerate_fits():
+    # no task reaches its deadline inside a one day horizon: no points
+    short = RunConfig(replications=1, horizon_days=1.0, duration_min=2.0)
+    assert calibrate_fps(short) == (0.0, 0.0, 0)
+    # with no agents every task starves at the same ratio: a flat line at 1
+    slope, intercept, points = calibrate_fps(RunConfig(replications=1, agent_gamma=0.0))
+    assert (slope, intercept) == (0.0, 1.0)
+    assert points > 0
+
+
 def test_calibrate_fps_fits_something(tiny_cfg):
     slope, intercept, n = calibrate_fps(tiny_cfg)
     assert n > 50  # plenty of resolved tasks even in a tiny run

@@ -38,15 +38,6 @@ def test_run_baseline_prints_counters_and_shares():
     assert re.search(r"^  zero-submission\s+\d+\.\d%$", stdout, re.MULTILINE)
 
 
-def test_run_scenarios_prints_both_tables():
-    stdout = run_script("run_scenarios.py")
-    assert "scenario: openness" in stdout and "scenario: diversity" in stdout
-    labels = [f"openness_{gate:.2f}" for gate in (0.6, 0.7, 0.8, 0.9)]
-    labels += ["elite_only", "mid_and_up", "green_and_up", "all_welcome"]
-    for label in labels:
-        assert re.search(rf"^{label}\s+[01]/1 ", stdout, re.MULTILINE), label
-
-
 def test_calibration_report_prints_fit_and_belts():
     stdout = run_script("calibration_report.py")
     assert re.search(r"resolved tasks, 1 replications\):\n  fitted     slope [+-]\d", stdout)
@@ -76,3 +67,10 @@ def test_eval_fixture_is_what_its_generator_writes(tmp_path, monkeypatch):
     script.main()
     for name in ("eval_history.csv", "eval_predictions.csv"):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+def test_readme_scripts_table_names_every_script():
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^\| `scripts/([^`]+)` \|", section, re.MULTILINE)
+    assert sorted(named) == sorted(path.name for path in SCRIPTS.glob("*.py"))
