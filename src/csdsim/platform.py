@@ -6,8 +6,6 @@ import math
 from collections import deque
 from typing import Optional
 
-from scipy.special import betainc
-
 from .config import RunConfig
 from .domain import Agent, BeltTable
 
@@ -113,13 +111,33 @@ def pool_openness(similarity_sum: float, pool_size: int) -> float:
     return similarity_sum / pool_size
 
 
+def _ibeta_alpha1(b: float, x: float) -> float:
+    """``betainc(1, b, x)`` bit for bit, for x in [0, 1]; see ``rating_share``."""
+    if x <= 0.0 or x >= 1.0 or b == 1.0:
+        return x
+    if x < 0.5:
+        return -math.expm1(b * math.log1p(-x))
+    if b * x < 0.5:  # Boost's -powm1(1 - x, b); its b < 0.2 case implies this one
+        return -math.expm1(b * math.log(1.0 - x))
+    return 1.0 - (1.0 - x) ** b
+
+
 def rating_share(lower: float, upper: float, cfg: RunConfig) -> float:
     """Population mass whose rating lands in (lower, upper] under the
-    configured experience distribution."""
+    configured experience distribution.
+
+    At ``experience_alpha == 1``, the default, I_x(1, b) = 1 - (1 - x)**b is
+    taken on the branches of Boost's ``ibeta``, which scipy's ``betainc`` calls,
+    so every bit matches: x at x <= 0, x >= 1 or b == 1; ``-expm1(b*log1p(-x))``
+    below x = 0.5; above it ``-expm1(b*log(1 - x))`` when b*x < 0.5, else
+    ``1 - (1 - x)**b``. Other alphas import ``betainc``."""
     scale = cfg.experience_max
     lo = min(max(lower / scale, 0.0), 1.0)
     hi = min(max(upper / scale, 0.0), 1.0) if not math.isinf(upper) else 1.0
     a, b = cfg.experience_alpha, cfg.experience_beta
+    if a == 1.0:
+        return _ibeta_alpha1(b, hi) - _ibeta_alpha1(b, lo)
+    from scipy.special import betainc
     return float(betainc(a, b, hi) - betainc(a, b, lo))
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .config import ConfigError, RunConfig
 from .domain import DEFAULT_BELT_TABLE, FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError
 from .domain import REGISTRATION_PHASE, resolve_belt_table
@@ -229,6 +227,7 @@ def calibrate_fps(cfg: RunConfig):
             ys.append(1.0 if rec["outcome"] in FAILURE_OUTCOMES else 0.0)
     if not xs:
         return 0.0, 0.0, 0
+    import numpy as np
     x = np.asarray(xs)
     y = np.asarray(ys)
     if float(x.std()) == 0.0:

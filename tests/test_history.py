@@ -378,13 +378,53 @@ def test_stdtr_is_bit_identical_to_t_sf(df):
         assert float(stdtr(df, -t)) == float(scipy_stats.t.sf(t, df)), (df, t)
 
 
-def test_import_csdsim_leaves_scipy_stats_unloaded():
+def run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this csdsim."""
     paths = [str(Path(csdsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     out = subprocess.run(
-        [sys.executable, "-c", "import csdsim, sys; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_csdsim_leaves_scipy_stats_unloaded():
+    assert run_fresh("import csdsim, sys; print('scipy.stats' in sys.modules)") == "False"
+
+
+def test_import_csdsim_loads_neither_numpy_nor_scipy():
+    code = "import csdsim, sys; print('numpy' in sys.modules, 'scipy' in sys.modules)"
+    assert run_fresh(code) == "False False"
+
+
+def test_replications_run_with_numpy_and_scipy_unimportable():
+    # A None entry in sys.modules makes any import of that name fail.
+    code = """
+import dataclasses, sys
+sys.modules["numpy"] = sys.modules["scipy"] = None
+from csdsim import RunConfig, run_diversity_scenario, run_replication
+result = run_replication(dataclasses.replace(RunConfig(), seed=1000, focal_enabled=True))
+print(result.events_processed, result.trace_hash)
+report, _ = run_diversity_scenario(RunConfig(seed=2000, replications=1))
+print(*(outcome.label for outcome in report.outcomes))
+"""
+    assert run_fresh(code).splitlines() == [
+        "24982 8cfe8ab5c15545ac6dbf81d33d680e68",
+        "elite_only mid_and_up green_and_up all_welcome",
+    ]
+
+
+def test_evaluate_forecast_loads_numpy_and_scipy(data_dir):
+    code = f"""
+import sys
+from csdsim import evaluate_forecast, ingest_history, ingest_predictions
+history = ingest_history({str(data_dir / "eval_history.csv")!r})
+predictions = ingest_predictions({str(data_dir / "eval_predictions.csv")!r})
+print('numpy' in sys.modules, 'scipy' in sys.modules)
+evaluate_forecast(history, predictions)
+print('numpy' in sys.modules, 'scipy.special' in sys.modules)
+"""
+    assert run_fresh(code).splitlines() == ["False False", "True True"]

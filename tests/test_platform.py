@@ -4,13 +4,16 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from csdsim import RunConfig
 from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.platform import (
+    _ibeta_alpha1,
     arrival_times,
     implied_belt_shares,
     poisson_count,
@@ -159,6 +162,44 @@ def test_gray_share_matches_beta_cdf():
     # Beta(1,5) CDF: F(x) = 1 - (1-x)^5; at 900/3000 that is 0.83193
     share = rating_share(0.0, 900.0, CFG)
     assert share == pytest.approx(1.0 - 0.7**5, abs=1e-9)
+
+
+# The x = 1 rows with b < 0.5 pin the edge where log(1 - x) would be log(0).
+@pytest.mark.parametrize("b", [0.05, 0.19, 0.2, 0.49, 0.5, 1.0, 5.0, 50.0, 1000.0])
+@pytest.mark.parametrize(
+    "x",
+    [0.0, 5e-324, 1e-300, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 0.9, 1 - 2**-53, 1.0],
+)
+def test_closed_form_is_betainc_on_grid(x, b):
+    assert _ibeta_alpha1(b, x) == float(betainc(1.0, b, x))
+
+
+def test_closed_form_is_betainc_on_random_pairs():
+    rng = random.Random(17)
+    xs = [rng.random() for _ in range(20_000)]
+    bs = [math.exp(rng.uniform(math.log(0.01), math.log(1000.0))) for _ in xs]
+    expected = betainc(1.0, np.array(bs), np.array(xs)).tolist()
+    assert [_ibeta_alpha1(b, x) for b, x in zip(bs, xs)] == expected
+
+
+def test_closed_form_at_unit_beta_is_x():
+    # Boost returns x itself when a == b == 1; the expm1 branches would round
+    rng = random.Random(18)
+    xs = [rng.random() for _ in range(2_000)]
+    assert betainc(1.0, 1.0, np.array(xs)).tolist() == xs
+    assert [_ibeta_alpha1(1.0, x) for x in xs] == xs
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.5])
+def test_rating_share_is_the_betainc_difference(alpha):
+    cfg = dataclasses.replace(CFG, experience_alpha=alpha)
+    lower = 0.0
+    for row in DEFAULT_BELT_TABLE.rows:
+        hi = 1.0 if math.isinf(row.upper_bound) else row.upper_bound / cfg.experience_max
+        lo = lower / cfg.experience_max
+        expected = float(betainc(alpha, cfg.experience_beta, hi) - betainc(alpha, cfg.experience_beta, lo))
+        assert rating_share(lower, row.upper_bound, cfg) == expected, row.belt
+        lower = row.upper_bound
 
 
 def test_implied_shares_sum_to_one():
