@@ -245,6 +245,7 @@ def validate_config(cfg: RunConfig) -> None:
     for key in _FLOAT_FIELDS:
         value = getattr(cfg, key)
         _require(value is None or math.isfinite(value), key, "must be finite")
+    _require(type(cfg.seed) is int, "seed", "must be an integer")  # streams seed on its text
     _require(cfg.replications >= 1, "replications", "must be at least 1")
     _require(cfg.horizon_days > 0, "horizon_days", "must be positive")
     _require(cfg.task_lambda >= 0, "task_lambda", "must be non-negative")

@@ -260,7 +260,7 @@ class Task:
         self.state = target
 
 
-@dataclass
+@dataclass(slots=True)
 class Agent:
     """One crowd member with a fixed rating and a rolling reliability record."""
 

@@ -26,6 +26,13 @@ exclusion is checked once, at agent start, never in a scan. A scan that meets
 a full open list makes the one ``random()`` draw of each remaining pick and
 stops: the list and the pool cannot change in an attempt that registers nothing.
 
+Setup draws a seed's world from the ``task-arrival``, ``duration``,
+``similarity``, ``skills``, ``attraction``, ``agent-arrival`` and ``experience``
+streams. Only ``attraction`` is read after setup, by reposts, from the state the
+world saved. No draw reads ``admitted_belts`` or ``focal_arrival``, so a
+one-world memo serves back-to-back replications that differ only in those
+levers; a policy sweep runs replication r of every policy before r + 1.
+
 The platform tallies are read off the ``_move`` audit, ``transition_counts``,
 and the per-belt tallies off the tasks; only arrivals and reposts are ints.
 """
@@ -36,8 +43,9 @@ import hashlib
 import heapq
 import random
 import struct
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import log
 from typing import Optional
 
@@ -56,6 +64,7 @@ from .agents import (
 from .config import RunConfig
 from .domain import (
     Agent,
+    BeltTable,
     FAILURE_STATES,
     ModelInvariantError,
     REGISTRATION_PHASE,
@@ -123,6 +132,41 @@ class RngStreams:
         return rng
 
 
+@dataclass(frozen=True)
+class World:
+    """One seed's setup draws: task specs ``(arrival, duration, similarity, skills,
+    attractable)``, agent specs ``(start, rating, belt, skills)`` and the attraction state."""
+
+    tasks: tuple
+    agents: tuple
+    attraction: tuple
+
+
+def draw_world(cfg: RunConfig, belt_table: BeltTable) -> World:
+    """Draw the ambient tasks, then the crowd, on fresh streams of ``cfg.seed``."""
+    streams = RngStreams(cfg.seed)
+    dur_rng, sim_rng = streams.get("duration"), streams.get("similarity")
+    attr_rng, skill_rng = streams.get("attraction"), streams.get("skills")
+    tasks = tuple(
+        (when, sample_duration(dur_rng, cfg), sample_similarity(sim_rng, cfg),
+         sample_skill_mask(skill_rng, cfg.task_skills_min, cfg.task_skills_max, cfg.skill_vocabulary),
+         attr_rng.random() < cfg.attraction_rate)
+        for when in arrival_times(streams.get("task-arrival"), cfg.task_lambda, cfg)
+    )
+    exp_rng = streams.get("experience")
+    agents = []
+    for aid, when in enumerate(arrival_times(streams.get("agent-arrival"), cfg.agent_gamma, cfg)):
+        agent = spawn_agent(aid, exp_rng, skill_rng, cfg, belt_table)
+        agents.append((when, agent.rating, agent.belt, agent.skills))
+    return World(tasks, tuple(agents), attr_rng.getstate())
+
+
+@lru_cache(maxsize=1)
+def _memo_world(cfg: RunConfig, belt_table: BeltTable) -> World:
+    """The last world drawn; setup passes ``cfg`` with the levers no draw reads reset."""
+    return draw_world(cfg, belt_table)
+
+
 @dataclass
 class ReplicationResult:
     """Everything one replication hands back to reporting and scenarios."""
@@ -184,6 +228,7 @@ class Simulation:
         self.tasks: dict = {}
         self.agents: dict = {}
         self.active: list = []
+        self.busy = 0  # active agents with a non-empty open list
         self.pool: list = []
         self._pool_pos: dict = {}
         self.pool_sim_sum = 0.0
@@ -201,46 +246,22 @@ class Simulation:
 
     # ------------------------------------------------------------- setup
 
-    def _draw_ambient_tasks(self) -> None:
-        arrivals = arrival_times(self.streams.get("task-arrival"), self.cfg.task_lambda, self.cfg)
-        sim_rng = self.streams.get("similarity")
-        dur_rng = self.streams.get("duration")
-        attr_rng = self.streams.get("attraction")
-        skill_rng = self.streams.get("skills")
-        for when in arrivals:
-            task = Task(
-                task_id=len(self.tasks),
-                arrival=when,
-                duration=sample_duration(dur_rng, self.cfg),
-                similarity=sample_similarity(sim_rng, self.cfg),
-                skills=sample_skill_mask(
-                    skill_rng,
-                    self.cfg.task_skills_min,
-                    self.cfg.task_skills_max,
-                    self.cfg.skill_vocabulary,
-                ),
-                attractable=attr_rng.random() < self.cfg.attraction_rate,
-            )
-            self.tasks[task.task_id] = task
-            self.schedule(when, EV_TASK_ARRIVAL, task.task_id)
-
-    def _draw_population(self) -> None:
-        arrivals = arrival_times(self.streams.get("agent-arrival"), self.cfg.agent_gamma, self.cfg)
-        exp_rng = self.streams.get("experience")
-        skill_rng = self.streams.get("skills")
-        for aid, when in enumerate(arrivals):
-            self.agents[aid] = spawn_agent(aid, exp_rng, skill_rng, self.cfg, self.belt_table)
-            self.schedule(when, EV_AGENT_START, aid)
-
     def setup(self) -> None:
-        self._draw_ambient_tasks()
-        self._draw_population()
-        if self.cfg.focal_enabled:
-            self.schedule(self.cfg.focal_arrival, EV_FOCAL, 0)
-        day = 1
-        while day <= self.cfg.horizon_days:
+        """Build fresh tasks and agents from the seed's world, then schedule them."""
+        cfg = self.cfg
+        world = _memo_world(replace(cfg, admitted_belts=None, focal_arrival=0.0), self.belt_table)
+        for spec in world.tasks:
+            task = Task(len(self.tasks), *spec)
+            self.tasks[task.task_id] = task
+            self.schedule(task.arrival, EV_TASK_ARRIVAL, task.task_id)
+        for aid, (when, rating, belt, skills) in enumerate(world.agents):
+            self.agents[aid] = Agent(aid, rating, belt, skills, deque(maxlen=cfg.reliability_window))
+            self.schedule(when, EV_AGENT_START, aid)
+        self.streams.get("attraction").setstate(world.attraction)
+        if cfg.focal_enabled:
+            self.schedule(cfg.focal_arrival, EV_FOCAL, 0)
+        for day in range(1, int(cfg.horizon_days) + 1):
             self.schedule(float(day), EV_DAILY, day)
-            day += 1
 
     # ------------------------------------------------------------- plumbing
 
@@ -359,6 +380,7 @@ class Simulation:
         if not task.registrants:
             self._move(task, TaskState.REGISTERED)
         task.registrants.append(agent.agent_id)
+        self.busy += not agent.open_list
         agent.open_list.append(task.task_id)
         agent.pending.append(task.task_id)
         agents, p_qual = self.agents, self.p_qual
@@ -431,6 +453,7 @@ class Simulation:
         for aid in task.registrants:
             agent = self.agents[aid]
             agent.open_list.remove(task.task_id)
+            self.busy -= not agent.open_list
             if task.task_id in agent.pending:
                 agent.pending.remove(task.task_id)
             update_reliability(agent, aid in qualified_by)
@@ -507,8 +530,7 @@ class Simulation:
         self.schedule(self.now, EV_TASK_ARRIVAL, task.task_id)
 
     def _on_daily(self, day: int) -> None:
-        busy = sum(1 for aid in self.active if self.agents[aid].open_list)
-        total = len(self.active)
+        busy, total = self.busy, len(self.active)
         c = self.counters()
         self.daily.append(
             {

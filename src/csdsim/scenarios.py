@@ -4,7 +4,9 @@ Every scenario is a table of ``(label, config)`` policies run by one sweep.
 The scenarios inject one focal task into a live marketplace and ask how
 often it fails across paired replications. Replication r of every policy
 runs on seed ``base + r`` so policies face the same arrival history and the
-same crowd, and differ only in the lever under study.
+same crowd, and differ only in the lever under study. A sweep runs
+replication r of every policy before r + 1, so policies that differ only in
+admission or posting day reuse the seed's world instead of drawing it again.
 """
 
 from __future__ import annotations
@@ -147,19 +149,18 @@ def run_sweep(name: str, policies):
         raise ConfigError(f"{name}: no policies to run")
     for _label, cfg in policies:
         resolve_belt_table(cfg)
-    outcomes = []
+    focals = [[] for _ in policies]
     first_results = []
-    for label, cfg in policies:
-        focals = []
-        for r, result in enumerate(run_replications(cfg)):
+    runs = zip(*(run_replications(cfg) for _label, cfg in policies), strict=True)
+    for r, results in enumerate(runs):
+        for (label, _cfg), result, policy_focals in zip(policies, results, focals):
             if result.focal is None:
                 raise ModelInvariantError(
                     f"policy {label}, replication {r}: focal task never resolved"
                 )
-            focals.append(result.focal)
-            if not outcomes:
-                first_results.append(result)
-        outcomes.append(_policy_outcome(label, focals))
+            policy_focals.append(result.focal)
+        first_results.append(results[0])
+    outcomes = [_policy_outcome(label, f) for (label, _cfg), f in zip(policies, focals)]
     return ScenarioReport(name, tuple(outcomes)), first_results
 
 

@@ -62,7 +62,8 @@ class CheckedSimulation(Simulation):
     A registration also re-checks what the scan no longer does: the agent is
     not permanently excluded, and the task's stored appeal is its belt's weight.
     And each registrant's stored reliability, which the forecast reads, is its
-    window's qualified fraction.
+    window's qualified fraction. Every daily event re-counts the busy agents
+    that the engine keeps as registrations open and tasks resolve.
     """
 
     def _register(self, agent, task):
@@ -78,6 +79,10 @@ class CheckedSimulation(Simulation):
     def _submit(self, agent, task):
         assert agent.agent_id in task.registrants
         super()._submit(agent, task)
+
+    def _on_daily(self, day):
+        assert self.busy == sum(1 for aid in self.active if self.agents[aid].open_list)
+        super()._on_daily(day)
 
 
 @st.composite

@@ -171,6 +171,9 @@ def test_validation_errors_name_the_key(override):
         ({"task_lambda": float("inf")}, "task_lambda: must be finite"),
         ({"openness_gate": float("nan")}, "openness_gate: must be finite"),
         ({"horizon_days": float("-inf")}, "horizon_days: must be finite"),
+        # streams are seeded from the seed's text, and 1.0 or True would name other streams
+        ({"seed": 42.0}, "seed: must be an integer"),
+        ({"seed": True}, "seed: must be an integer"),
     ],
 )
 def test_every_built_config_is_validated(changes, message):

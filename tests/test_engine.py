@@ -9,9 +9,19 @@ import struct
 
 import pytest
 
-from csdsim import ModelInvariantError, RunConfig, TaskState, run_replication
-from csdsim.domain import LEGAL_TRANSITIONS, TERMINAL_STATES
-from csdsim.engine import EV_AGENT_START, EV_DAILY, EV_REG_ATTEMPT, RngStreams, Simulation
+import csdsim.engine
+from csdsim import ModelInvariantError, RunConfig, TaskState, run_replication, run_replications
+from csdsim.domain import DEFAULT_BELT_TABLE, LEGAL_TRANSITIONS, TERMINAL_STATES, BeltTable
+from csdsim.domain import resolve_belt_table
+from csdsim.engine import (
+    EV_AGENT_START,
+    EV_DAILY,
+    EV_REG_ATTEMPT,
+    RngStreams,
+    Simulation,
+    draw_world,
+)
+from csdsim.scenarios import diversity_policies
 
 
 def run_sim(cfg):
@@ -410,3 +420,55 @@ def decision_digest(result):
 def test_outcomes_match_recorded_digests(tiny_cfg, admitted, digest):
     cfg = dataclasses.replace(tiny_cfg, focal_enabled=True, admitted_belts=admitted)
     assert decision_digest(run_replication(cfg)) == digest
+
+
+# ------------------------------------------------------------ shared worlds
+
+
+def replication_record(result):
+    return (
+        result.trace_hash,
+        result.events_processed,
+        result.task_log,
+        result.predictions,
+        result.daily,
+        result.focal,
+    )
+
+
+def test_a_shared_world_replays_every_policy_of_its_seed(monkeypatch):
+    """Policies that differ only in admission or posting day reuse the seed's
+    world and match a replication that draws its world afresh."""
+    base = RunConfig(seed=2000, replications=1, focal_enabled=True)
+    policies = [dataclasses.replace(base, admitted_belts=belts)
+                for _label, belts in diversity_policies(DEFAULT_BELT_TABLE)]
+    policies.append(dataclasses.replace(base, focal_arrival=25.0))
+    memo = csdsim.engine._memo_world
+    run_replication(policies[0])  # warm the memo
+    hits = memo.cache_info().hits
+    warm = [replication_record(run_replication(cfg)) for cfg in policies]
+    assert memo.cache_info().hits == hits + len(policies)
+    monkeypatch.setattr(csdsim.engine, "_memo_world", draw_world)
+    cold = [replication_record(run_replication(cfg)) for cfg in policies]
+    assert warm == cold
+
+
+def test_draw_world_reads_neither_scenario_lever(tiny_cfg):
+    table = resolve_belt_table(tiny_cfg)
+    world = draw_world(tiny_cfg, table)
+    assert draw_world(dataclasses.replace(tiny_cfg, admitted_belts=("yellow", "red")), table) == world
+    assert draw_world(dataclasses.replace(tiny_cfg, focal_arrival=3.0), table) == world
+    assert draw_world(dataclasses.replace(tiny_cfg, seed=tiny_cfg.seed + 1), table) != world
+    assert draw_world(dataclasses.replace(tiny_cfg, openness_gate=0.9), table) != world
+    # gray now reaches 1,150: the agents rated in (900, 1150] change belt
+    rows = [dataclasses.astuple(row)[:4] for row in table.rows]
+    rows[0] = ("gray", 1150.0, *rows[0][2:])
+    assert draw_world(tiny_cfg, BeltTable.from_rows(rows)) != world
+
+
+def test_the_memo_holds_the_last_world_only(tiny_cfg):
+    memo = csdsim.engine._memo_world
+    memo.cache_clear()
+    list(run_replications(dataclasses.replace(tiny_cfg, replications=5)))
+    info = memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 5, 0)

@@ -145,6 +145,22 @@ def test_run_sweep_aggregates_replications(scenario_cfg):
     )
 
 
+def test_run_sweep_runs_replication_r_of_every_policy_before_r_plus_one(
+    scenario_cfg, monkeypatch
+):
+    cfg = dataclasses.replace(scenario_cfg, focal_enabled=True)
+    original = csdsim.scenarios.run_replication
+    seen = []
+
+    def recording(rep_cfg):
+        seen.append((rep_cfg.seed, rep_cfg.focal_arrival))
+        return original(rep_cfg)
+
+    monkeypatch.setattr(csdsim.scenarios, "run_replication", recording)
+    what_if_posting_day(cfg, 20.0)
+    assert seen == [(cfg.seed + r, day) for r in range(3) for day in (15.0, 20.0)]
+
+
 def test_run_sweep_is_deterministic(scenario_cfg):
     cfg = dataclasses.replace(scenario_cfg, focal_enabled=True, openness_gate=0.7)
     first, _ = run_sweep("probe", [("probe", cfg)])
