@@ -2,11 +2,17 @@
 
 A history CSV is the ground truth: one row per task with its outcome. A
 predictions CSV carries the forecast trail: one row per risk update. Both are
-UTF-8, read by one ``csv.reader`` record loop that finds columns by header
+UTF-8, read by one record reader, ``_records``, that finds columns by header
 name in any order and skips ``#`` lines and blank rows; an unreadable or
 undecodable file, or a cell past the csv field size limit, is a ``DataError``.
-The evaluation aligns both into daily per-phase series and scores the
-forecast with MRE, correlation, and a bias t-test.
+Each ingester numbers the rows it is given from 2, the header being row 1, so
+blank and ``#`` lines count toward no row number, and names that number in
+every row error. Numbers must be finite and predictions lie in [0, 1].
+
+A history row is a ``HistoryRow``, an immutable, hashable named tuple of the
+seven history columns, with its deadline day and failure phase derived on
+demand. The evaluation aligns both files into daily per-phase series and
+scores the forecast with MRE, correlation, and a bias t-test.
 
 Two-sided p-values come from ``scipy.special.stdtr``, the Student t CDF
 that ``scipy.stats.t.sf`` itself calls (``sf(t, df) == stdtr(df, -t)``), so
@@ -21,7 +27,8 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from itertools import dropwhile, repeat
+from typing import NamedTuple, Optional
 
 from .domain import FAILURE_OUTCOMES, PHASES, TaskState, failure_phase
 
@@ -46,8 +53,7 @@ PREDICTION_COLUMNS = ("task_id", "day", "phase", "prediction")
 VALID_OUTCOMES = frozenset(s.value for s in TaskState if s is not TaskState.PEER_REVIEW)
 
 
-@dataclass(frozen=True)
-class HistoryRow:
+class HistoryRow(NamedTuple):
     task_id: str
     posted_day: float
     duration_days: float
@@ -58,7 +64,7 @@ class HistoryRow:
 
     @property
     def deadline_day(self) -> int:
-        return int(math.floor(self.posted_day + self.duration_days))
+        return math.floor(self.posted_day + self.duration_days)
 
     @property
     def failed(self) -> bool:
@@ -76,36 +82,25 @@ def _row_error(row_num: int, message: str) -> DataError:
     return DataError(f"row {row_num}: {message}")
 
 
-def _validate_row(row: HistoryRow, row_num: int) -> None:
-    if not row.task_id:
-        raise _row_error(row_num, "task_id is empty")
-    if row.posted_day < 0:
-        raise _row_error(row_num, "posted_day is negative")
-    if row.duration_days <= 0:
-        raise _row_error(row_num, "duration_days must be positive")
-    if row.registrants < 0 or row.submissions < 0:
-        raise _row_error(row_num, "counts must be non-negative")
-    if row.outcome not in VALID_OUTCOMES:
-        raise _row_error(row_num, f"unknown outcome {row.outcome!r}")
-    if row.submissions > 0 and row.registrants == 0:
-        raise _row_error(row_num, "submissions without registrants")
-    if row.outcome == "starved" and row.registrants != 0:
-        raise _row_error(row_num, "a starved task cannot have registrants")
-    if row.outcome == "dropped" and row.submissions != 0:
-        raise _row_error(row_num, "a dropped task cannot have submissions")
-    if row.outcome == "failed" and row.submissions == 0:
-        raise _row_error(row_num, "a review failure requires submissions")
-    if row.failure_phase and row.failure_phase not in PHASES:
-        raise _row_error(row_num, f"unknown failure_phase {row.failure_phase!r}")
+_is_comment = operator.methodcaller("startswith", "#")
 
 
-def _records(fh, label: str, columns):
-    """Yield (row number, cells in ``columns`` order) for each data row of ``fh``.
+def _comment_after_first_line(fh) -> bool:
+    """Whether a line of ``fh`` after its first starts with ``#``; rewinds ``fh``.
 
-    Reads as ``csv.DictReader`` does: blank rows are skipped unnumbered, a
-    duplicated header name reads its last column, and a short row reads None.
-    A ``#`` line is a comment where a record starts, and data inside a quoted cell.
+    '#', CR and LF never occur inside a multi-byte UTF-8 sequence, so the raw
+    bytes find the lines the text reads as. A stream that cannot rewind
+    answers True.
     """
+    if not fh.seekable():
+        return True
+    data = fh.buffer.read()
+    fh.seek(0)
+    return b"\n#" in data or b"\r#" in data
+
+
+def _rows_without_comments(fh):
+    """``csv.reader`` rows of ``fh``, dropping each ``#`` line where a record starts."""
     at_record_start = True
 
     def lines():  # csv.reader pulls each line only when its record needs one
@@ -115,26 +110,37 @@ def _records(fh, label: str, columns):
                 at_record_start = False
                 yield line
 
-    reader = csv.reader(lines())
-    header = next(reader, None) or []
-    at_record_start = True
+    for row in csv.reader(lines()):
+        at_record_start = True
+        yield row
+
+
+def _records(fh, label: str, columns):
+    """Iterate the cells, in ``columns`` order, of each data row of ``fh``.
+
+    Reads as ``csv.DictReader`` does: blank rows are skipped, a duplicated
+    header name reads its last column, and a short row reads None. A ``#``
+    line is a comment where a record starts, and data inside a quoted cell.
+    Callers number the rows from 2, the header being row 1.
+    """
+    if _comment_after_first_line(fh):
+        rows = _rows_without_comments(fh)
+    else:  # at most a first-line comment: a plain reader, with no Python call per line
+        rows = csv.reader(dropwhile(_is_comment, fh))
+    header = next(rows, None) or []
     index = {name: i for i, name in enumerate(header)}
     missing = set(columns) - set(index)
     if missing:
         raise DataError(f"{label}: missing columns {sorted(missing)}")
     pick = operator.itemgetter(*(index[name] for name in columns))
-    row_num = 1
-    for row in reader:
-        at_record_start = True
-        if row:
-            row_num += 1
-            if len(row) < len(header):
-                row += [None] * (len(header) - len(row))
-            yield row_num, pick(row)
+    # every picked index is below len(header), so a short row reads None from the pad
+    pad = [None] * len(header)
+    return map(pick, map(operator.add, filter(None, rows), repeat(pad)))
 
 
 # unreadable file, bytes that are not UTF-8, a cell past csv.field_size_limit()
 _READ_ERRORS = (OSError, UnicodeDecodeError, csv.Error)
+_INF = math.inf
 
 
 def ingest_history(path: str):
@@ -143,25 +149,44 @@ def ingest_history(path: str):
     seen = set()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row_num, cells in _records(fh, f"history {path}", HISTORY_COLUMNS):
-                task_id, posted, duration, regs, subs, outcome, phase = cells
+            records = _records(fh, f"history {path}", HISTORY_COLUMNS)
+            for row_num, (task_id, posted, duration, regs, subs, outcome, phase) in enumerate(records, 2):
+                task_id = (task_id or "").strip()
                 try:
-                    row = HistoryRow(
-                        task_id=(task_id or "").strip(),
-                        posted_day=float(posted),
-                        duration_days=float(duration),
-                        registrants=int(regs),
-                        submissions=int(subs),
-                        outcome=(outcome or "").strip(),
-                        failure_phase=(phase or "").strip(),
-                    )
+                    posted = float(posted)
+                    duration = float(duration)
+                    regs = int(regs)
+                    subs = int(subs)
                 except (TypeError, ValueError) as exc:
                     raise _row_error(row_num, f"bad cell: {exc}") from None
-                _validate_row(row, row_num)
-                if row.task_id in seen:
-                    raise _row_error(row_num, f"duplicate task_id {row.task_id}")
-                seen.add(row.task_id)
-                rows.append(row)
+                outcome = (outcome or "").strip()
+                phase = (phase or "").strip()
+                if not task_id:
+                    raise _row_error(row_num, "task_id is empty")
+                if posted < 0:
+                    raise _row_error(row_num, "posted_day is negative")
+                if duration <= 0:
+                    raise _row_error(row_num, "duration_days must be positive")
+                if not posted + duration < _INF:  # also true for NaN
+                    raise _row_error(row_num, "posted_day + duration_days is not finite")
+                if regs < 0 or subs < 0:
+                    raise _row_error(row_num, "counts must be non-negative")
+                if outcome not in VALID_OUTCOMES:
+                    raise _row_error(row_num, f"unknown outcome {outcome!r}")
+                if subs > 0 and regs == 0:
+                    raise _row_error(row_num, "submissions without registrants")
+                if outcome == "starved" and regs != 0:
+                    raise _row_error(row_num, "a starved task cannot have registrants")
+                if outcome == "dropped" and subs != 0:
+                    raise _row_error(row_num, "a dropped task cannot have submissions")
+                if outcome == "failed" and subs == 0:
+                    raise _row_error(row_num, "a review failure requires submissions")
+                if phase and phase not in PHASES:
+                    raise _row_error(row_num, f"unknown failure_phase {phase!r}")
+                if task_id in seen:
+                    raise _row_error(row_num, f"duplicate task_id {task_id}")
+                seen.add(task_id)
+                rows.append(HistoryRow(task_id, posted, duration, regs, subs, outcome, phase))
     except _READ_ERRORS as exc:
         raise DataError(f"cannot read history {path}: {exc}") from None
     if not rows:
@@ -175,8 +200,8 @@ def ingest_predictions(path: str) -> dict:
     latest_day: dict = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row_num, cells in _records(fh, f"predictions {path}", PREDICTION_COLUMNS):
-                task_id, day, phase, value = cells
+            records = _records(fh, f"predictions {path}", PREDICTION_COLUMNS)
+            for row_num, (task_id, day, phase, value) in enumerate(records, 2):
                 task_id = (task_id or "").strip()
                 phase = (phase or "").strip()
                 if not task_id:
@@ -190,8 +215,12 @@ def ingest_predictions(path: str) -> dict:
                     raise _row_error(row_num, f"bad cell: {exc}") from None
                 if day < 0:
                     raise _row_error(row_num, "day is negative")
+                if not day < _INF:  # also true for NaN
+                    raise _row_error(row_num, "day is not finite")
                 if value < 0:
                     raise _row_error(row_num, "prediction is negative")
+                if not value <= 1.0:
+                    raise _row_error(row_num, "prediction is not in [0, 1]")
                 key = (task_id, phase)
                 prev = latest_day.get(key)
                 if prev is None or day >= prev:
@@ -279,19 +308,24 @@ def evaluate_forecast(history_rows, latest_predictions) -> dict:
 
     Actual failures land on each task's deadline day. Predicted failures
     are the per-day sums of every task's latest per-phase risk, failed or
-    not: a forecast is expected mass, not a verdict list.
+    not: a forecast is expected mass, not a verdict list. ``history_rows``
+    are ``HistoryRow``s, each unpacked as its seven cells.
     """
     actual = {phase: {} for phase in PHASES}
     predicted = {phase: {} for phase in PHASES}
-    for row in history_rows:
-        day = row.deadline_day
-        phase = row.phase
-        if phase is not None:
-            actual[phase][day] = actual[phase].get(day, 0) + 1
-        for p in PHASES:
-            value = latest_predictions.get((row.task_id, p))
+    predicted_by_phase = tuple(predicted.items())
+    floor = math.floor
+    get = latest_predictions.get
+    # each row's deadline_day and phase, spelled out: three property calls a row cost more
+    for task_id, posted, duration, _registrants, submissions, outcome, stated in history_rows:
+        day = floor(posted + duration)
+        if outcome in FAILURE_OUTCOMES:
+            counts = actual[stated or failure_phase(outcome, submissions)]
+            counts[day] = counts.get(day, 0) + 1
+        for phase, sums in predicted_by_phase:
+            value = get((task_id, phase))
             if value is not None:
-                predicted[p][day] = predicted[p].get(day, 0.0) + value
+                sums[day] = sums.get(day, 0.0) + value
     out = {}
     for phase in PHASES:
         days = sorted(set(actual[phase]) | set(predicted[phase]))

@@ -17,13 +17,18 @@ from hypothesis import strategies as st
 from scipy.special import stdtr
 
 import csdsim
-from csdsim import RunConfig, run_replication
+from csdsim import RunConfig, history, run_replication
 from csdsim.history import (
+    FAILURE_OUTCOMES,
     HISTORY_COLUMNS,
     PHASES,
     PREDICTION_COLUMNS,
     DataError,
+    HistoryRow,
+    PhaseEvaluation,
+    _records,
     evaluate_forecast,
+    failure_phase,
     ingest_history,
     ingest_predictions,
     result_history_rows,
@@ -86,6 +91,13 @@ def test_phase_inferred_from_submissions(tmp_path):
         ("t1,0,5,-1,0,starved,\n", "counts must be non-negative"),
         (",0,5,0,0,starved,\n", "task_id is empty"),
         ("t1,zero,5,0,0,starved,\n", "bad cell"),
+        ("t1,nan,5,0,0,starved,\n", "posted_day \\+ duration_days is not finite"),
+        ("t1,0,nan,0,0,starved,\n", "posted_day \\+ duration_days is not finite"),
+        ("t1,inf,5,0,0,starved,\n", "posted_day \\+ duration_days is not finite"),
+        ("t1,0,inf,0,0,starved,\n", "posted_day \\+ duration_days is not finite"),
+        ("t1,1e308,1e308,0,0,starved,\n", "posted_day \\+ duration_days is not finite"),
+        ("t1,-inf,5,0,0,starved,\n", "posted_day is negative"),
+        ("t1,0,-inf,0,0,starved,\n", "duration_days must be positive"),
     ],
 )
 def test_row_validation_errors_carry_row_numbers(tmp_path, body, message):
@@ -151,21 +163,22 @@ def dictreader_records(fh, label, columns):
     missing = set(columns) - set(reader.fieldnames or ())
     if missing:
         raise DataError(f"{label}: missing columns {sorted(missing)}")
-    for row_num, rec in enumerate(reader, start=2):
-        yield row_num, tuple(rec[name] for name in columns)
+    for rec in reader:
+        yield tuple(rec[name] for name in columns)
 
 
+NON_FINITE = ["nan", "inf", "-inf", "1e308"]
 CELLS = {
     "task_id": ["t1", "t2", " t3 ", "", "a,b", "x\ny"],
-    "posted_day": ["0", "1.5", "-1", "zero", ""],
-    "duration_days": ["5", "7.5", "0"],
+    "posted_day": ["0", "1.5", "-1", "zero", "", *NON_FINITE],
+    "duration_days": ["5", "7.5", "0", *NON_FINITE],
     "registrants": ["0", "3", "-1", "2.0"],
     "submissions": ["0", "1", "2"],
     "outcome": ["completed", "starved", " failed ", "dropped", "exploded"],
     "failure_phase": ["", "registration", "submission", "shipping"],
-    "day": ["0", "1", "2.5", "-1", "x"],
+    "day": ["0", "1", "2.5", "-1", "x", *NON_FINITE],
     "phase": ["registration", " submission ", "shipping", ""],
-    "prediction": ["0.1", "0.5", "0", "-0.2", "x"],
+    "prediction": ["0.1", "0.5", "0", "-0.2", "x", "1", "1.5", *NON_FINITE],
 }
 JUNK = ["", "note", "q,r", "two\nlines"]
 # (posted_day, duration_days, registrants, submissions, outcome, failure_phase)
@@ -256,6 +269,31 @@ def test_record_reader_matches_dictreader(fuzz_path, ingest, columns, data):
     assert got == want
 
 
+def read_records(fh, columns=PREDICTION_COLUMNS):
+    return list(_records(fh, "predictions", columns))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_later_comment_reads_like_a_first_line_one(tmp_path, end):
+    leading = "# one|task_id,day,phase,prediction|t1,1,registration,0.5||t2,2,submission,0.25|"
+    later = "task_id,day,phase,prediction|# one|t1,1,registration,0.5|# two|t2,2,submission,0.25|"
+    want = [("t1", "1", "registration", "0.5"), ("t2", "2", "submission", "0.25")]
+    for text in (leading, later):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.replace("|", end).encode())
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert read_records(fh) == want
+
+
+def test_records_read_a_stream_that_cannot_rewind():
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(write_fd, "w") as writer:
+        writer.write("# c\nday,task_id,phase,prediction\n1,t1,registration\n# d\n")
+    with open(read_fd, encoding="utf-8", newline="") as fh:
+        assert not fh.seekable()
+        assert read_records(fh) == [("t1", "1", "registration", None)]
+
+
 # -------------------------------------------------------------- predictions
 
 
@@ -280,11 +318,23 @@ def test_predictions_latest_day_wins(tmp_path):
         ("t1,1,registration,-0.2\n", "prediction is negative"),
         (",1,registration,0.2\n", "task_id is empty"),
         ("t1,one,registration,0.2\n", "bad cell"),
+        ("t1,nan,registration,0.2\n", "day is not finite"),
+        ("t1,inf,registration,0.2\n", "day is not finite"),
+        ("t1,-inf,registration,0.2\n", "day is negative"),
+        ("t1,1,registration,nan\n", "prediction is not in \\[0, 1\\]"),
+        ("t1,1,registration,1.5\n", "prediction is not in \\[0, 1\\]"),
+        ("t1,1,registration,inf\n", "prediction is not in \\[0, 1\\]"),
+        ("t1,1,registration,-inf\n", "prediction is negative"),
     ],
 )
 def test_prediction_validation(tmp_path, body, message):
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(DataError, match=f"row 2: {message}"):
         ingest_predictions(write_predictions(tmp_path, body))
+
+
+def test_a_prediction_of_exactly_one_is_accepted(tmp_path):
+    path = write_predictions(tmp_path, "t1,1e300,registration,1\nt1,0,submission,0\n")
+    assert ingest_predictions(path) == {("t1", "registration"): 1.0, ("t1", "submission"): 0.0}
 
 
 def test_hash_line_inside_a_quoted_cell_is_data(tmp_path):
@@ -342,6 +392,7 @@ def test_simulated_history_round_trips_through_the_scorer(tiny_cfg):
     assert predictions  # the run produced forecasts
     assert set(k[1] for k in predictions) <= {"registration", "submission"}
     scored = evaluate_forecast(rows, predictions)
+    assert_scored_alike(rows, predictions)
     reg = scored["registration"]
     assert reg.actual_total == result.counters["starved"] + result.counters["dropped"]
     assert scored["submission"].actual_total == result.counters["failed_review"]
@@ -366,6 +417,167 @@ def test_fixture_files_reproduce_pinned_mres(data_dir):
     scored = evaluate_forecast(history, predictions)
     assert scored["registration"].mre == pytest.approx(0.011, abs=1e-9)
     assert scored["submission"].mre == pytest.approx(0.020, abs=1e-9)
+
+
+def test_history_rows_are_immutable_hashable_values():
+    cells = ("t1", 0.0, 5.0, 4, 2, "failed", "")
+    row = HistoryRow(*cells)
+    assert row == HistoryRow(
+        task_id="t1",
+        posted_day=0.0,
+        duration_days=5.0,
+        registrants=4,
+        submissions=2,
+        outcome="failed",
+        failure_phase="",
+    )
+    assert hash(row) == hash(HistoryRow(*cells))
+    assert len({row, HistoryRow(*cells)}) == 1
+    assert row != HistoryRow("t2", *cells[1:])
+    with pytest.raises(AttributeError):
+        row.outcome = "completed"
+    assert (row.deadline_day, row.failed, row.phase) == (5, True, "submission")
+
+
+def reference_evaluate_forecast(history_rows, latest_predictions):
+    """``evaluate_forecast`` with its row loop as it read before it was unrolled."""
+    actual = {phase: {} for phase in PHASES}
+    predicted = {phase: {} for phase in PHASES}
+    for row in history_rows:
+        day = int(math.floor(row.posted_day + row.duration_days))
+        phase = None
+        if row.outcome in FAILURE_OUTCOMES:
+            phase = row.failure_phase or failure_phase(row.outcome, row.submissions)
+        if phase is not None:
+            actual[phase][day] = actual[phase].get(day, 0) + 1
+        for p in PHASES:
+            value = latest_predictions.get((row.task_id, p))
+            if value is not None:
+                predicted[p][day] = predicted[p].get(day, 0.0) + value
+    out = {}
+    for phase in PHASES:
+        days = sorted(set(actual[phase]) | set(predicted[phase]))
+        af = [float(actual[phase].get(d, 0)) for d in days]
+        fp = [float(predicted[phase].get(d, 0.0)) for d in days]
+        af_total = sum(af)
+        fp_total = sum(fp)
+        corr = history.pearson_with_p(af, fp)
+        diffs = [a - f for a, f in zip(af, fp)]
+        ttest = history.t_test_one_sample(diffs) if diffs else None
+        out[phase] = PhaseEvaluation(
+            phase=phase,
+            n_days=len(days),
+            actual_total=af_total,
+            predicted_total=fp_total,
+            mre=history.mre(af_total, fp_total),
+            pearson_r=corr[0] if corr else None,
+            pearson_p=corr[1] if corr else None,
+            t_stat=ttest[0] if ttest else None,
+            t_p=ttest[1] if ttest else None,
+        )
+    return out
+
+
+def assert_scored_alike(history_rows, latest_predictions):
+    got = evaluate_forecast(history_rows, latest_predictions)
+    want = reference_evaluate_forecast(history_rows, latest_predictions)
+    assert list(got) == list(want)
+    for phase in PHASES:
+        # dataclass ==: every field, floats compared exactly
+        assert got[phase] == want[phase], phase
+
+
+def test_fixture_files_score_as_the_reference_loop_does(data_dir):
+    assert_scored_alike(
+        ingest_history(str(data_dir / "eval_history.csv")),
+        ingest_predictions(str(data_dir / "eval_predictions.csv")),
+    )
+
+
+@st.composite
+def scored_inputs(draw):
+    """History rows and latest predictions whose per-day sums depend on the order."""
+    n = draw(st.integers(1, 40))
+    rows = []
+    for i in range(n):
+        outcome = draw(st.sampled_from(["completed", "failed", "starved", "dropped", "open"]))
+        submissions = draw(st.integers(0, 3))
+        rows.append(
+            HistoryRow(
+                f"t{i}",
+                float(draw(st.integers(0, 6))),
+                draw(st.sampled_from([0.5, 1.0, 2.5, 3.0])),
+                submissions + draw(st.integers(0, 2)),
+                submissions,
+                outcome,
+                draw(st.sampled_from(["", *PHASES])) if outcome in FAILURE_OUTCOMES else "",
+            )
+        )
+    keys = st.tuples(st.sampled_from([f"t{i}" for i in range(n + 2)]), st.sampled_from(PHASES))
+    values = st.floats(0.0, 1.0, allow_subnormal=True)
+    return rows, draw(st.dictionaries(keys, values, max_size=2 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=scored_inputs())
+def test_scores_equal_the_reference_loop_on_drawn_histories(inputs):
+    assert_scored_alike(*inputs)
+
+
+# per column: cells that ingest, and cells that can make their row an error
+SCORED_CELLS = {
+    "posted_day": (["0", "2", "-0.0", "1e-320", "1e308"], ["nan", "inf"]),
+    "duration_days": (["5", "0.5", "5e-324", "1e300"], ["nan", "inf", "1e308"]),
+    "day": (["0", "2.5", "1e308"], ["nan", "inf"]),
+    "prediction": (["0", "1", "0.5", "0.125", "0.3", "5e-324", "1e-160"], ["nan", "1.5", "inf"]),
+}
+SCORED_OUTCOMES = [
+    ("0", "0", "starved", ""),
+    ("3", "0", "dropped", ""),
+    ("4", "2", "failed", ""),
+    ("4", "1", "failed", "registration"),
+    ("4", "1", "completed", ""),
+]
+
+
+@st.composite
+def scored_files(draw):
+    """History and predictions rows; one numeric cell in 25 comes from the second list."""
+
+    def cell(column):
+        good, bad = SCORED_CELLS[column]
+        return draw(st.sampled_from(bad if draw(st.integers(0, 24)) == 0 else good))
+
+    history = [HISTORY_COLUMNS]
+    for i in range(draw(st.integers(1, 12))):
+        outcome = draw(st.sampled_from(SCORED_OUTCOMES))
+        history.append((f"t{i}", cell("posted_day"), cell("duration_days"), *outcome))
+    task_ids = st.sampled_from([f"t{i}" for i in range(len(history))])
+    predictions = [PREDICTION_COLUMNS]
+    for _ in range(draw(st.integers(0, 16))):
+        phase = draw(st.sampled_from(PHASES))
+        predictions.append((draw(task_ids), cell("day"), phase, cell("prediction")))
+    return history, predictions
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=scored_files())
+def test_files_both_ingesters_accept_score_cleanly(tmp_path_factory, files):
+    paths = []
+    for name, rows in zip(("history.csv", "predictions.csv"), files):
+        path = tmp_path_factory.getbasetemp() / f"scored-{name}"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        paths.append(str(path))
+    try:
+        history_rows = ingest_history(paths[0])
+        latest = ingest_predictions(paths[1])
+    except DataError:
+        return
+    for ev in evaluate_forecast(history_rows, latest).values():
+        assert ev.mre is None or math.isfinite(ev.mre)
+        for p_value in (ev.pearson_p, ev.t_p):
+            assert p_value is None or 0.0 <= p_value <= 1.0
 
 
 # ------------------------------------------------------- p-value dependency

@@ -472,6 +472,41 @@ def test_cli_bad_history_exits_two(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+HISTORY_HEADER = "task_id,posted_day,duration_days,registrants,submissions,outcome,failure_phase\n"
+
+
+@pytest.mark.parametrize(
+    "history_body,predictions_body,message",
+    [
+        ("t1,nan,5,0,0,starved,\n", None, "row 2: posted_day + duration_days is not finite"),
+        ("t0,0,5,0,0,starved,\nt1,inf,5,0,0,starved,\n", None, "row 3: posted_day"),
+        ("t1,1e308,1e308,0,0,starved,\n", None, "row 2: posted_day + duration_days"),
+        (None, "t1,nan,registration,0.5\n", "row 2: day is not finite"),
+        (None, "t1,1,registration,0.5\nt1,2,submission,1.5\n", "row 3: prediction is not in [0, 1]"),
+        (None, "t1,1,submission,nan\n", "row 2: prediction is not in [0, 1]"),
+    ],
+    ids=["history_nan", "history_inf", "history_overflow", "day_nan", "above_one", "prediction_nan"],
+)
+def test_cli_non_finite_or_improbable_cell_exits_two_naming_the_row(
+    tmp_path, data_dir, capsys, monkeypatch, history_body, predictions_body, message
+):
+    ran = []
+    monkeypatch.setattr(csdsim.engine.Simulation, "run", ran.append)
+    history = data_dir / "eval_history.csv"
+    if history_body is not None:
+        history = tmp_path / "history.csv"
+        history.write_text(HISTORY_HEADER + history_body)
+    argv = ["evaluate", "--history", str(history), "--out", str(tmp_path / "x")]
+    if predictions_body is not None:
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("task_id,day,phase,prediction\n" + predictions_body)
+        argv += ["--predictions", str(predictions)]
+    assert main([*argv, *TINY_OVERRIDES]) == 2
+    assert message in capsys.readouterr().err
+    assert ran == []
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_bad_predictions_exit_two_before_any_replication(tmp_path, data_dir, monkeypatch):
     predictions = tmp_path / "predictions.csv"
     predictions.write_text("task_id,day,phase,prediction\nt1,1,shipping,0.2\n")
