@@ -26,12 +26,15 @@ exclusion is checked once, at agent start, never in a scan. A scan that meets
 a full open list makes the one ``random()`` draw of each remaining pick and
 stops: the list and the pool cannot change in an attempt that registers nothing.
 
-Setup draws a seed's world from the ``task-arrival``, ``duration``,
-``similarity``, ``skills``, ``attraction``, ``agent-arrival`` and ``experience``
-streams. Only ``attraction`` is read after setup, by reposts, from the state the
-world saved. No draw reads ``admitted_belts`` or ``focal_arrival``, so a
-one-world memo serves back-to-back replications that differ only in those
-levers; a policy sweep runs replication r of every policy before r + 1.
+A seed's world is the setup draws no sweep lever reads: the ambient tasks from
+the ``task-arrival``, ``duration`` and ``skills`` streams, then the crowd from
+``agent-arrival``, ``experience`` and ``skills``. A one-world memo serves
+back-to-back replications that differ only in ``openness_gate``,
+``admitted_belts`` or ``focal_arrival``; a policy sweep runs replication r of
+every policy before r + 1. Setup then draws each ambient task's similarity,
+which reads the openness gate, and its attractable flag from the replication's
+own ``similarity`` and ``attraction`` streams, in task order; reposts continue
+``attraction`` from there.
 
 The platform tallies are read off the ``_move`` audit, ``transition_counts``,
 and the per-belt tallies off the tasks; only arrivals and reposts are ints.
@@ -132,37 +135,26 @@ class RngStreams:
         return rng
 
 
-@dataclass(frozen=True)
-class World:
-    """One seed's setup draws: task specs ``(arrival, duration, similarity, skills,
-    attractable)``, agent specs ``(start, rating, belt, skills)`` and the attraction state."""
-
-    tasks: tuple
-    agents: tuple
-    attraction: tuple
-
-
-def draw_world(cfg: RunConfig, belt_table: BeltTable) -> World:
-    """Draw the ambient tasks, then the crowd, on fresh streams of ``cfg.seed``."""
+def draw_world(cfg: RunConfig, belt_table: BeltTable) -> tuple:
+    """Task specs ``(arrival, duration, skills)``, then agent specs ``(start, rating,
+    belt, skills)``, drawn on fresh streams of ``cfg.seed``."""
     streams = RngStreams(cfg.seed)
-    dur_rng, sim_rng = streams.get("duration"), streams.get("similarity")
-    attr_rng, skill_rng = streams.get("attraction"), streams.get("skills")
+    dur_rng, skill_rng = streams.get("duration"), streams.get("skills")
     tasks = tuple(
-        (when, sample_duration(dur_rng, cfg), sample_similarity(sim_rng, cfg),
-         sample_skill_mask(skill_rng, cfg.task_skills_min, cfg.task_skills_max, cfg.skill_vocabulary),
-         attr_rng.random() < cfg.attraction_rate)
+        (when, sample_duration(dur_rng, cfg),
+         sample_skill_mask(skill_rng, cfg.task_skills_min, cfg.task_skills_max, cfg.skill_vocabulary))
         for when in arrival_times(streams.get("task-arrival"), cfg.task_lambda, cfg)
     )
     exp_rng = streams.get("experience")
-    agents = []
-    for aid, when in enumerate(arrival_times(streams.get("agent-arrival"), cfg.agent_gamma, cfg)):
-        agent = spawn_agent(aid, exp_rng, skill_rng, cfg, belt_table)
-        agents.append((when, agent.rating, agent.belt, agent.skills))
-    return World(tasks, tuple(agents), attr_rng.getstate())
+    agents = tuple(
+        (when, *spawn_agent(exp_rng, skill_rng, cfg, belt_table))
+        for when in arrival_times(streams.get("agent-arrival"), cfg.agent_gamma, cfg)
+    )
+    return tasks, agents
 
 
 @lru_cache(maxsize=1)
-def _memo_world(cfg: RunConfig, belt_table: BeltTable) -> World:
+def _memo_world(cfg: RunConfig, belt_table: BeltTable) -> tuple:
     """The last world drawn; setup passes ``cfg`` with the levers no draw reads reset."""
     return draw_world(cfg, belt_table)
 
@@ -227,7 +219,7 @@ class Simulation:
         self.reposted = 0
         self.tasks: dict = {}
         self.agents: dict = {}
-        self.active: list = []
+        self.active = 0  # agents started, counted in utilization even if they never register
         self.busy = 0  # active agents with a non-empty open list
         self.pool: list = []
         self._pool_pos: dict = {}
@@ -249,15 +241,18 @@ class Simulation:
     def setup(self) -> None:
         """Build fresh tasks and agents from the seed's world, then schedule them."""
         cfg = self.cfg
-        world = _memo_world(replace(cfg, admitted_belts=None, focal_arrival=0.0), self.belt_table)
-        for spec in world.tasks:
-            task = Task(len(self.tasks), *spec)
+        lever_free = replace(cfg, openness_gate=None, admitted_belts=None, focal_arrival=0.0)
+        tasks, agents = _memo_world(lever_free, self.belt_table)
+        sim_rng, attr_rng = self.streams.get("similarity"), self.streams.get("attraction")
+        for when, duration, skills in tasks:
+            similarity = sample_similarity(sim_rng, cfg)
+            task = Task(len(self.tasks), when, duration, similarity, skills,
+                        attr_rng.random() < cfg.attraction_rate)
             self.tasks[task.task_id] = task
-            self.schedule(task.arrival, EV_TASK_ARRIVAL, task.task_id)
-        for aid, (when, rating, belt, skills) in enumerate(world.agents):
+            self.schedule(when, EV_TASK_ARRIVAL, task.task_id)
+        for aid, (when, rating, belt, skills) in enumerate(agents):
             self.agents[aid] = Agent(aid, rating, belt, skills, deque(maxlen=cfg.reliability_window))
             self.schedule(when, EV_AGENT_START, aid)
-        self.streams.get("attraction").setstate(world.attraction)
         if cfg.focal_enabled:
             self.schedule(cfg.focal_arrival, EV_FOCAL, 0)
         for day in range(1, int(cfg.horizon_days) + 1):
@@ -323,7 +318,7 @@ class Simulation:
 
     def _on_agent_start(self, aid: int) -> None:
         agent = self.agents[aid]
-        self.active.append(aid)  # counted in utilization even if it never registers
+        self.active += 1
         if permanent_exclusion(agent, self.admitted) is not None:
             return
         agent.reg_rng = self.streams.get(f"registration/{aid}")
@@ -530,7 +525,7 @@ class Simulation:
         self.schedule(self.now, EV_TASK_ARRIVAL, task.task_id)
 
     def _on_daily(self, day: int) -> None:
-        busy, total = self.busy, len(self.active)
+        busy, total = self.busy, self.active
         c = self.counters()
         self.daily.append(
             {

@@ -10,9 +10,10 @@ blank and ``#`` lines count toward no row number, and names that number in
 every row error. Numbers must be finite and predictions lie in [0, 1].
 
 A history row is a ``HistoryRow``, an immutable, hashable named tuple of the
-seven history columns, with its deadline day and failure phase derived on
-demand. The evaluation aligns both files into daily per-phase series and
-scores the forecast with MRE, correlation, and a bias t-test.
+seven history columns. The evaluation derives each row's deadline day and
+failure phase (the stated one, else ``domain.failure_phase``), aligns both
+files into daily per-phase series and scores the forecast with MRE,
+correlation, and a bias t-test.
 
 Two-sided p-values come from ``scipy.special.stdtr``, the Student t CDF
 that ``scipy.stats.t.sf`` itself calls (``sf(t, df) == stdtr(df, -t)``), so
@@ -61,21 +62,6 @@ class HistoryRow(NamedTuple):
     submissions: int
     outcome: str
     failure_phase: str
-
-    @property
-    def deadline_day(self) -> int:
-        return math.floor(self.posted_day + self.duration_days)
-
-    @property
-    def failed(self) -> bool:
-        return self.outcome in FAILURE_OUTCOMES
-
-    @property
-    def phase(self) -> Optional[str]:
-        """Failure phase: the stated one, else inferred from the submission count."""
-        if not self.failed:
-            return None
-        return self.failure_phase or failure_phase(self.outcome, self.submissions)
 
 
 def _row_error(row_num: int, message: str) -> DataError:
@@ -316,7 +302,7 @@ def evaluate_forecast(history_rows, latest_predictions) -> dict:
     predicted_by_phase = tuple(predicted.items())
     floor = math.floor
     get = latest_predictions.get
-    # each row's deadline_day and phase, spelled out: three property calls a row cost more
+    # a failed row lands on its deadline day, in its stated phase or the inferred one
     for task_id, posted, duration, _registrants, submissions, outcome, stated in history_rows:
         day = floor(posted + duration)
         if outcome in FAILURE_OUTCOMES:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Optional
 
 from .config import RunConfig
-from .domain import Agent, BeltTable
+from .domain import BeltTable
 
 
 def poisson_count(rng, lam: float) -> int:
@@ -81,21 +80,11 @@ def sample_skill_mask(rng, lo: int, hi: int, vocabulary) -> int:
     return mask
 
 
-def spawn_agent(
-    agent_id: int,
-    exp_rng,
-    skill_rng,
-    cfg: RunConfig,
-    belt_table: BeltTable,
-) -> Agent:
+def spawn_agent(exp_rng, skill_rng, cfg: RunConfig, belt_table: BeltTable) -> tuple:
+    """One agent's ``(rating, belt, skills)``: its rating, then its skill mask."""
     rating = sample_experience(exp_rng, cfg)
-    return Agent(
-        agent_id=agent_id,
-        rating=rating,
-        belt=belt_table.belt_of(rating),
-        skills=sample_skill_mask(skill_rng, cfg.agent_skills_min, cfg.agent_skills_max, cfg.skill_vocabulary),
-        recent_outcomes=deque(maxlen=cfg.reliability_window),
-    )
+    skills = sample_skill_mask(skill_rng, cfg.agent_skills_min, cfg.agent_skills_max, cfg.skill_vocabulary)
+    return rating, belt_table.belt_of(rating), skills
 
 
 def utilization(busy_agents: int, total_agents: int) -> float:

@@ -6,7 +6,8 @@ often it fails across paired replications. Replication r of every policy
 runs on seed ``base + r`` so policies face the same arrival history and the
 same crowd, and differ only in the lever under study. A sweep runs
 replication r of every policy before r + 1, so policies that differ only in
-admission or posting day reuse the seed's world instead of drawing it again.
+openness, admission or posting day reuse the seed's world instead of drawing
+it again.
 """
 
 from __future__ import annotations

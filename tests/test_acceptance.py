@@ -232,8 +232,8 @@ def test_criterion_03_distribution_fidelity():
     exp_rng = streams.get("experience-agents")
     skill_rng = streams.get("skills")
     gray = sum(
-        spawn_agent(i, exp_rng, skill_rng, cfg, DEFAULT_BELT_TABLE).belt == "gray"
-        for i in range(n)
+        spawn_agent(exp_rng, skill_rng, cfg, DEFAULT_BELT_TABLE)[1] == "gray"
+        for _ in range(n)
     )
     if abs(gray / n - 0.832) > 0.02:
         failures.append(f"sampled gray share {gray / n:.4f} outside 0.832 +- 0.02")

@@ -2,10 +2,11 @@
 
 A config that ``RunConfig`` accepts must run one replication to completion,
 keep criterion 5's structural invariants (the open-list cap and
-register-before-submit at every step, not only at the end), register no
-permanently excluded agent, keep every forecast a probability, write a
-``task_predictions.csv`` that the predictions ingester reads back to the
-same latest forecasts, and log tasks that the history ingester accepts.
+register-before-submit at every step, not only at the end), keep each
+repost's lineage and repost cap, register no permanently excluded agent,
+keep every forecast a probability, write a ``task_predictions.csv`` that the
+predictions ingester reads back to the same latest forecasts, and log tasks
+that the history ingester accepts.
 Registration and submission rates whose mean gap falls below the clock's
 resolution are refused when built; arrival rates stay small, because a huge
 one is a memory limit rather than a config error.
@@ -17,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from csdsim import ConfigError, RunConfig, Simulation, emit_outputs
@@ -63,7 +64,8 @@ class CheckedSimulation(Simulation):
     not permanently excluded, and the task's stored appeal is its belt's weight.
     And each registrant's stored reliability, which the forecast reads, is its
     window's qualified fraction. Every daily event re-counts the busy agents
-    that the engine keeps as registrations open and tasks resolve.
+    that the engine keeps as registrations open and tasks resolve. Every repost
+    keeps its root's lineage and stays within ``repost_max``.
     """
 
     def _register(self, agent, task):
@@ -81,8 +83,16 @@ class CheckedSimulation(Simulation):
         super()._submit(agent, task)
 
     def _on_daily(self, day):
-        assert self.busy == sum(1 for aid in self.active if self.agents[aid].open_list)
+        assert self.busy == sum(1 for agent in self.agents.values() if agent.open_list)
         super()._on_daily(day)
+
+    def _finalize(self, task):
+        new_id = len(self.tasks)
+        super()._finalize(task)
+        clone = self.tasks.get(new_id)
+        if clone is not None:  # a repost
+            assert clone.root_id == task.root_id
+            assert clone.repost_count == task.repost_count + 1 <= self.cfg.repost_max
 
 
 @st.composite
@@ -110,6 +120,26 @@ def small_configs(draw):
     if bad is not None:
         changes[bad[0]] = bad[1]
     return changes, bad
+
+
+def test_a_drawn_config_reposts():
+    """Reposts, the only draws on ``attraction`` after setup, are among the
+    steps the property test checks."""
+
+    def reposts(drawn):
+        changes, bad = drawn
+        if bad is not None:
+            return False
+        try:
+            cfg = RunConfig(**changes)
+        except ConfigError:
+            return False
+        return CheckedSimulation(cfg).run().counters["reposted"] > 0
+
+    changes, _bad = find(small_configs(), reposts, settings=settings(database=None))
+    sim = CheckedSimulation(RunConfig(**changes))
+    sim.run()
+    assert any(task.repost_count for task in sim.tasks.values())
 
 
 @settings(max_examples=150, deadline=None)

@@ -21,7 +21,13 @@ from csdsim.engine import (
     Simulation,
     draw_world,
 )
-from csdsim.scenarios import diversity_policies
+from csdsim.scenarios import (
+    OPENNESS_GATES,
+    diversity_policies,
+    run_diversity_scenario,
+    run_openness_scenario,
+    what_if_posting_day,
+)
 
 
 def run_sim(cfg):
@@ -437,11 +443,12 @@ def replication_record(result):
 
 
 def test_a_shared_world_replays_every_policy_of_its_seed(monkeypatch):
-    """Policies that differ only in admission or posting day reuse the seed's
-    world and match a replication that draws its world afresh."""
+    """Policies that differ only in openness, admission or posting day reuse the
+    seed's world and match a replication that draws its world afresh."""
     base = RunConfig(seed=2000, replications=1, focal_enabled=True)
     policies = [dataclasses.replace(base, admitted_belts=belts)
                 for _label, belts in diversity_policies(DEFAULT_BELT_TABLE)]
+    policies += [dataclasses.replace(base, openness_gate=gate) for gate in OPENNESS_GATES]
     policies.append(dataclasses.replace(base, focal_arrival=25.0))
     memo = csdsim.engine._memo_world
     run_replication(policies[0])  # warm the memo
@@ -453,17 +460,46 @@ def test_a_shared_world_replays_every_policy_of_its_seed(monkeypatch):
     assert warm == cold
 
 
-def test_draw_world_reads_neither_scenario_lever(tiny_cfg):
+def test_draw_world_reads_no_sweep_lever(tiny_cfg):
     table = resolve_belt_table(tiny_cfg)
     world = draw_world(tiny_cfg, table)
     assert draw_world(dataclasses.replace(tiny_cfg, admitted_belts=("yellow", "red")), table) == world
     assert draw_world(dataclasses.replace(tiny_cfg, focal_arrival=3.0), table) == world
+    assert draw_world(dataclasses.replace(tiny_cfg, openness_gate=0.9), table) == world
     assert draw_world(dataclasses.replace(tiny_cfg, seed=tiny_cfg.seed + 1), table) != world
-    assert draw_world(dataclasses.replace(tiny_cfg, openness_gate=0.9), table) != world
     # gray now reaches 1,150: the agents rated in (900, 1150] change belt
     rows = [dataclasses.astuple(row)[:4] for row in table.rows]
     rows[0] = ("gray", 1150.0, *rows[0][2:])
     assert draw_world(tiny_cfg, BeltTable.from_rows(rows)) != world
+
+
+def test_setup_builds_each_agent_from_its_world_spec(tiny_cfg):
+    sim = Simulation(tiny_cfg)
+    sim.setup()
+    _tasks, agents = draw_world(tiny_cfg, sim.belt_table)
+    assert [(a.agent_id, a.rating, a.belt, a.skills) for a in sim.agents.values()] == [
+        (aid, *spec[1:]) for aid, spec in enumerate(agents)
+    ]
+    for agent in sim.agents.values():
+        assert agent.recent_outcomes.maxlen == tiny_cfg.reliability_window
+        assert agent.open_list == [] and agent.pending == []
+
+
+@pytest.mark.parametrize(
+    "sweep,misses,hits",
+    [
+        (run_openness_scenario, 2, 6),
+        (run_diversity_scenario, 2, 6),
+        (lambda cfg: what_if_posting_day(cfg, 25.0), 2, 2),
+    ],
+    ids=["openness", "diversity", "whatif"],
+)
+def test_every_sweep_draws_one_world_per_seed(tiny_cfg, sweep, misses, hits):
+    memo = csdsim.engine._memo_world
+    memo.cache_clear()
+    sweep(tiny_cfg)  # two replications of each policy
+    info = memo.cache_info()
+    assert (info.misses, info.hits) == (misses, hits)
 
 
 def test_the_memo_holds_the_last_world_only(tiny_cfg):

@@ -60,21 +60,27 @@ def test_ingest_happy_path_with_comment_and_extra_column(tmp_path):
     )
     rows = ingest_history(str(path))
     assert [r.task_id for r in rows] == ["t1", "t2"]
-    assert rows[0].deadline_day == 5
-    assert not rows[0].failed
-    assert rows[1].failed and rows[1].phase == "registration"
+    # t1 completed, so only its forecast lands, on its deadline day 5; t2 fails on day 6
+    scored = evaluate_forecast(rows, {("t1", "registration"): 0.25})
+    assert failures_by_phase(rows) == {"registration": 1.0, "submission": 0.0}
+    assert scored["registration"].n_days == 2
+
+
+def failures_by_phase(rows):
+    """Each phase's realized failures, as ``evaluate_forecast`` derives them."""
+    return {phase: e.actual_total for phase, e in evaluate_forecast(rows, {}).items()}
 
 
 def test_phase_inference_prefers_explicit_column(tmp_path):
     rows = ingest_history(
         write_history(tmp_path, "t1,0,5,4,2,failed,registration\n")
     )
-    assert rows[0].phase == "registration"
+    assert failures_by_phase(rows) == {"registration": 1.0, "submission": 0.0}
 
 
 def test_phase_inferred_from_submissions(tmp_path):
     rows = ingest_history(write_history(tmp_path, "t1,0,5,4,2,failed,\n"))
-    assert rows[0].phase == "submission"
+    assert failures_by_phase(rows) == {"registration": 0.0, "submission": 1.0}
 
 
 @pytest.mark.parametrize(
@@ -436,7 +442,8 @@ def test_history_rows_are_immutable_hashable_values():
     assert row != HistoryRow("t2", *cells[1:])
     with pytest.raises(AttributeError):
         row.outcome = "completed"
-    assert (row.deadline_day, row.failed, row.phase) == (5, True, "submission")
+    assert failure_phase(row.outcome, row.submissions) == "submission"
+    assert failures_by_phase([row]) == {"registration": 0.0, "submission": 1.0}
 
 
 def reference_evaluate_forecast(history_rows, latest_predictions):

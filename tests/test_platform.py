@@ -138,11 +138,13 @@ def test_skill_mask_refuses_bounds_outside_0_to_n(lo, hi):
 
 
 def test_spawn_agent_is_consistent():
-    agent = spawn_agent(5, random.Random(10), random.Random(11), CFG, DEFAULT_BELT_TABLE)
-    assert agent.agent_id == 5
-    assert agent.belt == DEFAULT_BELT_TABLE.belt_of(agent.rating)
-    assert agent.recent_outcomes.maxlen == CFG.reliability_window
-    assert agent.open_list == [] and agent.pending == []
+    rating, belt, skills = spawn_agent(random.Random(10), random.Random(11), CFG, DEFAULT_BELT_TABLE)
+    assert belt == DEFAULT_BELT_TABLE.belt_of(rating)
+    # the rating is the experience stream's first draw, the mask the skills stream's
+    assert rating == sample_experience(random.Random(10), CFG)
+    assert skills == sample_skill_mask(
+        random.Random(11), CFG.agent_skills_min, CFG.agent_skills_max, CFG.skill_vocabulary
+    )
 
 
 def test_utilization_edges():
