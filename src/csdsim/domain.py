@@ -92,13 +92,12 @@ def failure_phase(outcome: str, submissions: int) -> Optional[str]:
 
 @dataclass(frozen=True)
 class BeltRow:
-    """One competence tier: rating interval, population share, quality and submit odds."""
+    """One competence tier: rating interval, population share and quality odds."""
 
     belt: str
     upper_bound: float  # inclusive; a rating on the boundary stays in this belt
     share: float
     p_qualified: float
-    follow_through: Optional[float] = None  # joined from the config by resolve_belt_table
 
 
 @dataclass(frozen=True)
@@ -189,11 +188,11 @@ def load_belt_table(path: str) -> BeltTable:
 
 
 def resolve_belt_table(cfg: RunConfig) -> BeltTable:
-    """The active belt table, each row joined to its follow-through key.
+    """The active belt table: ``DEFAULT_BELT_TABLE`` or the file's, as loaded.
 
     The one check of belt names: every belt in the table needs a
-    follow-through key, and every admitted and familiarity belt must be in
-    the table, or the config names a crowd that does not exist.
+    follow-through key, which the engine reads from the config, and every
+    admitted and familiarity belt must be in the table.
     """
     path = cfg.belt_table_path
     table = load_belt_table(path) if path else DEFAULT_BELT_TABLE
@@ -213,11 +212,7 @@ def resolve_belt_table(cfg: RunConfig) -> BeltTable:
                 f"{key}: belts {', '.join(absent)} are not in {source} "
                 f"(its belts: {', '.join(names)})"
             )
-    rows = tuple(
-        replace(row, follow_through=getattr(cfg, FOLLOW_THROUGH_PREFIX + row.belt))
-        for row in table.rows
-    )
-    return BeltTable(rows=rows)
+    return table
 
 
 @dataclass(frozen=True)

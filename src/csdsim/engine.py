@@ -64,7 +64,7 @@ from .agents import (
     submission_crowd_suppression,
     update_reliability,
 )
-from .config import RunConfig
+from .config import FOLLOW_THROUGH_PREFIX, RunConfig
 from .domain import (
     Agent,
     BeltTable,
@@ -227,7 +227,7 @@ class Simulation:
         self.admitted = frozenset(cfg.admitted_belts) if cfg.admitted_belts else None
         self.concentration = supply_concentration(self.belt_table, self.admitted, cfg)
         self.scan_count = max(1, round(self.concentration))
-        self.follow_through = {row.belt: row.follow_through for row in self.belt_table.rows}
+        self.follow_through = {belt: getattr(cfg, FOLLOW_THROUGH_PREFIX + belt) for belt in self.belts}
         self.p_qual = {row.belt: row.p_qualified for row in self.belt_table.rows}
         self.predictions: list = []
         self.task_log: list = []
