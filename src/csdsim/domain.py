@@ -119,13 +119,15 @@ class BeltTable:
         if len(set(names)) < len(names):
             raise ConfigError(f"{source}: each belt may appear once, got {', '.join(names)}")
         bounds = [r.upper_bound for r in rows]
+        if not all(map(math.isfinite, bounds[:-1])):
+            raise ConfigError(f"{source}: upper_bound must be finite on every row but the last")
         if bounds != sorted(bounds):
             raise ConfigError(f"{source}: rows must be sorted by upper_bound")
         if not math.isinf(rows[-1].upper_bound):
             raise ConfigError(f"{source}: last row must have an unbounded rating")
         total = sum(r.share for r in rows)
-        if total <= 0:
-            raise ConfigError(f"{source}: shares must sum to a positive value")
+        if not 0 < total < math.inf:  # a nan or infinite share makes the sum nan or infinite
+            raise ConfigError(f"{source}: shares must sum to a positive value, each one finite")
         normed = tuple(replace(r, share=r.share / total) for r in rows)
         for r in normed:
             if not (0.0 <= r.p_qualified <= 1.0):

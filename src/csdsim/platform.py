@@ -152,7 +152,7 @@ def supply_concentration(
     if not admitted:
         return 1.0
     shares = implied_belt_shares(belt_table, cfg)
-    mass = sum(shares.get(belt, 0.0) for belt in admitted)
+    mass = sum(shares[belt] for belt in shares if belt in admitted)  # table order, not set order
     if mass <= 0.0:
         return cfg.supply_concentration_max
     return min(cfg.supply_concentration_max, 1.0 / mass)

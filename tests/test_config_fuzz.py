@@ -6,7 +6,10 @@ register-before-submit at every step, not only at the end), keep each
 repost's lineage and repost cap, register no permanently excluded agent,
 keep every forecast a probability, write a ``task_predictions.csv`` that the
 predictions ingester reads back to the same latest forecasts, and log tasks
-that the history ingester accepts.
+that the history ingester accepts. Each task ends in the one terminal state
+its registrants and submissions allow. A second profile, a small busy market,
+reaches review: its drawn runs complete and fail tasks, and their logs and
+forecasts score to a finite-or-None MRE and p-values in [0, 1].
 Registration and submission rates whose mean gap falls below the clock's
 resolution are refused when built; arrival rates stay small, because a huge
 one is a memory limit rather than a config error.
@@ -18,14 +21,16 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from csdsim import ConfigError, RunConfig, Simulation, emit_outputs
+from csdsim import ConfigError, RunConfig, Simulation, TaskState, emit_outputs
 from csdsim.agents import permanent_exclusion, preference_weight
+from csdsim.config import FOLLOW_THROUGH_FIELDS
 from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.history import (
     HISTORY_COLUMNS,
+    evaluate_forecast,
     ingest_history,
     ingest_predictions,
     result_latest_predictions,
@@ -65,7 +70,8 @@ class CheckedSimulation(Simulation):
     And each registrant's stored reliability, which the forecast reads, is its
     window's qualified fraction. Every daily event re-counts the busy agents
     that the engine keeps as registrations open and tasks resolve. Every repost
-    keeps its root's lineage and stays within ``repost_max``.
+    keeps its root's lineage and stays within ``repost_max``. Every finalized
+    task is in the terminal state that its registrants and submissions allow.
     """
 
     def _register(self, agent, task):
@@ -87,12 +93,23 @@ class CheckedSimulation(Simulation):
         super()._on_daily(day)
 
     def _finalize(self, task):
+        assert task.state is terminal_state(task)
         new_id = len(self.tasks)
         super()._finalize(task)
         clone = self.tasks.get(new_id)
         if clone is not None:  # a repost
             assert clone.root_id == task.root_id
             assert clone.repost_count == task.repost_count + 1 <= self.cfg.repost_max
+
+
+def terminal_state(task):
+    """COMPLETED has a qualified submission, FAILED has submissions and none
+    qualified, DROPPED has registrants and no submission, STARVED no registrant."""
+    if not task.registrants:
+        return TaskState.STARVED
+    if not task.submissions:
+        return TaskState.DROPPED
+    return TaskState.COMPLETED if any(s.qualified for s in task.submissions) else TaskState.FAILED
 
 
 @st.composite
@@ -120,6 +137,54 @@ def small_configs(draw):
     if bad is not None:
         changes[bad[0]] = bad[1]
     return changes, bad
+
+
+@st.composite
+def busy_markets(draw):
+    """A small market that reaches review: short tasks, an eager crowd, an easy pass."""
+    duration_mode = draw(st.floats(1.0, 3.0))
+    return {
+        "seed": draw(st.integers(0, 10_000)),
+        "replications": 1,
+        "horizon_days": draw(st.floats(5.0, 20.0)),
+        "task_lambda": draw(st.floats(5.0, 30.0)),
+        "agent_gamma": draw(st.floats(20.0, 80.0)),
+        "duration_min": 1.0,
+        "duration_mode": duration_mode,
+        "duration_max": draw(st.floats(duration_mode, 6.0)),
+        "quality_pass": draw(st.floats(10.0, 60.0)),
+        "sub_product_threshold": draw(st.floats(0.5, 1.0)),
+        **{key: draw(st.floats(0.7, 1.0)) for key in FOLLOW_THROUGH_FIELDS},
+    }
+
+
+# the first example found is enough, and shrinking a busy run costs seconds
+FIRST_FOUND = settings(database=None, phases=[Phase.generate])
+
+
+@pytest.mark.parametrize("counter", ["completed", "failed_review"])
+def test_a_drawn_busy_market_reaches_review(counter):
+    changes = find(
+        busy_markets(),
+        lambda changes: CheckedSimulation(RunConfig(**changes)).run().counters[counter] > 0,
+        settings=FIRST_FOUND,
+    )
+    assert Simulation(RunConfig(**changes)).run().counters[counter] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(changes=busy_markets())
+def test_a_busy_market_keeps_its_invariants_and_scores(changes):
+    sim = CheckedSimulation(RunConfig(**changes))
+    result = sim.run()
+    assert_structural_invariants(sim, result)
+    if not result.task_log:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        rows = logged_history(result, Path(out) / "history.csv")
+    for scored in evaluate_forecast(rows, result_latest_predictions(result)).values():
+        assert scored.mre is None or math.isfinite(scored.mre)
+        assert all(p is None or 0.0 <= p <= 1.0 for p in (scored.pearson_p, scored.t_p))
 
 
 def test_a_drawn_config_reposts():
@@ -167,15 +232,19 @@ def test_a_config_is_refused_when_built_or_runs(drawn):
     with tempfile.TemporaryDirectory() as out:
         emit_outputs(cfg, [result], out)
         written = ingest_predictions(str(Path(out) / "task_predictions.csv"))
-        history = Path(out) / "history.csv"
-        with open(history, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(HISTORY_COLUMNS)
-            writer.writerows([rec[c] for c in HISTORY_COLUMNS] for rec in result.task_log)
         # an empty history is refused by design, so only a logged task is read back
         if result.task_log:
-            assert len(ingest_history(str(history))) == len(result.task_log)
+            assert len(logged_history(result, Path(out) / "history.csv")) == len(result.task_log)
     assert written == result_latest_predictions(result)
+
+
+def logged_history(result, path):
+    """The replication's task log written as a history CSV and read back by the ingester."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(HISTORY_COLUMNS)
+        writer.writerows([rec[c] for c in HISTORY_COLUMNS] for rec in result.task_log)
+    return ingest_history(str(path))
 
 
 def assert_structural_invariants(sim, result):

@@ -15,8 +15,11 @@ from csdsim.domain import (
     LEGAL_TRANSITIONS,
     SOURCE_STATE,
     TERMINAL_STATES,
+    BeltRow,
     BeltTable,
     can_transition,
+    load_belt_table,
+    resolve_belt_table,
 )
 
 ALL_STATES = list(TaskState)
@@ -148,6 +151,21 @@ def test_from_rows_rejects_unordered_bounds():
         BeltTable.from_rows(
             [("a", 200.0, 0.5, 0.5), ("b", 100.0, 0.3, 0.5), ("c", float("inf"), 0.2, 0.5)]
         )
+
+
+def test_belt_row_holds_only_the_table_columns():
+    # follow-through is a config key the engine reads, not a table column
+    assert [f.name for f in dataclasses.fields(BeltRow)] == ["belt", "upper_bound", "share", "p_qualified"]
+
+
+def test_resolve_belt_table_returns_the_active_table_itself(tmp_path):
+    assert resolve_belt_table(RunConfig()) is DEFAULT_BELT_TABLE
+    path = tmp_path / "belts.csv"
+    path.write_text("belt,upper_bound,share,p_qualified\ngray,900,0.9,0.25\nred,,0.1,0.6\n")
+    cfg = RunConfig(belt_table_path=str(path), familiarity_belts=("gray",))
+    # the table depends only on its path, whatever the follow-through keys say
+    other = dataclasses.replace(cfg, submit_follow_through_gray=0.9, submit_follow_through_red=0.1)
+    assert resolve_belt_table(cfg) == resolve_belt_table(other) == load_belt_table(str(path))
 
 
 # ------------------------------------------------------------------ skills

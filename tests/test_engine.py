@@ -11,6 +11,7 @@ import pytest
 
 import csdsim.engine
 from csdsim import ModelInvariantError, RunConfig, TaskState, run_replication, run_replications
+from csdsim.config import FOLLOW_THROUGH_PREFIX
 from csdsim.domain import DEFAULT_BELT_TABLE, LEGAL_TRANSITIONS, TERMINAL_STATES, BeltTable
 from csdsim.domain import resolve_belt_table
 from csdsim.engine import (
@@ -303,6 +304,25 @@ def test_belt_gate_shuts_out_other_belts(tiny_cfg):
     cfg = dataclasses.replace(tiny_cfg, admitted_belts=("yellow", "red"))
     _, result = run_sim(cfg)
     assert set(result.reg_by_belt) <= {"yellow", "red"}
+
+
+GRAY_BLUE_RED = "belt,upper_bound,share,p_qualified\ngray,900,0.9,0.25\nblue,1500,0.08,0.39\nred,,0.02,0.6\n"
+
+
+@pytest.mark.parametrize(
+    "table_text,belts",
+    [(None, DEFAULT_BELT_TABLE.names()), (GRAY_BLUE_RED, ("gray", "blue", "red"))],
+    ids=["built_in", "gray_blue_red"],
+)
+def test_follow_through_is_read_from_the_config_in_table_order(tmp_path, table_text, belts):
+    cfg = RunConfig(submit_follow_through_gray=0.11, submit_follow_through_blue=0.22,
+                    submit_follow_through_red=0.33, familiarity_belts=("gray",))
+    if table_text is not None:
+        path = tmp_path / "belts.csv"
+        path.write_text(table_text)
+        cfg = dataclasses.replace(cfg, belt_table_path=str(path))
+    expected = [(belt, getattr(cfg, FOLLOW_THROUGH_PREFIX + belt)) for belt in belts]
+    assert list(Simulation(cfg).follow_through.items()) == expected
 
 
 class RecordingStreams(RngStreams):

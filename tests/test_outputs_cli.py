@@ -414,6 +414,21 @@ CONFIG_SOURCE = ["--config", "{path}"]
             "cannot read belt table {path}: field larger than field limit",
         ),
         (None, BELT_SOURCE, "cannot read belt table {path}: "),
+        (
+            BELT_HEADER + b"gray,900,0.9,0.25\ngreen,nan,0.03,0.45\nblue,1500,0.05,0.39\nred,,0.02,0.6\n",
+            BELT_SOURCE,
+            "belt table {path}: upper_bound must be finite on every row but the last",
+        ),
+        (
+            BELT_HEADER + b"gray,inf,0.9,0.25\nred,,0.1,0.6\n",
+            BELT_SOURCE,
+            "belt table {path}: upper_bound must be finite on every row but the last",
+        ),
+        (
+            BELT_HEADER + b"gray,1000,nan,0.3\nred,,0.1,0.6\n",
+            BELT_SOURCE,
+            "belt table {path}: shares must sum to a positive value, each one finite",
+        ),
         (None, ["--set", "invert_tsr=maybe"], "invert_tsr: expected true or false"),
         (None, ["--set", "task_lambda=abc"], "task_lambda: expected a number"),
         (None, ["--set", "skill_vocabulary=,"], "skill_vocabulary: expected a comma separated list"),
@@ -431,6 +446,9 @@ CONFIG_SOURCE = ["--config", "{path}"]
         "belt_cell_not_numeric",
         "belt_cell_oversized",
         "belt_table_missing",
+        "belt_bound_nan",
+        "belt_bound_inf_before_last",
+        "belt_share_nan",
         "set_bool_not_bool",
         "set_float_not_number",
         "set_list_empty",
@@ -446,6 +464,14 @@ def test_cli_bad_config_or_belt_table_file_exits_one(tmp_path, capsys, content, 
     assert main(["run", "--out", str(out), *TINY_OVERRIDES, *argv]) == 1
     assert message.format(path=path) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["whatif"], ["run", "--bogus"]], ids=["whatif_without_day", "unknown_option"])
+def test_cli_usage_error_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: csdsim" in capsys.readouterr().err
 
 
 def test_cli_model_invariant_violation_exits_three(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
+import csdsim
 from csdsim import RunConfig
 from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.platform import (
@@ -231,3 +236,26 @@ def test_supply_concentration(admitted, expected):
 def test_supply_concentration_empty_gate_hits_cap():
     value = supply_concentration(DEFAULT_BELT_TABLE, frozenset({"nobody"}), CFG)
     assert value == CFG.supply_concentration_max
+
+
+def test_supply_concentration_does_not_depend_on_the_hash_seed():
+    """Four admitted belts whose float sum moves in its last bit with the
+    order it is taken in: the sum follows the table, not the set's hash order."""
+    code = (
+        "from csdsim import RunConfig, Simulation; print(repr(Simulation(RunConfig("
+        "experience_beta=0.7926274014247991, experience_max=3936.3561275707348, "
+        "admitted_belts=('green', 'blue', 'yellow', 'red'))).concentration))"
+    )
+    paths = [str(Path(csdsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    values = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**env, "PYTHONHASHSEED": str(hash_seed)},
+        ).stdout.strip()
+        for hash_seed in range(8)
+    }
+    assert values == {"1.2284631709615652"}
