@@ -108,8 +108,8 @@ class BeltTable:
     def from_rows(cls, rows, source: str = "belt table") -> "BeltTable":
         """Build a table from (belt, upper, share, p) rows, renormalizing shares.
 
-        Rows name each belt once, sorted by ascending upper bound, and end with
-        an unbounded belt; published shares may not sum exactly to one.
+        Rows name each belt once, sorted by ascending finite upper bound, and
+        end with an unbounded belt; shares are finite but may not sum exactly to one.
         ``source`` starts every error message.
         """
         rows = [BeltRow(*r) for r in rows]
