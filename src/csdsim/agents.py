@@ -58,7 +58,6 @@ def decide_register(
     registrant_count: int,
     draw: float,
     crowd_draw: float,
-    *,
     threshold: float,
     competition_cap: int,
     crowded_p: float,
@@ -95,8 +94,9 @@ def registration_engagement(
     cfg: RunConfig,
 ) -> float:
     """Probability that a browsing agent stops on this task, given its belt's ``appeal``."""
-    crowding = max(0.0, 1.0 - cfg.pool_crowding_coeff * similarity * mean_other_similarity)
-    return min(1.0, appeal * crowding * cfg.engagement_scale * concentration)
+    crowding = 1.0 - cfg.pool_crowding_coeff * similarity * mean_other_similarity
+    p = appeal * (crowding if crowding > 0.0 else 0.0) * cfg.engagement_scale * concentration
+    return p if p < 1.0 else 1.0  # the bits of max(0.0, c) and min(1.0, p), NaN and -0.0 too
 
 
 def decide_submit(draw: float, p_qualified: float, threshold: float) -> bool:
@@ -111,8 +111,8 @@ def decide_submit(draw: float, p_qualified: float, threshold: float) -> bool:
 
 def submission_crowd_suppression(registrant_count: int, cfg: RunConfig) -> float:
     """Odds multiplier once a task's field grows past the competition cap."""
-    excess = max(0, registrant_count - cfg.competition_cap)
-    return 1.0 / (1.0 + cfg.crowd_penalty_coeff * excess)
+    excess = registrant_count - cfg.competition_cap
+    return 1.0 / (1.0 + cfg.crowd_penalty_coeff * (excess if excess > 0 else 0))
 
 
 def score_submission(draw: float, quality_pass: float) -> bool:

@@ -108,9 +108,9 @@ class BeltTable:
     def from_rows(cls, rows, source: str = "belt table") -> "BeltTable":
         """Build a table from (belt, upper, share, p) rows, renormalizing shares.
 
-        Rows name each belt once, sorted by ascending finite upper bound, and
-        end with an unbounded belt; shares are finite but may not sum exactly to one.
-        ``source`` starts every error message.
+        Rows name each belt once, with finite upper bounds in strictly ascending
+        order, and end with an unbounded belt; shares are finite and non-negative,
+        with a positive sum that need not be one. ``source`` starts every error message.
         """
         rows = [BeltRow(*r) for r in rows]
         if not rows:
@@ -121,10 +121,12 @@ class BeltTable:
         bounds = [r.upper_bound for r in rows]
         if not all(map(math.isfinite, bounds[:-1])):
             raise ConfigError(f"{source}: upper_bound must be finite on every row but the last")
-        if bounds != sorted(bounds):
-            raise ConfigError(f"{source}: rows must be sorted by upper_bound")
+        if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):  # an equal bound hides a belt
+            raise ConfigError(f"{source}: rows must be sorted by strictly ascending upper_bound")
         if not math.isinf(rows[-1].upper_bound):
             raise ConfigError(f"{source}: last row must have an unbounded rating")
+        if any(r.share < 0 for r in rows):
+            raise ConfigError(f"{source}: shares must be non-negative")
         total = sum(r.share for r in rows)
         if not 0 < total < math.inf:  # a nan or infinite share makes the sum nan or infinite
             raise ConfigError(f"{source}: shares must sum to a positive value, each one finite")

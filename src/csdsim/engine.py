@@ -7,9 +7,10 @@ config produce byte-identical outputs and equal trace hashes. Registration and
 submission gaps are ``-log(1.0 - rng.random()) / rate``: the draws of
 ``random.expovariate`` on Python 3.10-3.13, without depending on its internals.
 
-The clock and the future event list live on ``Simulation``: ``now`` is the
-clock in fractional days, and a plain ``heapq`` list holds
-``(time, seq, kind, subject)`` entries, where ``seq`` gives FIFO ties.
+The clock, the future event list and the pool live on ``Simulation``: ``now``
+is the clock in fractional days, a plain ``heapq`` list holds ``(time, seq,
+kind, subject)`` entries, where ``seq`` gives FIFO ties, and ``pool`` holds
+the pooled ``Task`` objects, each at its ``_pool_pos[task_id]`` index.
 ``trace_hash`` is a 16-byte BLAKE2b digest over one packed ``TRACE_RECORD``
 per processed event, in processing order: the event time as a little-endian
 float64, the kind code as a uint8 (the kind's index in
@@ -114,6 +115,9 @@ EV_DAILY = "daily"
 
 # One trace record per processed event: time, kind code, subject.
 TRACE_RECORD = struct.Struct("<dBq")
+
+_INTO_SUBMITTED = (SOURCE_STATE[TaskState.SUBMITTED], TaskState.SUBMITTED)
+_INTO_REGISTERED = (SOURCE_STATE[TaskState.REGISTERED], TaskState.REGISTERED)
 
 
 class RngStreams:
@@ -275,18 +279,18 @@ class Simulation:
     def _pool_add(self, task: Task) -> None:
         task.appeal = {b: preference_weight(task.similarity, b, self.cfg) for b in self.belts}
         self._pool_pos[task.task_id] = len(self.pool)
-        self.pool.append(task.task_id)
+        self.pool.append(task)
         self.pool_sim_sum += task.similarity
 
-    def _pool_remove(self, task_id: int) -> None:
-        pos = self._pool_pos.pop(task_id, None)
+    def _pool_remove(self, task: Task) -> None:
+        pos = self._pool_pos.pop(task.task_id, None)
         if pos is None:
             return
         last = self.pool.pop()
-        if last != task_id:
+        if last is not task:
             self.pool[pos] = last
-            self._pool_pos[last] = pos
-        self.pool_sim_sum -= self.tasks[task_id].similarity
+            self._pool_pos[last.task_id] = pos
+        self.pool_sim_sum -= task.similarity
 
     def counters(self) -> dict:
         """Platform tallies; starved stays apart so completed + failed <= registered."""
@@ -304,8 +308,8 @@ class Simulation:
         }
 
     def current_tsr(self) -> float:
-        c = self.counters()
-        return compute_tsr(c["submitted"], c["registered"])
+        counts = self.transition_counts
+        return compute_tsr(counts[_INTO_SUBMITTED], counts[_INTO_REGISTERED])
 
     # ------------------------------------------------------------- handlers
 
@@ -337,10 +341,10 @@ class Simulation:
         size = len(pool)
         if size == 0:
             return
-        random_, tasks, scans = rng.random, self.tasks, self.scan_count
+        random_, scans = rng.random, self.scan_count
         cap, mode = cfg.open_list_cap, cfg.match_mode
         for pick in range(scans):
-            task = tasks[pool[int(random_() * size)]]
+            task = pool[int(random_() * size)]
             reason = registration_preconditions(agent, task, cap, mode)
             if reason is not None:
                 if reason == REASON_OPEN_LIST_FULL:
@@ -355,14 +359,8 @@ class Simulation:
             if random_() >= p_engage:
                 continue
             draw, crowd_draw = random_(), random_()
-            if decide_register(
-                len(task.registrants),
-                draw,
-                crowd_draw,
-                threshold=cfg.reg_threshold,
-                competition_cap=cfg.competition_cap,
-                crowded_p=cfg.crowded_bernoulli_p,
-            ):
+            if decide_register(len(task.registrants), draw, crowd_draw,
+                               cfg.reg_threshold, cfg.competition_cap, cfg.crowded_bernoulli_p):
                 self._register(agent, task)
                 return
 
@@ -412,7 +410,7 @@ class Simulation:
     def _submit(self, agent: Agent, task: Task) -> None:
         if not task.submissions:
             self._move(task, TaskState.SUBMITTED)
-            self._pool_remove(task.task_id)  # registration closes with the first submission
+            self._pool_remove(task)  # registration closes with the first submission
         if agent.quality_rng is None:
             agent.quality_rng = self.streams.get(f"quality/{agent.agent_id}")
         qualified = score_submission(agent.quality_rng.random(), self.cfg.quality_pass)
@@ -443,7 +441,7 @@ class Simulation:
 
     def _finalize(self, task: Task) -> None:
         """Terminal housekeeping: pool, agent books, logs and repost."""
-        self._pool_remove(task.task_id)
+        self._pool_remove(task)
         qualified_by = {s.agent_id for s in task.submissions if s.qualified}
         for aid in task.registrants:
             agent = self.agents[aid]

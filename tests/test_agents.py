@@ -1,5 +1,9 @@
 """Agent decision rules: registration, submission, scoring, reliability."""
 
+import dataclasses
+import itertools
+import math
+import struct
 from collections import deque
 
 import pytest
@@ -74,6 +78,8 @@ def make_task(**kw) -> Task:
 )
 def test_decide_register_pinned_rows(count, draw, crowd_draw, expected):
     assert decide_register(count, draw, crowd_draw, **REGISTER_KNOBS) is expected
+    # the engine passes the knobs by position
+    assert decide_register(count, draw, crowd_draw, *REGISTER_KNOBS.values()) is expected
 
 
 @given(
@@ -196,8 +202,6 @@ def test_engagement_is_a_probability(similarity, other, belt, concentration):
 
 def test_pool_crowding_factor_floor():
     """Engagement's lookalike-pool discount is 1 - coeff * similarity * mean_other, floored at 0."""
-    import dataclasses
-
     appeal = 0.1  # small enough that the 1.0 cap stays out of the way
     plain = appeal * CFG.engagement_scale
     assert registration_engagement(1.0, 1.0, appeal, 1.0, CFG) == pytest.approx(0.5 * plain)
@@ -237,12 +241,53 @@ def test_submission_crowd_suppression_disabled_by_default():
 
 
 def test_submission_crowd_suppression_when_enabled():
-    import dataclasses
-
     cfg = dataclasses.replace(CFG, crowd_penalty_coeff=0.5)
     assert submission_crowd_suppression(18, cfg) == 1.0
     assert submission_crowd_suppression(20, cfg) == pytest.approx(0.5)
     assert submission_crowd_suppression(17, cfg) == 1.0
+
+
+# Floats at the clamps' edges: NaN, signed zeros and infinities, 1.0, and the
+# nearest neighbours of 0 and 1.
+EDGE_FLOATS = (
+    math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, 0.5,
+    math.nextafter(0.0, 1.0), math.nextafter(0.0, -1.0),
+    math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+)
+
+
+def reference_engagement(similarity, mean_other_similarity, appeal, concentration, cfg):
+    """``registration_engagement`` with the builtin clamps."""
+    crowding = max(0.0, 1.0 - cfg.pool_crowding_coeff * similarity * mean_other_similarity)
+    return min(1.0, appeal * crowding * cfg.engagement_scale * concentration)
+
+
+def reference_suppression(registrant_count, cfg):
+    """``submission_crowd_suppression`` with the builtin clamp."""
+    excess = max(0, registrant_count - cfg.competition_cap)
+    return 1.0 / (1.0 + cfg.crowd_penalty_coeff * excess)
+
+
+def same_bits(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@pytest.mark.parametrize("coeff", [0.0, 0.5, 2.0])  # 2.0 drives the crowding factor negative
+def test_engagement_clamps_give_the_builtin_bits(coeff):
+    cfg = dataclasses.replace(CFG, pool_crowding_coeff=coeff)
+    for args in itertools.product(EDGE_FLOATS, repeat=4):
+        got = registration_engagement(*args, cfg)
+        assert same_bits(got, reference_engagement(*args, cfg)), args
+
+
+@pytest.mark.parametrize("coeff", [0.0, 0.5])
+def test_crowd_suppression_clamp_gives_the_builtin_bits(coeff):
+    cfg = dataclasses.replace(CFG, crowd_penalty_coeff=coeff)
+    cap = cfg.competition_cap
+    for count in (-5, 0, cap - 1, cap, cap + 1, 10**6):  # negative excess below the cap
+        assert same_bits(submission_crowd_suppression(count, cfg), reference_suppression(count, cfg)), count
 
 
 def test_score_submission_boundary():

@@ -35,6 +35,7 @@ from csdsim.history import (
     ingest_predictions,
     result_latest_predictions,
 )
+from csdsim.lifecycle import compute_tsr
 
 # Keys for which every drawn bad value (NaN, +inf, -inf, -1) is out of range.
 BAD_KEYS = (
@@ -72,6 +73,9 @@ class CheckedSimulation(Simulation):
     that the engine keeps as registrations open and tasks resolve. Every repost
     keeps its root's lineage and stays within ``repost_max``. Every finalized
     task is in the terminal state that its registrants and submissions allow.
+    After every pool change each pooled task sits at its ``_pool_pos`` index
+    and is registrable, which the scan relies on; every submission and
+    finalized task leaves ``current_tsr`` equal to the TSR of ``counters()``.
     """
 
     def _register(self, agent, task):
@@ -84,9 +88,28 @@ class CheckedSimulation(Simulation):
             expected = sum(window) / len(window) if window else 0.0
             assert self.agents[aid].reliability == expected
 
+    def _pool_add(self, task):
+        super()._pool_add(task)
+        self._check_pool()
+
+    def _pool_remove(self, task):
+        super()._pool_remove(task)
+        self._check_pool()
+
+    def _check_pool(self):
+        assert len(self._pool_pos) == len(self.pool)
+        for i, t in enumerate(self.pool):
+            assert self._pool_pos[t.task_id] == i
+            assert t.state in (TaskState.ARRIVED, TaskState.REGISTERED)
+
+    def _check_tsr(self):
+        c = self.counters()
+        assert self.current_tsr() == compute_tsr(c["submitted"], c["registered"])
+
     def _submit(self, agent, task):
         assert agent.agent_id in task.registrants
         super()._submit(agent, task)
+        self._check_tsr()
 
     def _on_daily(self, day):
         assert self.busy == sum(1 for agent in self.agents.values() if agent.open_list)
@@ -96,6 +119,7 @@ class CheckedSimulation(Simulation):
         assert task.state is terminal_state(task)
         new_id = len(self.tasks)
         super()._finalize(task)
+        self._check_tsr()
         clone = self.tasks.get(new_id)
         if clone is not None:  # a repost
             assert clone.root_id == task.root_id

@@ -153,6 +153,28 @@ def test_from_rows_rejects_unordered_bounds():
         )
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # the later of two equal bounds could never be assigned
+        (
+            [("gray", 900.0, 0.9, 0.25), ("green", 900.0, 0.05, 0.45), ("red", float("inf"), 0.05, 0.6)],
+            "rows must be sorted by strictly ascending upper_bound",
+        ),
+        ([("gray", 900.0, 2.0, 0.25), ("red", float("inf"), -1.0, 0.6)], "shares must be non-negative"),
+    ],
+    ids=["bounds_equal", "share_negative"],
+)
+def test_from_rows_refuses_a_hidden_belt_or_a_negative_share(rows, message):
+    with pytest.raises(ConfigError, match=f"^belts.csv: {message}$"):
+        BeltTable.from_rows(rows, source="belts.csv")
+
+
+def test_from_rows_keeps_a_zero_share():
+    table = BeltTable.from_rows([("gray", 900.0, 0.0, 0.25), ("red", float("inf"), 2.0, 0.6)])
+    assert [row.share for row in table.rows] == [0.0, 1.0]
+
+
 def test_belt_row_holds_only_the_table_columns():
     # follow-through is a config key the engine reads, not a table column
     assert [f.name for f in dataclasses.fields(BeltRow)] == ["belt", "upper_bound", "share", "p_qualified"]

@@ -429,6 +429,16 @@ CONFIG_SOURCE = ["--config", "{path}"]
             BELT_SOURCE,
             "belt table {path}: shares must sum to a positive value, each one finite",
         ),
+        (
+            BELT_HEADER + b"gray,900,0.9,0.25\ngreen,900,0.05,0.45\nred,,0.05,0.6\n",
+            [*BELT_SOURCE, "--set", "admitted_belts=green", "--set", "familiarity_belts=gray"],
+            "belt table {path}: rows must be sorted by strictly ascending upper_bound",
+        ),
+        (
+            BELT_HEADER + b"gray,900,2.0,0.25\nred,,-1.0,0.6\n",
+            [*BELT_SOURCE, "--set", "familiarity_belts=gray"],
+            "belt table {path}: shares must be non-negative",
+        ),
         (None, ["--set", "invert_tsr=maybe"], "invert_tsr: expected true or false"),
         (None, ["--set", "task_lambda=abc"], "task_lambda: expected a number"),
         (None, ["--set", "skill_vocabulary=,"], "skill_vocabulary: expected a comma separated list"),
@@ -449,6 +459,8 @@ CONFIG_SOURCE = ["--config", "{path}"]
         "belt_bound_nan",
         "belt_bound_inf_before_last",
         "belt_share_nan",
+        "belt_bounds_equal",
+        "belt_share_negative",
         "set_bool_not_bool",
         "set_float_not_number",
         "set_list_empty",
