@@ -223,7 +223,7 @@ def build_config(path: Optional[str], pairs) -> RunConfig:
     text = ""
     if path:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None

@@ -164,7 +164,7 @@ def load_belt_table(path: str) -> BeltTable:
     cell per header column.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             required = {"belt", "upper_bound", "share", "p_qualified"}
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):

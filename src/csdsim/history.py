@@ -2,12 +2,14 @@
 
 A history CSV is the ground truth: one row per task with its outcome. A
 predictions CSV carries the forecast trail: one row per risk update. Both are
-UTF-8, read by one record reader, ``_records``, that finds columns by header
-name in any order and skips ``#`` lines and blank rows; an unreadable or
-undecodable file, or a cell past the csv field size limit, is a ``DataError``.
-Each ingester numbers the rows it is given from 2, the header being row 1, so
-blank and ``#`` lines count toward no row number, and names that number in
-every row error. Numbers must be finite and predictions lie in [0, 1].
+UTF-8, a leading byte-order mark allowed, read by one record reader,
+``_records``, that finds columns by header name in any order and skips ``#``
+lines and blank rows; an unreadable or undecodable file, or a cell past the
+csv field size limit, is a ``DataError``. Each ingester numbers the rows it is
+given from 2, the header being row 1, so blank and ``#`` lines count toward no
+row number, and names that number in every row error. Numbers must be finite
+and predictions lie in [0, 1]. Outcome and phase cells come back as csdsim's
+own strings, the ``TaskState`` values and ``domain.PHASES``, not csv's copies.
 
 A history row is a ``HistoryRow``, an immutable, hashable named tuple of the
 seven history columns. The evaluation derives each row's deadline day and
@@ -50,8 +52,10 @@ HISTORY_COLUMNS = (
 
 PREDICTION_COLUMNS = ("task_id", "day", "phase", "prediction")
 
-# Every state a task can rest in; one in PEER_REVIEW is resolved the same instant.
-VALID_OUTCOMES = frozenset(s.value for s in TaskState if s is not TaskState.PEER_REVIEW)
+# Each valid cell to csdsim's own string; no task rests in PEER_REVIEW.
+_OUTCOMES = {s.value: s.value for s in TaskState if s is not TaskState.PEER_REVIEW}
+_PHASES = {phase: phase for phase in PHASES}
+_STATED_PHASES = {"": "", **_PHASES}  # an empty failure_phase cell says to infer it
 
 
 class HistoryRow(NamedTuple):
@@ -134,7 +138,7 @@ def ingest_history(path: str):
     rows = []
     seen = set()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             records = _records(fh, f"history {path}", HISTORY_COLUMNS)
             for row_num, (task_id, posted, duration, regs, subs, outcome, phase) in enumerate(records, 2):
                 task_id = (task_id or "").strip()
@@ -157,8 +161,10 @@ def ingest_history(path: str):
                     raise _row_error(row_num, "posted_day + duration_days is not finite")
                 if regs < 0 or subs < 0:
                     raise _row_error(row_num, "counts must be non-negative")
-                if outcome not in VALID_OUTCOMES:
-                    raise _row_error(row_num, f"unknown outcome {outcome!r}")
+                try:
+                    outcome = _OUTCOMES[outcome]
+                except KeyError:
+                    raise _row_error(row_num, f"unknown outcome {outcome!r}") from None
                 if subs > 0 and regs == 0:
                     raise _row_error(row_num, "submissions without registrants")
                 if outcome == "starved" and regs != 0:
@@ -167,8 +173,10 @@ def ingest_history(path: str):
                     raise _row_error(row_num, "a dropped task cannot have submissions")
                 if outcome == "failed" and subs == 0:
                     raise _row_error(row_num, "a review failure requires submissions")
-                if phase and phase not in PHASES:
-                    raise _row_error(row_num, f"unknown failure_phase {phase!r}")
+                try:
+                    phase = _STATED_PHASES[phase]
+                except KeyError:
+                    raise _row_error(row_num, f"unknown failure_phase {phase!r}") from None
                 if task_id in seen:
                     raise _row_error(row_num, f"duplicate task_id {task_id}")
                 seen.add(task_id)
@@ -185,15 +193,17 @@ def ingest_predictions(path: str) -> dict:
     latest: dict = {}
     latest_day: dict = {}
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             records = _records(fh, f"predictions {path}", PREDICTION_COLUMNS)
             for row_num, (task_id, day, phase, value) in enumerate(records, 2):
                 task_id = (task_id or "").strip()
                 phase = (phase or "").strip()
                 if not task_id:
                     raise _row_error(row_num, "task_id is empty")
-                if phase not in PHASES:
-                    raise _row_error(row_num, f"unknown phase {phase!r}")
+                try:
+                    phase = _PHASES[phase]
+                except KeyError:
+                    raise _row_error(row_num, f"unknown phase {phase!r}") from None
                 try:
                     day = float(day)
                     value = float(value)

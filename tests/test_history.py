@@ -1,6 +1,7 @@
 """History ingestion, validation rules, and the forecast scorer."""
 
 import csv
+import importlib.util
 import io
 import math
 import os
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from scipy.special import stdtr
 
 import csdsim
-from csdsim import RunConfig, history, run_replication
+from csdsim import RunConfig, TaskState, history, run_replication
+from csdsim.domain import REGISTRATION_PHASE, SUBMISSION_PHASE
 from csdsim.history import (
     FAILURE_OUTCOMES,
     HISTORY_COLUMNS,
@@ -425,6 +427,42 @@ def test_fixture_files_reproduce_pinned_mres(data_dir):
     assert scored["submission"].mre == pytest.approx(0.020, abs=1e-9)
 
 
+# ------------------------------------------------------ shared cell strings
+
+
+def assert_own_strings(rows, latest):
+    """Each outcome and phase is csdsim's own string object, not an equal copy."""
+    own_phases = (REGISTRATION_PHASE, SUBMISSION_PHASE)
+    for row in rows:
+        assert row.outcome is TaskState(row.outcome).value
+        assert row.failure_phase == "" or any(row.failure_phase is p for p in own_phases)
+    for _task_id, phase in latest:
+        assert any(phase is p for p in own_phases)
+
+
+def test_fixture_files_read_as_csdsim_own_strings(data_dir):
+    rows = ingest_history(str(data_dir / "eval_history.csv"))
+    latest = ingest_predictions(str(data_dir / "eval_predictions.csv"))
+    assert {row.outcome for row in rows} == {"starved", "dropped", "failed"}
+    assert {phase for _task_id, phase in latest} == set(PHASES)
+    assert_own_strings(rows, latest)
+
+
+def test_an_exported_replication_reads_as_csdsim_own_strings(tmp_path, monkeypatch):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    spec = importlib.util.spec_from_file_location(
+        "make_history_fixture", scripts / "make_history_fixture.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["make_history_fixture.py", "--out", str(tmp_path)])
+    script.main()
+    rows = ingest_history(str(tmp_path / "history.csv"))
+    latest = ingest_predictions(str(tmp_path / "predictions.csv"))
+    assert {row.failure_phase for row in rows} == {"", *PHASES}  # stated phases are read
+    assert_own_strings(rows, latest)
+
+
 def test_history_rows_are_immutable_hashable_values():
     cells = ("t1", 0.0, 5.0, 4, 2, "failed", "")
     row = HistoryRow(*cells)
@@ -581,6 +619,7 @@ def test_files_both_ingesters_accept_score_cleanly(tmp_path_factory, files):
         latest = ingest_predictions(paths[1])
     except DataError:
         return
+    assert_own_strings(history_rows, latest)
     for ev in evaluate_forecast(history_rows, latest).values():
         assert ev.mre is None or math.isfinite(ev.mre)
         for p_value in (ev.pearson_p, ev.t_p):

@@ -1,5 +1,6 @@
 """Output file contracts and the command-line entry points."""
 
+import codecs
 import csv
 import dataclasses
 import hashlib
@@ -14,6 +15,8 @@ import csdsim.scenarios
 from csdsim import ModelInvariantError, RunConfig, config_hash, emit_outputs, run_replications
 from csdsim.cli import main
 from csdsim.config import build_config
+from csdsim.domain import load_belt_table
+from csdsim.history import ingest_history, ingest_predictions
 from csdsim.outputs import DAILY_COLUMNS, EVALUATION_COLUMNS, OUTPUT_FILES
 
 TINY_OVERRIDES = [
@@ -577,6 +580,66 @@ def test_cli_undecodable_or_oversized_history_exits_two(tmp_path, capsys, first_
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: cannot read history {history}: " in err and message in err
+
+
+PREDICTIONS_HEADER = "task_id,day,phase,prediction\n"
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (ingest_history, HISTORY_HEADER + "t1,0,5,4,2,failed,submission\nt2,1,5,0,0,starved,\n"),
+        (ingest_predictions, "# made elsewhere\n" + PREDICTIONS_HEADER + "t1,1,registration,0.5\n"),
+        # a '#' line after the first: the reader scans the raw bytes, then rewinds
+        (ingest_predictions, PREDICTIONS_HEADER + "t1,1,registration,0.5\n# later\nt1,2,submission,0.25\n"),
+        (load_belt_table, "belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\nred,,0.1,0.6\n"),
+        (lambda path: build_config(path, []), "seed = 7\nreplications = 2\n"),
+    ],
+    ids=["history", "predictions", "predictions_later_comment", "belt_table", "config"],
+)
+def test_a_byte_order_mark_reads_like_the_file_without_it(tmp_path, read, text):
+    # Excel writes UTF-8 with a BOM; each input reader skips it
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert read(str(marked)) == read(str(plain))
+
+
+@pytest.mark.parametrize(
+    "content, argv, code, message",
+    [
+        (b"seed = 7\n# caf\xe9\n", ["run", "--config", "{path}"], 1, "config file {path} is not UTF-8 text"),
+        (
+            BELT_HEADER + b"gr\xe9y,1000,0.9,0.3\nred,,0.1,0.6\n",
+            ["run", "--set", "belt_table_path={path}"],
+            1,
+            "belt table {path} is not UTF-8 text",
+        ),
+        (
+            HISTORY_HEADER.encode() + b"t\xe9,0,5,0,0,starved,\n",
+            ["evaluate", "--history", "{path}"],
+            2,
+            "cannot read history {path}: ",
+        ),
+        (
+            PREDICTIONS_HEADER.encode() + b"t\xe9,1,registration,0.5\n",
+            ["evaluate", "--history", "{data}/eval_history.csv", "--predictions", "{path}"],
+            2,
+            "cannot read predictions {path}: ",
+        ),
+    ],
+    ids=["config", "belt_table", "history", "predictions"],
+)
+def test_cli_a_marked_file_that_is_not_utf8_exits_with_its_code(
+    tmp_path, data_dir, capsys, content, argv, code, message
+):
+    path = tmp_path / "input"
+    path.write_bytes(codecs.BOM_UTF8 + content)
+    out = tmp_path / "x"
+    argv = [arg.format(path=path, data=data_dir) for arg in argv]
+    assert main([*argv, "--out", str(out), *TINY_OVERRIDES]) == code
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

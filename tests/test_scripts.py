@@ -74,3 +74,13 @@ def test_readme_scripts_table_names_every_script():
     section = readme.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
     named = re.findall(r"^\| `scripts/([^`]+)` \|", section, re.MULTILINE)
     assert sorted(named) == sorted(path.name for path in SCRIPTS.glob("*.py"))
+
+
+def test_each_planted_fault_text_occurs_once_in_its_file():
+    # the full register run is not tier-1; this keeps its entries from going stale unseen
+    spec = importlib.util.spec_from_file_location("planted_faults", SCRIPTS / "planted_faults.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for fault in script.FAULTS:
+        text = (SCRIPTS.parent / fault.path).read_text(encoding="utf-8")
+        assert text.count(fault.text) == 1, fault.name
