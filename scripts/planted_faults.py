@@ -89,6 +89,128 @@ FAULTS = (
         'open(path, "r", encoding="utf-8")',
         "tests/test_outputs_cli.py::test_a_byte_order_mark_reads_like_the_file_without_it[config]",
     ),
+    Fault(
+        "prescan-drops-the-boundary",
+        "src/csdsim/history.py",
+        "            (last in _LINE_ENDS and chunk.startswith(b\"#\"))\n            or ",
+        "            ",
+        "tests/test_history.py::test_comment_prescan_in_chunks_answers_as_the_whole_file[lf_at_boundary-4]",
+    ),
+    Fault(
+        "reliability-window-untrimmed",
+        "src/csdsim/agents.py",
+        "    if len(outcomes) > window:\n        del outcomes[0]\n",
+        "",
+        "tests/test_agents.py::test_reliability_window_matches_a_bounded_deque[3]",
+    ),
+    Fault(
+        "reliability-not-written",
+        "src/csdsim/agents.py",
+        "    agent.reliability = sum(outcomes) / len(outcomes)\n",
+        "    sum(outcomes) / len(outcomes)\n",
+        "tests/test_agents.py::test_reliability_window_matches_a_bounded_deque[3]",
+    ),
+    Fault(
+        "open-list-cap-plus-one",
+        "src/csdsim/agents.py",
+        "    if len(agent.open_list) >= open_list_cap:\n",
+        "    if len(agent.open_list) > open_list_cap:\n",
+        "tests/test_agents.py::test_registration_preconditions_reason_codes",
+    ),
+    Fault(
+        "no-exclusion-at-agent-start",
+        "src/csdsim/engine.py",
+        "        if permanent_exclusion(agent, self.admitted) is not None:\n            return\n",
+        "",
+        "tests/test_engine.py::test_agents_that_can_never_register_get_no_cycle",
+    ),
+    Fault(
+        "no-dead-scan-discard",
+        "src/csdsim/engine.py",
+        "                    for _ in range(scans - pick - 1):  # each later pick would fail alike\n"
+        "                        random_()\n",
+        "",
+        "tests/test_engine.py::test_dead_scan_makes_the_draws_of_every_pick",
+    ),
+    Fault(
+        "no-busy-decrement",
+        "src/csdsim/engine.py",
+        "            self.busy -= not agent.open_list\n",
+        "",
+        BUSY_MARKET,
+    ),
+    Fault(
+        "repost-with-its-own-root",
+        "src/csdsim/lifecycle.py",
+        "        root_id=task.root_id,\n",
+        "        root_id=new_id,\n",
+        "tests/test_lifecycle.py::test_repost_restarts_the_clock",
+    ),
+    Fault(
+        "repost-at-the-cap",
+        "src/csdsim/engine.py",
+        "            and task.repost_count < self.cfg.repost_max\n",
+        "            and task.repost_count <= self.cfg.repost_max\n",
+        "tests/test_engine.py::test_reposts_preserve_lineage",
+    ),
+    Fault(
+        "submit-a-neighbouring-task",
+        "src/csdsim/engine.py",
+        "            self._submit(agent, task)\n",
+        "            self._submit(agent, self.tasks.get(task.task_id + 1, task))\n",
+        BUSY_MARKET,
+    ),
+    Fault(
+        "appeal-of-a-lower-similarity",
+        "src/csdsim/engine.py",
+        "preference_weight(task.similarity, b, self.cfg)",
+        "preference_weight(task.similarity * 0.99, b, self.cfg)",
+        BUSY_MARKET,
+    ),
+    Fault(
+        "skill-mask-without-set-branch",
+        "src/csdsim/platform.py",
+        "    if n <= 21 + (4 ** math.ceil(math.log(count * 3, 4)) if count > 5 else 0):\n",
+        "    if True:\n",
+        "tests/test_platform.py::test_skill_mask_draws_what_randint_and_sample_draw",
+    ),
+    Fault(
+        "no-later-comment-check",
+        "src/csdsim/history.py",
+        "    if _comment_after_first_line(fh):\n",
+        "    if False:\n",
+        "tests/test_history.py::test_a_later_comment_reads_like_a_first_line_one[lf]",
+    ),
+    Fault(
+        "no-cr-comment-check",
+        "src/csdsim/history.py",
+        '            or b"\\r#" in chunk\n',
+        "",
+        "tests/test_history.py::test_a_later_comment_reads_like_a_first_line_one[cr]",
+    ),
+    Fault(
+        "no-short-row-pad",
+        "src/csdsim/history.py",
+        "map(pick, map(operator.add, filter(None, rows), repeat(pad)))",
+        "map(pick, filter(None, rows))",
+        "tests/test_history.py::test_records_read_a_stream_that_cannot_rewind",
+    ),
+    Fault(
+        "history-end-not-checked",
+        "src/csdsim/history.py",
+        "                if not posted + duration < _INF:  # also true for NaN\n"
+        '                    raise _row_error(row_num, "posted_day + duration_days is not finite")\n',
+        "",
+        "tests/test_outputs_cli.py::test_cli_non_finite_or_improbable_cell_exits_two_naming_the_row[history_nan]",
+    ),
+    Fault(
+        "prediction-range-not-checked",
+        "src/csdsim/history.py",
+        "                if not value <= 1.0:\n"
+        '                    raise _row_error(row_num, "prediction is not in [0, 1]")\n',
+        "",
+        "tests/test_outputs_cli.py::test_cli_non_finite_or_improbable_cell_exits_two_naming_the_row[above_one]",
+    ),
 )
 
 

@@ -123,8 +123,16 @@ def score_submission(draw: float, quality_pass: float) -> bool:
     return draw * 100.0 >= quality_pass
 
 
-def update_reliability(agent: Agent, qualified: bool) -> None:
-    """Record one registration outcome; as the window's only writer, refresh ``reliability``."""
-    window = agent.recent_outcomes
-    window.append(1.0 if qualified else 0.0)
-    agent.reliability = sum(window) / len(window)
+def update_reliability(agent: Agent, qualified: bool, window: int) -> None:
+    """Record one registration outcome; as the window's only writer, refresh ``reliability``.
+
+    ``recent_outcomes`` keeps the last ``window`` outcomes, oldest first: the
+    new one is appended and the oldest dropped once the list is longer. The
+    same floats are summed in the same order as a ``deque(maxlen=window)``
+    would hold them, so ``reliability`` has the same bits.
+    """
+    outcomes = agent.recent_outcomes
+    outcomes.append(1.0 if qualified else 0.0)
+    if len(outcomes) > window:
+        del outcomes[0]
+    agent.reliability = sum(outcomes) / len(outcomes)

@@ -2,13 +2,14 @@
 
 Subcommands: run, scenario, whatif, evaluate, calibrate-fps. Config comes
 from --config (or the CSDSIM_CONFIG env var) plus repeatable --set
-key=value overrides. Exit codes: 0 ok, 1 config error, 2 data error,
-3 model invariant violation.
+key=value overrides. Exit codes: 0 ok, 1 config error or an --out that
+cannot be written, 2 data error, 3 model invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -82,16 +83,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_error(out: str, reason: str) -> ConfigError:
+    return ConfigError(f"cannot write --out {out}: {reason}")
+
+
+def _check_out(out: str) -> None:
+    """Refuse an ``--out`` that cannot become a writable directory; create nothing.
+
+    Called before the first replication, so a bad path costs no run, and
+    after every input file is read, so an input error leaves no directory.
+    """
+    path = Path(out)
+    for at in (path, *path.parents):  # the nearest part that exists decides
+        if not os.path.lexists(at):
+            continue
+        if not at.is_dir():  # a file, or a link to nothing, where a directory must be
+            code = errno.EEXIST if at == path else errno.ENOTDIR
+        elif not os.access(at, os.W_OK | os.X_OK):
+            code = errno.EACCES
+        else:
+            return
+        raise _out_error(out, os.strerror(code))
+
+
 def _emit(cfg, results, args, scenario=None, evaluation=None) -> None:
-    paths = emit_outputs(cfg, results, args.out, scenario=scenario, evaluation=evaluation)
-    echo_path = Path(args.out) / "config_used.cfg"
-    echo_path.write_text(echo_config(cfg), encoding="utf-8")
+    try:
+        paths = emit_outputs(cfg, results, args.out, scenario=scenario, evaluation=evaluation)
+        echo_path = Path(args.out) / "config_used.cfg"
+        echo_path.write_text(echo_config(cfg), encoding="utf-8")
+    except OSError as exc:
+        reason = f"{exc.strerror}: {exc.filename}" if exc.strerror and exc.filename else str(exc)
+        raise _out_error(args.out, reason) from exc
     for path in paths:
         print(f"wrote {path}")
     print(f"wrote {echo_path}")
 
 
 def _cmd_run(cfg, args) -> int:
+    _check_out(args.out)
     results = list(run_replications(cfg))
     _emit(cfg, results, args)
     mean_failures = sum(r.reported_failures for r in results) / len(results)
@@ -101,6 +130,7 @@ def _cmd_run(cfg, args) -> int:
 
 def _cmd_sweep(cfg, args) -> int:
     """``scenario`` and ``whatif``: run one policy sweep, emit, print each policy."""
+    _check_out(args.out)
     if args.command == "whatif":
         report, results = what_if_posting_day(cfg, args.day)
     elif args.family == "openness":
@@ -117,6 +147,7 @@ def _cmd_evaluate(cfg, args) -> int:
     rows = ingest_history(args.history)
     # both files are read before any replication, so a bad one costs no run
     latest = ingest_predictions(args.predictions) if args.predictions else None
+    _check_out(args.out)
     results = list(run_replications(cfg))
     if latest is None:
         latest = result_latest_predictions(results[0])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
@@ -261,13 +260,18 @@ class Task:
 
 @dataclass(slots=True)
 class Agent:
-    """One crowd member with a fixed rating and a rolling reliability record."""
+    """One crowd member with a fixed rating and a rolling reliability record.
+
+    ``recent_outcomes`` is a plain list of 0.0/1.0 outcomes, oldest first,
+    that ``agents.update_reliability`` keeps to the config's
+    ``reliability_window``; a new agent starts with ``[]``.
+    """
 
     agent_id: int
     rating: float
     belt: str
     skills: int
-    recent_outcomes: deque
+    recent_outcomes: list
     reliability: float = 0.0  # qualified fraction of recent_outcomes, kept by update_reliability
     open_list: list = field(default_factory=list)
     # event-loop process state, owned by the engine

@@ -47,7 +47,7 @@ import hashlib
 import heapq
 import random
 import struct
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import log
@@ -255,7 +255,7 @@ class Simulation:
             self.tasks[task.task_id] = task
             self.schedule(when, EV_TASK_ARRIVAL, task.task_id)
         for aid, (when, rating, belt, skills) in enumerate(agents):
-            self.agents[aid] = Agent(aid, rating, belt, skills, deque(maxlen=cfg.reliability_window))
+            self.agents[aid] = Agent(aid, rating, belt, skills, [])
             self.schedule(when, EV_AGENT_START, aid)
         if cfg.focal_enabled:
             self.schedule(cfg.focal_arrival, EV_FOCAL, 0)
@@ -443,13 +443,14 @@ class Simulation:
         """Terminal housekeeping: pool, agent books, logs and repost."""
         self._pool_remove(task)
         qualified_by = {s.agent_id for s in task.submissions if s.qualified}
+        window = self.cfg.reliability_window
         for aid in task.registrants:
             agent = self.agents[aid]
             agent.open_list.remove(task.task_id)
             self.busy -= not agent.open_list
             if task.task_id in agent.pending:
                 agent.pending.remove(task.task_id)
-            update_reliability(agent, aid in qualified_by)
+            update_reliability(agent, aid in qualified_by, window)
         if task.focal:
             self._record_focal(task)
         self.task_log.append(self._log_row(task))

@@ -73,20 +73,31 @@ def _row_error(row_num: int, message: str) -> DataError:
 
 
 _is_comment = operator.methodcaller("startswith", "#")
+_SCAN_CHUNK = 1 << 16  # bytes the comment pre-scan reads at a time
+_LINE_ENDS = (b"\n", b"\r")
 
 
 def _comment_after_first_line(fh) -> bool:
     """Whether a line of ``fh`` after its first starts with ``#``; rewinds ``fh``.
 
     '#', CR and LF never occur inside a multi-byte UTF-8 sequence, so the raw
-    bytes find the lines the text reads as. A stream that cannot rewind
-    answers True.
+    bytes find the lines the text reads as. They are read ``_SCAN_CHUNK`` at a
+    time, up to the first hit, and the last byte of each chunk is carried to
+    the next, so a line end and a '#' on either side of a boundary still
+    count. A stream that cannot rewind answers True.
     """
     if not fh.seekable():
         return True
-    data = fh.buffer.read()
+    found, last = False, b""
+    while not found and (chunk := fh.buffer.read(_SCAN_CHUNK)):
+        found = (
+            (last in _LINE_ENDS and chunk.startswith(b"#"))
+            or b"\n#" in chunk
+            or b"\r#" in chunk
+        )
+        last = chunk[-1:]
     fh.seek(0)
-    return b"\n#" in data or b"\r#" in data
+    return found
 
 
 def _rows_without_comments(fh):

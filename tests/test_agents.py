@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import struct
 from collections import deque
 
@@ -43,7 +44,7 @@ def make_agent(**kw) -> Agent:
         rating=500.0,
         belt="gray",
         skills=0b1,
-        recent_outcomes=deque(maxlen=15),
+        recent_outcomes=[],
     )
     defaults.update(kw)
     return Agent(**defaults)
@@ -303,13 +304,27 @@ def test_score_submission_boundary():
 def test_reliability_window_evicts_oldest():
     agent = make_agent()
     for _ in range(15):
-        update_reliability(agent, False)
+        update_reliability(agent, False, 15)
     assert agent.reliability == 0.0
     for _ in range(5):
-        update_reliability(agent, True)
+        update_reliability(agent, True, 15)
     # window now holds 10 misses and 5 hits
     assert agent.reliability == pytest.approx(5 / 15)
     assert len(agent.recent_outcomes) == 15
+
+
+@pytest.mark.parametrize("window", range(1, 21))
+def test_reliability_window_matches_a_bounded_deque(window):
+    # the list holds, and sums in the same order, what deque(maxlen=window) holds
+    rng = random.Random(window)
+    agent, reference = make_agent(), deque(maxlen=window)
+    for _ in range(3 * window):
+        qualified = rng.random() < 0.5
+        update_reliability(agent, qualified, window)
+        reference.append(1.0 if qualified else 0.0)
+        assert agent.recent_outcomes == list(reference)
+        expected = sum(reference) / len(reference)
+        assert struct.pack("<d", agent.reliability) == struct.pack("<d", expected)
 
 
 def test_reliability_empty_is_zero():

@@ -72,7 +72,8 @@ class CheckedSimulation(Simulation):
     window's qualified fraction. Every daily event re-counts the busy agents
     that the engine keeps as registrations open and tasks resolve. Every repost
     keeps its root's lineage and stays within ``repost_max``. Every finalized
-    task is in the terminal state that its registrants and submissions allow.
+    task is in the terminal state that its registrants and submissions allow,
+    and leaves each registrant's window no longer than ``reliability_window``.
     After every pool change each pooled task sits at its ``_pool_pos`` index
     and is registrable, which the scan relies on; every submission and
     finalized task leaves ``current_tsr`` equal to the TSR of ``counters()``.
@@ -120,6 +121,8 @@ class CheckedSimulation(Simulation):
         new_id = len(self.tasks)
         super()._finalize(task)
         self._check_tsr()
+        for aid in task.registrants:
+            assert len(self.agents[aid].recent_outcomes) <= self.cfg.reliability_window
         clone = self.tasks.get(new_id)
         if clone is not None:  # a repost
             assert clone.root_id == task.root_id

@@ -1,7 +1,6 @@
 """Task state machine, belt table semantics, and skill masks."""
 
 import dataclasses
-from collections import deque
 
 import pytest
 from hypothesis import given
@@ -195,7 +194,7 @@ def test_resolve_belt_table_returns_the_active_table_itself(tmp_path):
 
 def skill_check(agent_mask, task_mask, mode):
     """``registration_preconditions`` on a pair that only the skill rule can turn down."""
-    agent = Agent(agent_id=1, rating=500.0, belt="gray", skills=agent_mask, recent_outcomes=deque())
+    agent = Agent(agent_id=1, rating=500.0, belt="gray", skills=agent_mask, recent_outcomes=[])
     task = Task(task_id=1, arrival=0.0, duration=5.0, similarity=0.5, skills=task_mask, attractable=True)
     return registration_preconditions(agent, task, 5, mode)
 

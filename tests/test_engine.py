@@ -501,8 +501,7 @@ def test_setup_builds_each_agent_from_its_world_spec(tiny_cfg):
         (aid, *spec[1:]) for aid, spec in enumerate(agents)
     ]
     for agent in sim.agents.values():
-        assert agent.recent_outcomes.maxlen == tiny_cfg.reliability_window
-        assert agent.open_list == [] and agent.pending == []
+        assert agent.recent_outcomes == [] and agent.open_list == [] and agent.pending == []
 
 
 @pytest.mark.parametrize(

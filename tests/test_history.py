@@ -293,6 +293,26 @@ def test_a_later_comment_reads_like_a_first_line_one(tmp_path, end):
             assert read_records(fh) == want
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"abc\n#d\n",  # at chunk 4 the LF ends the first chunk and '#' starts the second
+        b"abc\r#d\r",
+        b"task_id,day\nt1,1\nt2,2\n# late\n",
+        b"# only a first-line comment\ntask_id,day\r\nt1,1\r\n",
+    ],
+    ids=["lf_at_boundary", "cr_at_boundary", "later_comment", "none_after_the_first_line"],
+)
+def test_comment_prescan_in_chunks_answers_as_the_whole_file(tmp_path, monkeypatch, chunk, text):
+    monkeypatch.setattr(history, "_SCAN_CHUNK", chunk)
+    path = tmp_path / "in.csv"
+    path.write_bytes(text)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert history._comment_after_first_line(fh) is (b"\n#" in text or b"\r#" in text)
+        assert fh.read() == text.decode()  # rewound
+
+
 def test_records_read_a_stream_that_cannot_rewind():
     read_fd, write_fd = os.pipe()
     with os.fdopen(write_fd, "w") as writer:

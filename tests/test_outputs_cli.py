@@ -183,6 +183,50 @@ def test_cli_run_writes_everything(tmp_path, capsys):
     assert stdout.count("wrote ") == len(OUTPUT_FILES) + 1
 
 
+def refuse_to_run(*_args):
+    raise AssertionError("a replication ran")
+
+
+@pytest.mark.parametrize("command", [["run"], ["scenario", "diversity"]], ids=["run", "diversity"])
+@pytest.mark.parametrize(
+    "out_name,reason", [("taken", "File exists"), ("taken/sub", "Not a directory")], ids=["file", "under_a_file"]
+)
+def test_cli_unwritable_out_exits_one_before_any_replication(
+    tmp_path, capsys, monkeypatch, command, out_name, reason
+):
+    (tmp_path / "taken").write_text("not a directory\n")
+    monkeypatch.setattr(csdsim.scenarios, "run_replication", refuse_to_run)
+    out = tmp_path / out_name
+    assert main([*command, "--out", str(out), *TINY_OVERRIDES]) == 1
+    assert capsys.readouterr().err == f"error: cannot write --out {out}: {reason}\n"
+
+
+def test_cli_out_in_a_directory_it_may_not_write_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(csdsim.scenarios, "run_replication", refuse_to_run)
+    monkeypatch.setattr(csdsim.cli.os, "access", lambda path, mode: False)  # os.access grants root everything
+    out = tmp_path / "x"
+    assert main(["run", "--out", str(out), *TINY_OVERRIDES]) == 1
+    assert capsys.readouterr().err == f"error: cannot write --out {out}: Permission denied\n"
+
+
+def test_cli_write_error_after_the_run_exits_one(tmp_path, capsys):
+    out = tmp_path / "x"
+    (out / "report.txt").mkdir(parents=True)  # a directory where a file must go
+    assert main(["run", "--out", str(out), *TINY_OVERRIDES]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {out}: ") and "report.txt" in err
+
+
+def test_cli_bad_history_is_reported_before_a_bad_out(tmp_path, capsys, monkeypatch):
+    history = tmp_path / "history.csv"
+    history.write_text(HISTORY_HEADER + "t1,0,5,3,1,exploded,\n")
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    monkeypatch.setattr(csdsim.scenarios, "run_replication", refuse_to_run)
+    assert main(["evaluate", "--history", str(history), "--out", str(out), *TINY_OVERRIDES]) == 2
+    assert "row 2" in capsys.readouterr().err
+
+
 def test_cli_config_used_round_trips(tmp_path):
     out = tmp_path / "cli_out"
     main(["run", "--out", str(out), *TINY_OVERRIDES])

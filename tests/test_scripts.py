@@ -13,16 +13,15 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def csdsim_env() -> dict:
+    """This process's environment with this csdsim importable."""
+    paths = [str(Path(csdsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def run_python(*argv: str) -> str:
     """Run the interpreter on ``argv`` with this csdsim importable; fail unless it exits 0."""
-    paths = [str(Path(csdsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    out = subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
-    )
+    out = subprocess.run([sys.executable, *argv], capture_output=True, text=True, check=True, env=csdsim_env())
     return out.stdout
 
 
@@ -76,11 +75,30 @@ def test_readme_scripts_table_names_every_script():
     assert sorted(named) == sorted(path.name for path in SCRIPTS.glob("*.py"))
 
 
-def test_each_planted_fault_text_occurs_once_in_its_file():
-    # the full register run is not tier-1; this keeps its entries from going stale unseen
+def planted_faults():
     spec = importlib.util.spec_from_file_location("planted_faults", SCRIPTS / "planted_faults.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    for fault in script.FAULTS:
+    return script.FAULTS
+
+
+# the full register run is not tier-1; these keep its entries from going stale unseen
+
+
+def test_each_planted_fault_text_occurs_once_in_its_file():
+    for fault in planted_faults():
         text = (SCRIPTS.parent / fault.path).read_text(encoding="utf-8")
         assert text.count(fault.text) == 1, fault.name
+
+
+def test_each_planted_fault_node_collects_one_test():
+    nodes = sorted({fault.node for fault in planted_faults()})
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *nodes],
+        cwd=SCRIPTS.parent,
+        capture_output=True,
+        text=True,
+        env=csdsim_env(),
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert sorted(line for line in out.stdout.splitlines() if "::" in line) == nodes
