@@ -140,6 +140,27 @@ FAULTS = (
         BUSY_MARKET,
     ),
     Fault(
+        "agent-seed-little-endian",
+        "src/csdsim/engine.py",
+        'hashlib.sha512(text).digest(), "big")',
+        'hashlib.sha512(text).digest(), "little")',
+        "tests/test_engine.py::test_an_agent_stream_draws_what_string_seeding_draws[registration/0-1000]",
+    ),
+    Fault(
+        "agent-streams-not-bare",
+        "src/csdsim/engine.py",
+        '            if "/" in name:\n',
+        '            if False:\n',
+        "tests/test_engine.py::test_agent_streams_are_not_tracked_by_the_collector",
+    ),
+    Fault(
+        "mean-on-builtin-sum",
+        "src/csdsim/scenarios.py",
+        "    return ordered_sum(values) / len(values) if values else 0.0\n",
+        "    return sum(values) / len(values) if values else 0.0\n",
+        "tests/test_domain.py::test_no_bare_sum_outside_the_exact_allowlist",
+    ),
+    Fault(
         "repost-with-its-own-root",
         "src/csdsim/lifecycle.py",
         "        root_id=task.root_id,\n",

@@ -35,7 +35,7 @@ from .scenarios import (
 ENV_CONFIG = "CSDSIM_CONFIG"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, writes: bool = True) -> None:
     parser.add_argument(
         "--config",
         help=f"config file path (default: ${ENV_CONFIG} if set, else built-in defaults)",
@@ -48,7 +48,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override one config key; repeatable",
     )
-    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    if writes:  # only commands that write artifacts take an output directory
+        parser.add_argument("--out", default="out", help="output directory (default: out)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_eval)
 
     p_cal = sub.add_parser("calibrate-fps", help="fit fps_slope and fps_intercept by simulation")
-    _add_common(p_cal)
+    _add_common(p_cal, writes=False)
 
     return parser
 

@@ -73,6 +73,18 @@ SUBMISSION_PHASE = "submission"
 PHASES = (REGISTRATION_PHASE, SUBMISSION_PHASE)
 
 
+def ordered_sum(values):
+    """``sum(values)`` as Python 3.10 and 3.11 compute it: from the int 0, left to right.
+
+    ``sum()`` of floats became a compensated sum in Python 3.12, so its last
+    bits depend on the interpreter. No values give the int 0, as ``sum()`` does.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def can_transition(current: TaskState, target: TaskState) -> bool:
     return target in LEGAL_TRANSITIONS[current]
 
@@ -126,7 +138,7 @@ class BeltTable:
             raise ConfigError(f"{source}: last row must have an unbounded rating")
         if any(r.share < 0 for r in rows):
             raise ConfigError(f"{source}: shares must be non-negative")
-        total = sum(r.share for r in rows)
+        total = ordered_sum(r.share for r in rows)
         if not 0 < total < math.inf:  # a nan or infinite share makes the sum nan or infinite
             raise ConfigError(f"{source}: shares must sum to a positive value, each one finite")
         normed = tuple(replace(r, share=r.share / total) for r in rows)

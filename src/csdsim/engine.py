@@ -27,6 +27,16 @@ exclusion is checked once, at agent start, never in a scan. A scan that meets
 a full open list makes the one ``random()`` draw of each remaining pick and
 stops: the list and the pool cannot change in an attempt that registers nothing.
 
+Stream ``name`` of seed ``seed`` is MT19937 seeded with the integer
+``int.from_bytes(text + sha512(text).digest(), "big")``, where ``text`` is
+``f"{seed}/{name}".encode()``: what ``random.Random(f"{seed}/{name}")``
+derives on Python 3.10-3.13. A name with a ``/`` (``registration/{aid}``,
+``submission/{aid}``, ``quality/{aid}``) is one agent's stream, a bare
+``_random.Random``, which carries no instance dict and is not tracked by the
+garbage collector; it offers only ``random()``, ``getrandbits()`` and
+``getstate()``/``setstate()``, and its state is the bare tuple that
+``random.Random.getstate()`` wraps. Every other stream is a ``random.Random``.
+
 A seed's world is the setup draws no sweep lever reads: the ambient tasks from
 the ``task-arrival``, ``duration`` and ``skills`` streams, then the crowd from
 ``agent-arrival``, ``experience`` and ``skills``. A one-world memo serves
@@ -47,6 +57,7 @@ import hashlib
 import heapq
 import random
 import struct
+from _random import Random as _MersenneTwister
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -125,16 +136,28 @@ class RngStreams:
 
     String seeding keeps substreams independent: extra draws on one stream
     never shift any other, which is what keeps paired runs comparable.
+
+    Stream ``name`` is MT19937 seeded with ``int.from_bytes(text +
+    sha512(text).digest(), "big")`` for ``text = f"{seed}/{name}".encode()``,
+    the integer ``random.Random(f"{seed}/{name}")`` seeds with. A name
+    containing ``/`` is one agent's ``kind/agent-id`` stream: a bare
+    ``_random.Random`` that offers only ``random()``, ``getrandbits()`` and
+    ``getstate()``/``setstate()``. The platform's shared streams draw through
+    ``uniform``, ``betavariate`` and the like, so they stay ``random.Random``.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._streams = {}
 
-    def get(self, name: str) -> random.Random:
+    def get(self, name: str):
         rng = self._streams.get(name)
         if rng is None:
-            rng = random.Random(f"{self.seed}/{name}")
+            if "/" in name:
+                text = f"{self.seed}/{name}".encode()
+                rng = _MersenneTwister(int.from_bytes(text + hashlib.sha512(text).digest(), "big"))
+            else:
+                rng = random.Random(f"{self.seed}/{name}")
             self._streams[name] = rng
         return rng
 

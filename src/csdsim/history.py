@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import dropwhile, repeat
 from typing import NamedTuple, Optional
 
-from .domain import FAILURE_OUTCOMES, PHASES, TaskState, failure_phase
+from .domain import FAILURE_OUTCOMES, PHASES, TaskState, failure_phase, ordered_sum
 
 
 class DataError(Exception):
@@ -338,8 +338,8 @@ def evaluate_forecast(history_rows, latest_predictions) -> dict:
         days = sorted(set(actual[phase]) | set(predicted[phase]))
         af = [float(actual[phase].get(d, 0)) for d in days]
         fp = [float(predicted[phase].get(d, 0.0)) for d in days]
-        af_total = sum(af)
-        fp_total = sum(fp)
+        af_total = ordered_sum(af)
+        fp_total = ordered_sum(fp)
         corr = pearson_with_p(af, fp)
         diffs = [a - f for a, f in zip(af, fp)]
         ttest = t_test_one_sample(diffs) if diffs else None

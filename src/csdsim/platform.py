@@ -6,7 +6,7 @@ import math
 from typing import Optional
 
 from .config import RunConfig
-from .domain import BeltTable
+from .domain import BeltTable, ordered_sum
 
 
 def poisson_count(rng, lam: float) -> int:
@@ -152,7 +152,7 @@ def supply_concentration(
     if not admitted:
         return 1.0
     shares = implied_belt_shares(belt_table, cfg)
-    mass = sum(shares[belt] for belt in shares if belt in admitted)  # table order, not set order
+    mass = ordered_sum(shares[belt] for belt in shares if belt in admitted)  # table order, not set order
     if mass <= 0.0:
         return cfg.supply_concentration_max
     return min(cfg.supply_concentration_max, 1.0 / mass)

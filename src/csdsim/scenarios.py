@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .config import ConfigError, RunConfig
 from .domain import DEFAULT_BELT_TABLE, FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError
-from .domain import REGISTRATION_PHASE, resolve_belt_table
+from .domain import REGISTRATION_PHASE, ordered_sum, resolve_belt_table
 from .engine import run_replication
 from .history import result_latest_predictions
 from .lifecycle import compute_fps, compute_tsr
@@ -86,9 +86,9 @@ def run_replications(cfg: RunConfig):
 
 
 def mean(values) -> float:
-    """Arithmetic mean, 0.0 for no values; summed left to right like ``sum``."""
+    """Arithmetic mean, 0.0 for no values; summed left to right by ``ordered_sum``."""
     values = list(values)
-    return sum(values) / len(values) if values else 0.0
+    return ordered_sum(values) / len(values) if values else 0.0
 
 
 def _policy_outcome(label: str, focals: list) -> PolicyOutcome:

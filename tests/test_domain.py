@@ -1,6 +1,9 @@
-"""Task state machine, belt table semantics, and skill masks."""
+"""Task state machine, belt table semantics, skill masks and float sums."""
 
+import ast
 import dataclasses
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,6 +21,7 @@ from csdsim.domain import (
     BeltTable,
     can_transition,
     load_belt_table,
+    ordered_sum,
     resolve_belt_table,
 )
 
@@ -240,3 +244,44 @@ def test_platform_state_snapshot_keys():
         "reposted",
     )
     assert all(type(v) is int and v == 0 for v in snap.values())
+
+
+# ------------------------------------------------------------- float sums
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "csdsim"
+
+# Each ``sum(`` call left in src/, by file and source text, with why it is exact.
+EXACT_SUMS = {
+    ("cli.py", "sum(r.reported_failures for r in results)"): "ints",
+    ("outputs.py", "sum(counter.values())"): "Counter of ints",
+    ("scenarios.py", "sum(failed_flags)"): "bools",
+    ("scenarios.py", 'sum((focal["reg_by_belt"] for focal in focals), Counter())'): "Counters",
+    ("scenarios.py", 'sum((focal["sub_by_belt"] for focal in focals), Counter())'): "Counters",
+    ("scenarios.py", "sum(r.reported_failures for r in results)"): "ints",
+    ("scenarios.py", 'sum(r.counters["completed"] for r in results)'): "ints",
+    ("scenarios.py", "sum(r.reg_by_belt.values())"): "Counter of ints",
+    ("scenarios.py", "sum(r.sub_by_belt.values())"): "Counter of ints",
+    ("scenarios.py", "sum((r.reg_by_belt for r in results), Counter())"): "Counters",
+    ("scenarios.py", "sum((r.sub_by_belt for r in results), Counter())"): "Counters",
+    # at most reliability_window 0.0/1.0 values: every partial sum is a small integer
+    ("agents.py", "sum(outcomes)"): "0.0/1.0 outcomes",
+}
+
+
+def test_ordered_sum_adds_left_to_right():
+    assert ordered_sum([]) == 0 and type(ordered_sum([])) is int  # as sum([]); it is written "0"
+    assert ordered_sum([0.1] * 10) == 0.9999999999999999  # 1.0 from 3.12's sum()
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0  # 1.0 when compensated
+    assert ordered_sum(iter([1, 2, 3])) == 6.0
+
+
+def test_no_bare_sum_outside_the_exact_allowlist():
+    """Float sums go through ``ordered_sum``: ``sum()`` rounds differently from 3.12 on."""
+    found = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+                found[path.name, ast.get_source_segment(text, node)] += 1
+    assert set(found) == set(EXACT_SUMS)
+    assert all(count == 1 for count in found.values())

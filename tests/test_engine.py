@@ -1,6 +1,8 @@
 """Event loop mechanics, determinism, and run-level invariants."""
 
+import _random
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -91,6 +93,28 @@ def test_rng_streams_are_independent_and_reproducible():
     assert RngStreams(1).get("similarity").random() != RngStreams(2).get(
         "similarity"
     ).random()
+
+
+@pytest.mark.parametrize("seed", [0, 1000, 2**40, -7])
+@pytest.mark.parametrize("name", ["registration/0", "submission/41", "quality/765", "a/b/c"])
+def test_an_agent_stream_draws_what_string_seeding_draws(seed, name):
+    """A ``kind/agent-id`` stream is bare MT19937 on ``random.Random``'s string seed."""
+    rng = RngStreams(seed).get(name)
+    reference = random.Random(f"{seed}/{name}")
+    assert type(rng) is _random.Random
+    assert rng.getstate() == reference.getstate()[1]
+    assert [rng.random() for _ in range(1000)] == [reference.random() for _ in range(1000)]
+    assert rng.getrandbits(70) == reference.getrandbits(70)
+
+
+def test_agent_streams_are_not_tracked_by_the_collector(tiny_cfg):
+    sim, _ = run_sim(tiny_cfg)
+    streams = [
+        rng for agent in sim.agents.values()
+        for rng in (agent.reg_rng, agent.sub_rng, agent.quality_rng) if rng is not None
+    ]
+    assert any(agent.reg_rng is not None for agent in sim.agents.values())
+    assert not any(gc.is_tracked(rng) for rng in streams)
 
 
 # ------------------------------------------------------------- determinism
@@ -377,11 +401,11 @@ def test_dead_scan_makes_the_draws_of_every_pick(tiny_cfg):
     agent.reg_rng = sim.streams.get(f"registration/{aid}")
     agent.open_list = list(range(100, 100 + cfg.open_list_cap))
     open_list, pool = list(agent.open_list), list(sim.pool)
-    twin = random.Random()
+    twin = _random.Random()
     twin.setstate(agent.reg_rng.getstate())
     sim._on_reg_attempt(aid)
     # the gap to the next attempt, then one pick draw per scan
-    twin.expovariate(cfg.reg_rate_per_day)
+    twin.random()
     for _ in range(sim.scan_count):
         twin.random()
     assert agent.reg_rng.getstate() == twin.getstate()

@@ -815,6 +815,19 @@ def test_cli_evaluate_runs_the_configured_replications(tmp_path, data_dir):
     assert "\nreplications = 2\n" in (out / "config_used.cfg").read_text()
 
 
+def test_cli_calibrate_takes_no_out(tmp_path, capsys):
+    """calibrate-fps writes no file, so an output directory is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate-fps", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate-fps", "--help"])
+    assert exc.value.code == 0
+    assert "--out" not in capsys.readouterr().out
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_calibrate_prints_fit(capsys):
     code = main(["calibrate-fps", *TINY_OVERRIDES, "--set", "replications=2"])
     assert code == 0

@@ -25,6 +25,7 @@ from csdsim.scenarios import (
     OPENNESS_GATES,
     baseline_outcome,
     diversity_policies,
+    mean,
 )
 
 
@@ -248,3 +249,9 @@ def test_diversity_policies_admit_by_rank():
         ("green_and_up", ("high",)),
         ("all_welcome", None),
     )
+
+
+def test_mean_sums_left_to_right():
+    # 0.1 from a compensated sum, as ``sum()`` is from Python 3.12 on
+    assert mean([0.1] * 10) == 0.09999999999999999
+    assert mean([]) == 0.0
