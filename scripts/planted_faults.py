@@ -161,6 +161,29 @@ FAULTS = (
         "tests/test_domain.py::test_no_bare_sum_outside_the_exact_allowlist",
     ),
     Fault(
+        "ordered-sum-from-int-zero",
+        "src/csdsim/domain.py",
+        "    total = 0.0\n",
+        "    total = 0\n",
+        "tests/test_outputs_cli.py::test_evaluation_csv_writes_float_totals_for_a_phase_with_no_scored_days",
+    ),
+    Fault(
+        "shares-unqualified-zero-swapped",
+        "src/csdsim/domain.py",
+        '        counters["failed_review"] / resolved,\n'
+        '        (counters["dropped"] + counters["starved"]) / resolved,\n',
+        '        (counters["dropped"] + counters["starved"]) / resolved,\n'
+        '        counters["failed_review"] / resolved,\n',
+        "tests/test_domain.py::test_resolved_shares_partition_the_resolved_tasks",
+    ),
+    Fault(
+        "fit-intercept-plus-slope",
+        "src/csdsim/scenarios.py",
+        "ybar - slope * xbar",
+        "ybar + slope * xbar",
+        "tests/test_scenarios.py::test_calibrate_fps_matches_polyfit_on_drawn_points[26]",
+    ),
+    Fault(
         "repost-with-its-own-root",
         "src/csdsim/lifecycle.py",
         "        root_id=task.root_id,\n",

@@ -12,6 +12,7 @@ import dataclasses
 import statistics
 
 from csdsim import RunConfig, run_replications
+from csdsim.domain import reported_failures, resolved_shares
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -29,16 +30,16 @@ def main() -> None:
         values = [r.counters[key] for r in results]
         print(f"{key:<14} {statistics.mean(values):>9.1f} {min(values):>6} {max(values):>6}")
 
-    failures = [r.reported_failures for r in results]
+    failures = [reported_failures(r.counters) for r in results]
     print()
     print(
         f"reported failures: mean {statistics.mean(failures):.1f},"
         f" stdev {statistics.stdev(failures) if len(failures) > 1 else 0.0:.1f}"
     )
     print("outcome shares of resolved tasks:")
-    print(f"  success         {statistics.mean(r.success_ratio for r in results):7.1%}")
-    print(f"  unqualified     {statistics.mean(r.unqualified_ratio for r in results):7.1%}")
-    print(f"  zero-submission {statistics.mean(r.zero_submission_ratio for r in results):7.1%}")
+    shares = zip(*(resolved_shares(r.counters) for r in results))
+    for label, column in zip(("success", "unqualified", "zero-submission"), shares):
+        print(f"  {label:<15} {statistics.mean(column):7.1%}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, build_config, echo_config
-from .domain import ModelInvariantError
+from .domain import ModelInvariantError, reported_failures
 from .history import (
     DataError,
     evaluate_forecast,
@@ -124,7 +124,7 @@ def _cmd_run(cfg, args) -> int:
     _check_out(args.out)
     results = list(run_replications(cfg))
     _emit(cfg, results, args)
-    mean_failures = sum(r.reported_failures for r in results) / len(results)
+    mean_failures = sum(reported_failures(r.counters) for r in results) / len(results)
     print(f"replications: {len(results)}, mean reported failures: {mean_failures:.2f}")
     return 0
 

@@ -74,12 +74,12 @@ PHASES = (REGISTRATION_PHASE, SUBMISSION_PHASE)
 
 
 def ordered_sum(values):
-    """``sum(values)`` as Python 3.10 and 3.11 compute it: from the int 0, left to right.
+    """The sum of ``values`` from 0.0, left to right, as ``sum()`` added floats before 3.12.
 
     ``sum()`` of floats became a compensated sum in Python 3.12, so its last
-    bits depend on the interpreter. No values give the int 0, as ``sum()`` does.
+    bits depend on the interpreter. No values give 0.0.
     """
-    total = 0
+    total = 0.0
     for value in values:
         total += value
     return total
@@ -297,3 +297,23 @@ class Agent:
 def resolved_count(counters: dict) -> int:
     """Tasks in a terminal state, from a ``counters`` dict."""
     return counters["completed"] + counters["failed"] + counters["starved"]
+
+
+def reported_failures(counters: dict) -> int:
+    """Failed and starved tasks, from a ``counters`` dict."""
+    return counters["failed"] + counters["starved"]
+
+
+def resolved_shares(counters: dict) -> tuple:
+    """(success, unqualified, zero-submission) shares of resolved tasks, each 0.0 with none.
+
+    Success is completed, unqualified failed review, zero-submission dropped or starved.
+    """
+    resolved = resolved_count(counters)
+    if resolved <= 0:
+        return 0.0, 0.0, 0.0
+    return (
+        counters["completed"] / resolved,
+        counters["failed_review"] / resolved,
+        (counters["dropped"] + counters["starved"]) / resolved,
+    )

@@ -188,7 +188,7 @@ def _memo_world(cfg: RunConfig, belt_table: BeltTable) -> tuple:
 
 @dataclass
 class ReplicationResult:
-    """Everything one replication hands back to reporting and scenarios."""
+    """Everything one replication hands back; ``domain`` reads outcome figures off ``counters``."""
 
     counters: dict
     focal: Optional[dict]
@@ -199,36 +199,6 @@ class ReplicationResult:
     sub_by_belt: Counter
     trace_hash: str
     events_processed: int
-
-    @property
-    def resolved(self) -> int:
-        return resolved_count(self.counters)
-
-    @property
-    def in_flight(self) -> int:
-        return self.counters["arrived"] - self.resolved
-
-    @property
-    def reported_failures(self) -> int:
-        return self.counters["failed"] + self.counters["starved"]
-
-    @property
-    def success_ratio(self) -> float:
-        if self.resolved <= 0:
-            return 0.0
-        return self.counters["completed"] / self.resolved
-
-    @property
-    def unqualified_ratio(self) -> float:
-        if self.resolved <= 0:
-            return 0.0
-        return self.counters["failed_review"] / self.resolved
-
-    @property
-    def zero_submission_ratio(self) -> float:
-        if self.resolved <= 0:
-            return 0.0
-        return (self.counters["dropped"] + self.counters["starved"]) / self.resolved
 
 
 class Simulation:

@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import RunConfig, config_hash
-from .domain import resolve_belt_table
+from .domain import reported_failures, resolve_belt_table, resolved_count, resolved_shares
 from .history import (
     PHASES,
     PREDICTION_COLUMNS,
@@ -117,12 +117,12 @@ def _report_text(cfg: RunConfig, results, scenario, evaluation) -> str:
     lines.append("platform counters, mean over replications")
     for key in results[0].counters:
         lines.append(f"  {key}: {mean(r.counters[key] for r in results):.2f}")
-    lines.append(f"  in_flight at horizon: {mean(r.in_flight for r in results):.2f}")
+    in_flight = mean(r.counters["arrived"] - resolved_count(r.counters) for r in results)
+    lines.append(f"  in_flight at horizon: {in_flight:.2f}")
     lines.append("")
     lines.append("resolved-task shares, mean over replications")
-    success = mean(r.success_ratio for r in results)
-    unqualified = mean(r.unqualified_ratio for r in results)
-    zero_sub = mean(r.zero_submission_ratio for r in results)
+    shares = zip(*(resolved_shares(r.counters) for r in results))
+    success, unqualified, zero_sub = map(mean, shares)
     lines.append(f"  success: {100.0 * success:.2f}%")
     lines.append(f"  unqualified submissions: {100.0 * unqualified:.2f}%")
     lines.append(f"  zero submissions: {100.0 * zero_sub:.2f}%")
@@ -131,9 +131,8 @@ def _report_text(cfg: RunConfig, results, scenario, evaluation) -> str:
         "  failure share = unqualified + zero submissions: "
         f"{100.0 * (unqualified + zero_sub):.2f}%"
     )
-    lines.append(
-        f"  reported failures, mean: {mean(r.reported_failures for r in results):.2f}"
-    )
+    failures = mean(reported_failures(r.counters) for r in results)
+    lines.append(f"  reported failures, mean: {failures:.2f}")
     lines.append("")
     if results[0].daily:
         final = results[0].daily[-1]

@@ -12,12 +12,13 @@ it again.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
 from .config import ConfigError, RunConfig
 from .domain import DEFAULT_BELT_TABLE, FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError
-from .domain import REGISTRATION_PHASE, ordered_sum, resolve_belt_table
+from .domain import REGISTRATION_PHASE, ordered_sum, reported_failures, resolve_belt_table
 from .engine import run_replication
 from .history import result_latest_predictions
 from .lifecycle import compute_fps, compute_tsr
@@ -120,7 +121,7 @@ def baseline_outcome(cfg: RunConfig, results) -> PolicyOutcome:
     return PolicyOutcome(
         label="baseline",
         replications=len(results),
-        fail=sum(r.reported_failures for r in results),
+        fail=sum(reported_failures(r.counters) for r in results),
         success=sum(r.counters["completed"] for r in results),
         per_rep_failed=(),
         mean_registrants=mean(sum(r.reg_by_belt.values()) for r in results),
@@ -216,7 +217,8 @@ def calibrate_fps(cfg: RunConfig):
 
     Each resolved task contributes one point: the platform starvation ratio
     at its resolution against its failed flag. Returns (slope, intercept,
-    points). Degenerate x collapses to a flat line at the failure rate.
+    points). The fit is closed-form least squares over ``math.fsum`` sums;
+    degenerate x, every point at one ratio, gives a flat line at the failure rate.
     """
     terminal = {state.value for state in TERMINAL_STATES}
     xs = []
@@ -227,12 +229,14 @@ def calibrate_fps(cfg: RunConfig):
                 continue
             xs.append(rec["tsr_at_resolution"])
             ys.append(1.0 if rec["outcome"] in FAILURE_OUTCOMES else 0.0)
-    if not xs:
+    n = len(xs)
+    if not n:
         return 0.0, 0.0, 0
-    import numpy as np
-    x = np.asarray(xs)
-    y = np.asarray(ys)
-    if float(x.std()) == 0.0:
-        return 0.0, float(y.mean()), len(xs)
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), float(intercept), len(xs)
+    ybar = math.fsum(ys) / n
+    if min(xs) == max(xs):  # fsum(xs) / n can miss a constant x by an ulp
+        return 0.0, ybar, n
+    xbar = math.fsum(xs) / n
+    dxs = [x - xbar for x in xs]
+    sxx = math.fsum(dx * dx for dx in dxs)
+    slope = math.fsum(dx * (y - ybar) for dx, y in zip(dxs, ys)) / sxx
+    return slope, ybar - slope * xbar, n

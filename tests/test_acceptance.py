@@ -15,7 +15,7 @@ import pytest
 import scipy.stats as scipy_stats
 
 from csdsim import RunConfig, emit_outputs, run_replication
-from csdsim.domain import DEFAULT_BELT_TABLE, LEGAL_TRANSITIONS
+from csdsim.domain import DEFAULT_BELT_TABLE, LEGAL_TRANSITIONS, reported_failures, resolved_shares
 from csdsim.engine import RngStreams, Simulation
 from csdsim.history import (
     evaluate_forecast,
@@ -261,7 +261,7 @@ def test_criterion_04_state_machine_legality(baseline_30):
             assert dst in LEGAL_TRANSITIONS[src], (src.value, dst.value)
             transitions += count
         c = result.counters
-        assert result.reported_failures == c["starved"] + c["dropped"] + c["failed_review"]
+        assert reported_failures(c) == c["starved"] + c["dropped"] + c["failed_review"]
         logged_starved = sum(1 for r in result.task_log if r["outcome"] == "starved")
         logged_dropped = sum(1 for r in result.task_log if r["outcome"] == "dropped")
         assert logged_starved == c["starved"]
@@ -379,14 +379,13 @@ def test_criterion_07_diversity_scenario_ordering():
 
 def test_criterion_08_baseline_ratio_identities(baseline_30):
     results = [result for _, result in baseline_30]
-    success = statistics.mean(r.success_ratio for r in results)
-    unqualified = statistics.mean(r.unqualified_ratio for r in results)
-    zero_sub = statistics.mean(r.zero_submission_ratio for r in results)
-    for r in results:
-        total = r.success_ratio + r.unqualified_ratio + r.zero_submission_ratio
+    shares = [resolved_shares(r.counters) for r in results]
+    success, unqualified, zero_sub = map(statistics.mean, zip(*shares))
+    for r_success, r_unqualified, r_zero_sub in shares:
+        total = r_success + r_unqualified + r_zero_sub
         assert abs(total - 1.0) < 1e-12  # so the sum can never top 100%
-        failure_rate = 1.0 - r.success_ratio
-        assert abs(failure_rate - (r.unqualified_ratio + r.zero_submission_ratio)) < 1e-12
+        failure_rate = 1.0 - r_success
+        assert abs(failure_rate - (r_unqualified + r_zero_sub)) < 1e-12
     _report(
         8,
         True,

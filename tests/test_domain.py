@@ -22,7 +22,10 @@ from csdsim.domain import (
     can_transition,
     load_belt_table,
     ordered_sum,
+    reported_failures,
     resolve_belt_table,
+    resolved_count,
+    resolved_shares,
 )
 
 ALL_STATES = list(TaskState)
@@ -246,18 +249,50 @@ def test_platform_state_snapshot_keys():
     assert all(type(v) is int and v == 0 for v in snap.values())
 
 
+def outcome_counters(completed, failed_review, dropped, starved) -> dict:
+    """A ``counters`` dict with these terminal tallies, ``failed`` as the engine forms it."""
+    return {
+        "completed": completed,
+        "failed": dropped + failed_review,
+        "starved": starved,
+        "dropped": dropped,
+        "failed_review": failed_review,
+    }
+
+
+def test_resolved_shares_of_nothing_resolved_are_zero():
+    counters = outcome_counters(0, 0, 0, 0)
+    assert resolved_count(counters) == 0
+    assert resolved_shares(counters) == (0.0, 0.0, 0.0)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=4, max_size=4))
+def test_resolved_shares_partition_the_resolved_tasks(tallies):
+    completed, failed_review, dropped, starved = tallies
+    counters = outcome_counters(*tallies)
+    resolved = resolved_count(counters)
+    assert resolved == completed + failed_review + dropped + starved
+    assert reported_failures(counters) == failed_review + dropped + starved
+    shares = resolved_shares(counters)
+    if not resolved:
+        assert shares == (0.0, 0.0, 0.0)
+        return
+    assert shares == (completed / resolved, failed_review / resolved, (dropped + starved) / resolved)
+    assert sum(shares) == pytest.approx(1.0, abs=1e-12)
+
+
 # ------------------------------------------------------------- float sums
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "csdsim"
 
 # Each ``sum(`` call left in src/, by file and source text, with why it is exact.
 EXACT_SUMS = {
-    ("cli.py", "sum(r.reported_failures for r in results)"): "ints",
+    ("cli.py", "sum(reported_failures(r.counters) for r in results)"): "ints",
     ("outputs.py", "sum(counter.values())"): "Counter of ints",
     ("scenarios.py", "sum(failed_flags)"): "bools",
     ("scenarios.py", 'sum((focal["reg_by_belt"] for focal in focals), Counter())'): "Counters",
     ("scenarios.py", 'sum((focal["sub_by_belt"] for focal in focals), Counter())'): "Counters",
-    ("scenarios.py", "sum(r.reported_failures for r in results)"): "ints",
+    ("scenarios.py", "sum(reported_failures(r.counters) for r in results)"): "ints",
     ("scenarios.py", 'sum(r.counters["completed"] for r in results)'): "ints",
     ("scenarios.py", "sum(r.reg_by_belt.values())"): "Counter of ints",
     ("scenarios.py", "sum(r.sub_by_belt.values())"): "Counter of ints",
@@ -269,7 +304,7 @@ EXACT_SUMS = {
 
 
 def test_ordered_sum_adds_left_to_right():
-    assert ordered_sum([]) == 0 and type(ordered_sum([])) is int  # as sum([]); it is written "0"
+    assert ordered_sum([]) == 0.0 and type(ordered_sum([])) is float  # written "0.0", as 12.0 is
     assert ordered_sum([0.1] * 10) == 0.9999999999999999  # 1.0 from 3.12's sum()
     assert ordered_sum([1e16, 1.0, -1e16]) == 0.0  # 1.0 when compensated
     assert ordered_sum(iter([1, 2, 3])) == 6.0

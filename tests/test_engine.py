@@ -15,7 +15,7 @@ import csdsim.engine
 from csdsim import ModelInvariantError, RunConfig, TaskState, run_replication, run_replications
 from csdsim.config import FOLLOW_THROUGH_PREFIX
 from csdsim.domain import DEFAULT_BELT_TABLE, LEGAL_TRANSITIONS, TERMINAL_STATES, BeltTable
-from csdsim.domain import resolve_belt_table
+from csdsim.domain import reported_failures, resolve_belt_table, resolved_count, resolved_shares
 from csdsim.engine import (
     EV_AGENT_START,
     EV_DAILY,
@@ -230,8 +230,8 @@ def test_counter_identities(tiny_cfg):
     assert c["completed"] + c["failed"] <= c["registered"]
     assert c["submitted"] <= c["registered"]
     assert c["failed"] == c["dropped"] + c["failed_review"]
-    assert result.reported_failures == c["starved"] + c["dropped"] + c["failed_review"]
-    assert result.resolved == (
+    assert reported_failures(c) == c["starved"] + c["dropped"] + c["failed_review"]
+    assert resolved_count(c) == (
         c["completed"] + c["failed_review"] + c["dropped"] + c["starved"]
     )
 
@@ -264,19 +264,18 @@ def test_daily_counters_monotone_and_ratios_consistent(tiny_cfg):
 
 def test_task_log_covers_resolved_and_in_flight(tiny_cfg):
     _, result = run_sim(tiny_cfg)
-    assert len(result.task_log) == result.resolved + result.in_flight
+    resolved = resolved_count(result.counters)
+    in_flight = result.counters["arrived"] - resolved
+    assert len(result.task_log) == resolved + in_flight
     terminal_names = {s.value for s in TERMINAL_STATES}
     resolved_rows = [r for r in result.task_log if r["outcome"] in terminal_names]
-    assert len(resolved_rows) == result.resolved
+    assert len(resolved_rows) == resolved
 
 
 def test_outcome_ratios_partition_resolved(tiny_cfg):
     _, result = run_sim(tiny_cfg)
-    total = (
-        result.success_ratio
-        + result.unqualified_ratio
-        + result.zero_submission_ratio
-    )
+    success, unqualified, zero_submission = resolved_shares(result.counters)
+    total = success + unqualified + zero_submission
     assert total == pytest.approx(1.0, abs=1e-12)
 
 

@@ -695,6 +695,21 @@ print(*(outcome.label for outcome in report.outcomes))
     ]
 
 
+def test_calibrate_fps_runs_with_numpy_unimportable(tiny_cfg):
+    code = """
+import sys
+sys.modules["numpy"] = None
+from csdsim.cli import main
+main(["calibrate-fps", "--set", "replications=2", "--set", "task_lambda=25", "--set", "agent_gamma=120"])
+"""
+    slope, intercept, points = csdsim.calibrate_fps(tiny_cfg)
+    assert run_fresh(code).splitlines() == [
+        f"fps_slope = {slope!r}",
+        f"fps_intercept = {intercept!r}",
+        f"# fitted on {points} resolved tasks",
+    ]
+
+
 def test_evaluate_forecast_loads_numpy_and_scipy(data_dir):
     code = f"""
 import sys

@@ -111,6 +111,13 @@ def test_evaluation_csv_headers(emitted):
     assert len(lines) == 4  # stamp + header + one row per phase
 
 
+def test_evaluation_csv_writes_float_totals_for_a_phase_with_no_scored_days(tmp_path):
+    out = tmp_path / "out"
+    assert main(["scenario", "diversity", "--out", str(out), *TINY_OVERRIDES]) == 0
+    lines = (out / "evaluation.csv").read_text().splitlines()
+    assert "submission,0,0.0,0.0,,,,," in lines
+
+
 def test_report_carries_no_wall_clock(emitted):
     _, _, out, _ = emitted
     text = (out / "report.txt").read_text()

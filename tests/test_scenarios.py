@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from csdsim import (
     run_sweep,
     what_if_posting_day,
 )
-from csdsim.domain import BeltTable
+from csdsim.domain import BeltTable, reported_failures
 from csdsim.history import mre, pearson_with_p, t_test_one_sample
 from csdsim.scenarios import (
     DIVERSITY_POLICIES,
@@ -199,7 +200,7 @@ def test_baseline_outcome_counts_resolved_tasks_over_all_replications(tiny_cfg):
     assert outcome.label == "baseline"
     assert outcome.replications == 2
     assert outcome.per_rep_failed == ()
-    assert outcome.fail == sum(r.reported_failures for r in results)
+    assert outcome.fail == sum(reported_failures(r.counters) for r in results)
     assert outcome.success == sum(r.counters["completed"] for r in results)
     assert outcome.failure_rate == outcome.fail / (outcome.fail + outcome.success)
     assert outcome.mean_registrants == sum(sum(r.reg_by_belt.values()) for r in results) / 2
@@ -232,6 +233,24 @@ def test_calibrate_fps_fits_something(tiny_cfg):
     assert math.isfinite(slope) and math.isfinite(intercept)
     # refitting under the same seed is reproducible
     assert (slope, intercept, n) == calibrate_fps(tiny_cfg)
+
+
+@pytest.mark.parametrize("n", [26, 379, 5000])
+def test_calibrate_fps_matches_polyfit_on_drawn_points(n, monkeypatch):
+    """The closed form agrees with ``np.polyfit`` to 1e-12 relative (about 1e-15 seen)."""
+    rng = random.Random(n)
+    xs = [rng.random() for _ in range(n)]
+    ys = [float(rng.random() < 0.2 + 0.6 * x) for x in xs]
+    log = [
+        {"outcome": "failed" if y else "completed", "tsr_at_resolution": x}
+        for x, y in zip(xs, ys)
+    ]
+    monkeypatch.setattr(csdsim.scenarios, "run_replications", lambda cfg: [SimpleNamespace(task_log=log)])
+    slope, intercept, points = calibrate_fps(RunConfig())
+    ref_slope, ref_intercept = np.polyfit(xs, ys, 1)
+    assert points == n
+    assert slope == pytest.approx(ref_slope, rel=1e-12)
+    assert intercept == pytest.approx(ref_intercept, rel=1e-12)
 
 
 def test_diversity_policies_admit_by_rank():

@@ -34,7 +34,8 @@ def test_run_baseline_prints_counters_and_shares():
     assert stdout.startswith("baseline: 1 replications, seed 42")
     assert re.search(r"^arrived\s+\d+\.\d", stdout, re.MULTILINE)
     assert "outcome shares of resolved tasks:" in stdout
-    assert re.search(r"^  zero-submission\s+\d+\.\d%$", stdout, re.MULTILINE)
+    for label in ("success", "unqualified", "zero-submission"):
+        assert re.search(rf"^  {label}\s+\d+\.\d%$", stdout, re.MULTILINE)
 
 
 def test_calibration_report_prints_fit_and_belts():
