@@ -90,13 +90,6 @@ FAULTS = (
         "tests/test_outputs_cli.py::test_a_byte_order_mark_reads_like_the_file_without_it[config]",
     ),
     Fault(
-        "prescan-drops-the-boundary",
-        "src/csdsim/history.py",
-        "            (last in _LINE_ENDS and chunk.startswith(b\"#\"))\n            or ",
-        "            ",
-        "tests/test_history.py::test_comment_prescan_in_chunks_answers_as_the_whole_file[lf_at_boundary-4]",
-    ),
-    Fault(
         "reliability-window-untrimmed",
         "src/csdsim/agents.py",
         "    if len(outcomes) > window:\n        del outcomes[0]\n",
@@ -221,16 +214,16 @@ FAULTS = (
     Fault(
         "no-later-comment-check",
         "src/csdsim/history.py",
-        "    if _comment_after_first_line(fh):\n",
-        "    if False:\n",
+        'at_record_start and line.startswith("#")',
+        "at_record_start and False",
         "tests/test_history.py::test_a_later_comment_reads_like_a_first_line_one[lf]",
     ),
     Fault(
-        "no-cr-comment-check",
+        "quoted-hash-line-dropped",
         "src/csdsim/history.py",
-        '            or b"\\r#" in chunk\n',
+        "at_record_start and ",
         "",
-        "tests/test_history.py::test_a_later_comment_reads_like_a_first_line_one[cr]",
+        "tests/test_history.py::test_hash_line_inside_a_quoted_cell_is_data",
     ),
     Fault(
         "no-short-row-pad",

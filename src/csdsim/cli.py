@@ -177,21 +177,18 @@ _COMMANDS = {
 }
 
 
+_EXIT_CODES = {ConfigError: 1, DataError: 2, ModelInvariantError: 3}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args.config or os.environ.get(ENV_CONFIG), args.overrides)
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModelInvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -3,13 +3,14 @@
 A history CSV is the ground truth: one row per task with its outcome. A
 predictions CSV carries the forecast trail: one row per risk update. Both are
 UTF-8, a leading byte-order mark allowed, read by one record reader,
-``_records``, that finds columns by header name in any order and skips ``#``
-lines and blank rows; an unreadable or undecodable file, or a cell past the
-csv field size limit, is a ``DataError``. Each ingester numbers the rows it is
-given from 2, the header being row 1, so blank and ``#`` lines count toward no
-row number, and names that number in every row error. Numbers must be finite
-and predictions lie in [0, 1]. Outcome and phase cells come back as csdsim's
-own strings, the ``TaskState`` values and ``domain.PHASES``, not csv's copies.
+``_records``, that finds columns by header name in any order and skips blank
+rows and each ``#`` line where a record starts; an unreadable or undecodable
+file, or a cell past the csv field size limit, is a ``DataError``. Each
+ingester numbers the rows it is given from 2, the header being row 1, so blank
+and ``#`` lines count toward no row number, and names that number in every row
+error. Numbers must be finite and predictions lie in [0, 1]. Outcome and phase
+cells come back as csdsim's own strings, the ``TaskState`` values and
+``domain.PHASES``, not csv's copies.
 
 A history row is a ``HistoryRow``, an immutable, hashable named tuple of the
 seven history columns. The evaluation derives each row's deadline day and
@@ -30,7 +31,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from itertools import dropwhile, repeat
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .domain import FAILURE_OUTCOMES, PHASES, TaskState, failure_phase, ordered_sum
@@ -39,16 +40,6 @@ from .domain import FAILURE_OUTCOMES, PHASES, TaskState, failure_phase, ordered_
 class DataError(Exception):
     """A history or predictions file failed row-level validation."""
 
-
-HISTORY_COLUMNS = (
-    "task_id",
-    "posted_day",
-    "duration_days",
-    "registrants",
-    "submissions",
-    "outcome",
-    "failure_phase",
-)
 
 PREDICTION_COLUMNS = ("task_id", "day", "phase", "prediction")
 
@@ -68,66 +59,40 @@ class HistoryRow(NamedTuple):
     failure_phase: str
 
 
+HISTORY_COLUMNS = HistoryRow._fields
+
+
 def _row_error(row_num: int, message: str) -> DataError:
     return DataError(f"row {row_num}: {message}")
 
 
-_is_comment = operator.methodcaller("startswith", "#")
-_SCAN_CHUNK = 1 << 16  # bytes the comment pre-scan reads at a time
-_LINE_ENDS = (b"\n", b"\r")
-
-
-def _comment_after_first_line(fh) -> bool:
-    """Whether a line of ``fh`` after its first starts with ``#``; rewinds ``fh``.
-
-    '#', CR and LF never occur inside a multi-byte UTF-8 sequence, so the raw
-    bytes find the lines the text reads as. They are read ``_SCAN_CHUNK`` at a
-    time, up to the first hit, and the last byte of each chunk is carried to
-    the next, so a line end and a '#' on either side of a boundary still
-    count. A stream that cannot rewind answers True.
-    """
-    if not fh.seekable():
-        return True
-    found, last = False, b""
-    while not found and (chunk := fh.buffer.read(_SCAN_CHUNK)):
-        found = (
-            (last in _LINE_ENDS and chunk.startswith(b"#"))
-            or b"\n#" in chunk
-            or b"\r#" in chunk
-        )
-        last = chunk[-1:]
-    fh.seek(0)
-    return found
-
-
-def _rows_without_comments(fh):
-    """``csv.reader`` rows of ``fh``, dropping each ``#`` line where a record starts."""
+def _rows_without_comments(lines):
+    """``csv.reader`` rows of ``lines``, dropping each ``#`` line where a record starts."""
     at_record_start = True
 
-    def lines():  # csv.reader pulls each line only when its record needs one
+    def data_lines():  # csv.reader pulls each line only when its record needs one
         nonlocal at_record_start
-        for line in fh:
+        for line in lines:
             if not (at_record_start and line.startswith("#")):
                 at_record_start = False
                 yield line
 
-    for row in csv.reader(lines()):
+    for row in csv.reader(data_lines()):
         at_record_start = True
         yield row
 
 
-def _records(fh, label: str, columns):
-    """Iterate the cells, in ``columns`` order, of each data row of ``fh``.
+def _records(lines, label: str, columns):
+    """Iterate the cells, in ``columns`` order, of each data row of ``lines``.
 
-    Reads as ``csv.DictReader`` does: blank rows are skipped, a duplicated
-    header name reads its last column, and a short row reads None. A ``#``
-    line is a comment where a record starts, and data inside a quoted cell.
-    Callers number the rows from 2, the header being row 1.
+    ``lines`` is any iterable of text lines, such as a file opened with
+    ``newline=""``, read once from front to back. Reads as ``csv.DictReader``
+    does: blank rows are skipped, a duplicated header name reads its last
+    column, and a short row reads None. A ``#`` line is a comment where a
+    record starts, and data inside a quoted cell. Callers number the rows from
+    2, the header being row 1.
     """
-    if _comment_after_first_line(fh):
-        rows = _rows_without_comments(fh)
-    else:  # at most a first-line comment: a plain reader, with no Python call per line
-        rows = csv.reader(dropwhile(_is_comment, fh))
+    rows = _rows_without_comments(lines)
     header = next(rows, None) or []
     index = {name: i for i, name in enumerate(header)}
     missing = set(columns) - set(index)
@@ -359,20 +324,10 @@ def evaluate_forecast(history_rows, latest_predictions) -> dict:
 
 def result_history_rows(result) -> list:
     """Adapt one replication's task log to validated history rows."""
-    rows = []
-    for rec in result.task_log:
-        rows.append(
-            HistoryRow(
-                task_id=str(rec["task_id"]),
-                posted_day=rec["posted_day"],
-                duration_days=rec["duration_days"],
-                registrants=rec["registrants"],
-                submissions=rec["submissions"],
-                outcome=rec["outcome"],
-                failure_phase=rec["failure_phase"],
-            )
-        )
-    return rows
+    return [
+        HistoryRow(str(rec["task_id"]), *[rec[name] for name in HISTORY_COLUMNS[1:]])
+        for rec in result.task_log
+    ]
 
 
 def result_latest_predictions(result) -> dict:

@@ -20,7 +20,6 @@ from .config import ConfigError, RunConfig
 from .domain import DEFAULT_BELT_TABLE, FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError
 from .domain import REGISTRATION_PHASE, ordered_sum, reported_failures, resolve_belt_table
 from .engine import run_replication
-from .history import result_latest_predictions
 from .lifecycle import compute_fps, compute_tsr
 
 OPENNESS_GATES = (0.60, 0.70, 0.80, 0.90)
@@ -114,10 +113,10 @@ def baseline_outcome(cfg: RunConfig, results) -> PolicyOutcome:
     """Platform-wide stand-in for a policy row when no scenario was run."""
     fpr_means = []
     for r in results:
-        latest = result_latest_predictions(r)
-        regs = [v for (_tid, phase), v in latest.items() if phase == REGISTRATION_PHASE]
+        # each task's last registration forecast, in the order of its first one
+        regs = {tid: v for tid, _day, phase, v in r.predictions if phase == REGISTRATION_PHASE}
         if regs:
-            fpr_means.append(mean(regs))
+            fpr_means.append(mean(regs.values()))
     return PolicyOutcome(
         label="baseline",
         replications=len(results),
