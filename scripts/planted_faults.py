@@ -142,8 +142,8 @@ FAULTS = (
     Fault(
         "agent-streams-not-bare",
         "src/csdsim/engine.py",
-        '            if "/" in name:\n',
-        '            if False:\n',
+        '_MersenneTwister if "/" in name else random.Random',
+        "random.Random",
         "tests/test_engine.py::test_agent_streams_are_not_tracked_by_the_collector",
     ),
     Fault(
@@ -247,6 +247,20 @@ FAULTS = (
         '                    raise _row_error(row_num, "prediction is not in [0, 1]")\n',
         "",
         "tests/test_outputs_cli.py::test_cli_non_finite_or_improbable_cell_exits_two_naming_the_row[above_one]",
+    ),
+    Fault(
+        "poisson-log-of-u",
+        "src/csdsim/platform.py",
+        "total += -math.log(1.0 - rng.random())",
+        "total += -math.log(rng.random())",
+        "tests/test_platform.py::test_poisson_count_draws_what_an_expovariate_loop_draws[87.0]",
+    ),
+    Fault(
+        "one-sided-p",
+        "src/csdsim/history.py",
+        "2.0 * float(stdtr(",
+        "1.0 * float(stdtr(",
+        "tests/test_scenarios.py::test_ttest_matches_scipy_randomized",
     ),
 )
 

@@ -4,7 +4,8 @@ Determinism contract: a run is a pure function of the config. All randomness
 flows through named substreams of the master seed, events tie-break FIFO by
 insertion order, and nothing fires past the horizon. Two runs with the same
 config produce byte-identical outputs and equal trace hashes. Registration and
-submission gaps are ``-log(1.0 - rng.random()) / rate``: the draws of
+submission gaps are ``-log(1.0 - rng.random()) / rate``, and the arrival counts
+of ``platform.poisson_count`` add the same draw at rate 1: the draws of
 ``random.expovariate`` on Python 3.10-3.13, without depending on its internals.
 
 The clock, the future event list and the pool live on ``Simulation``: ``now``
@@ -21,21 +22,12 @@ An agent that can never register (its belt is not admitted, or its rating
 is zero) still arrives and counts toward utilization, but gets no
 registration cycle. That cycle would draw only from the agent's own
 ``registration/{aid}`` stream and reject every task, so skipping it moves
-no other draw and no outcome. Per-agent streams are created on first use,
-which string seeding makes independent of creation order. Permanent
-exclusion is checked once, at agent start, never in a scan. A scan that meets
-a full open list makes the one ``random()`` draw of each remaining pick and
-stops: the list and the pool cannot change in an attempt that registers nothing.
-
-Stream ``name`` of seed ``seed`` is MT19937 seeded with the integer
-``int.from_bytes(text + sha512(text).digest(), "big")``, where ``text`` is
-``f"{seed}/{name}".encode()``: what ``random.Random(f"{seed}/{name}")``
-derives on Python 3.10-3.13. A name with a ``/`` (``registration/{aid}``,
-``submission/{aid}``, ``quality/{aid}``) is one agent's stream, a bare
-``_random.Random``, which carries no instance dict and is not tracked by the
-garbage collector; it offers only ``random()``, ``getrandbits()`` and
-``getstate()``/``setstate()``, and its state is the bare tuple that
-``random.Random.getstate()`` wraps. Every other stream is a ``random.Random``.
+no other draw and no outcome. Per-agent streams are created on first use;
+``RngStreams`` seeds each from its name alone, so creation order moves no
+draw. Permanent exclusion is checked once, at agent start, never in a scan.
+A scan that meets a full open list makes the one ``random()`` draw of each
+remaining pick and stops: the list and the pool cannot change in an attempt
+that registers nothing.
 
 A seed's world is the setup draws no sweep lever reads: the ambient tasks from
 the ``task-arrival``, ``duration`` and ``skills`` streams, then the crowd from
@@ -134,16 +126,22 @@ _INTO_REGISTERED = (SOURCE_STATE[TaskState.REGISTERED], TaskState.REGISTERED)
 class RngStreams:
     """Named deterministic substreams derived from one master seed.
 
-    String seeding keeps substreams independent: extra draws on one stream
-    never shift any other, which is what keeps paired runs comparable.
+    Seeding each stream from its own name keeps substreams independent: extra
+    draws on one stream never shift any other, which is what keeps paired runs
+    comparable.
 
     Stream ``name`` is MT19937 seeded with ``int.from_bytes(text +
     sha512(text).digest(), "big")`` for ``text = f"{seed}/{name}".encode()``,
-    the integer ``random.Random(f"{seed}/{name}")`` seeds with. A name
+    the integer ``random.Random(f"{seed}/{name}")`` derives on Python
+    3.10-3.13; csdsim computes it itself, so no seed depends on how ``random``
+    turns a string into an integer. The name only chooses the class. A name
     containing ``/`` is one agent's ``kind/agent-id`` stream: a bare
-    ``_random.Random`` that offers only ``random()``, ``getrandbits()`` and
-    ``getstate()``/``setstate()``. The platform's shared streams draw through
-    ``uniform``, ``betavariate`` and the like, so they stay ``random.Random``.
+    ``_random.Random``, which carries no instance dict and is not tracked by
+    the garbage collector. It offers only ``random()``, ``getrandbits()`` and
+    ``getstate()``/``setstate()``, and its state is the bare tuple that
+    ``random.Random.getstate()`` wraps. The platform's shared streams draw
+    through ``uniform``, ``betavariate`` and the like, so they are
+    ``random.Random``.
     """
 
     def __init__(self, seed: int):
@@ -153,11 +151,9 @@ class RngStreams:
     def get(self, name: str):
         rng = self._streams.get(name)
         if rng is None:
-            if "/" in name:
-                text = f"{self.seed}/{name}".encode()
-                rng = _MersenneTwister(int.from_bytes(text + hashlib.sha512(text).digest(), "big"))
-            else:
-                rng = random.Random(f"{self.seed}/{name}")
+            text = f"{self.seed}/{name}".encode()
+            seed = int.from_bytes(text + hashlib.sha512(text).digest(), "big")
+            rng = (_MersenneTwister if "/" in name else random.Random)(seed)
             self._streams[name] = rng
         return rng
 
@@ -180,10 +176,8 @@ def draw_world(cfg: RunConfig, belt_table: BeltTable) -> tuple:
     return tasks, agents
 
 
-@lru_cache(maxsize=1)
-def _memo_world(cfg: RunConfig, belt_table: BeltTable) -> tuple:
-    """The last world drawn; setup passes ``cfg`` with the levers no draw reads reset."""
-    return draw_world(cfg, belt_table)
+# The last world drawn; setup passes ``cfg`` with the levers no draw reads reset.
+_memo_world = lru_cache(maxsize=1)(draw_world)
 
 
 @dataclass

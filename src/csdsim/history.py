@@ -18,11 +18,12 @@ failure phase (the stated one, else ``domain.failure_phase``), aligns both
 files into daily per-phase series and scores the forecast with MRE,
 correlation, and a bias t-test.
 
-Two-sided p-values come from ``scipy.special.stdtr``, the Student t CDF
-that ``scipy.stats.t.sf`` itself calls (``sf(t, df) == stdtr(df, -t)``), so
-csdsim never pays the start-up cost of importing ``scipy.stats``. numpy and
-``scipy.special`` are imported inside the two statistics, so ``import csdsim``
-and a replication load neither; the first evaluation pays for them.
+Both two-sided p-values come from ``_two_sided_p``, on ``scipy.special.stdtr``,
+the Student t CDF that ``scipy.stats.t.sf`` itself calls (``sf(t, df) ==
+stdtr(df, -t)``), so csdsim never pays the start-up cost of importing
+``scipy.stats``. numpy is imported inside the two statistics and
+``scipy.special`` inside ``_two_sided_p``, so ``import csdsim`` and a
+replication load neither; the first evaluation pays for them.
 """
 
 from __future__ import annotations
@@ -213,6 +214,12 @@ def mre(actual_total: float, predicted_total: float) -> Optional[float]:
     return (actual_total - predicted_total) / actual_total
 
 
+def _two_sided_p(t: float, df: int) -> float:
+    """Two-sided Student t tail of ``t`` with ``df`` degrees of freedom, capped at 1."""
+    from scipy.special import stdtr
+    return min(1.0, 2.0 * float(stdtr(df, -abs(t))))
+
+
 def pearson_with_p(xs, ys):
     """Sample Pearson correlation with a two-sided p-value.
 
@@ -225,7 +232,6 @@ def pearson_with_p(xs, ys):
     if n < 3:
         return None
     import numpy as np
-    from scipy.special import stdtr
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     dx = x - x.mean()
@@ -239,27 +245,24 @@ def pearson_with_p(xs, ys):
     if abs(r) == 1.0:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return r, min(1.0, p)
+    return r, _two_sided_p(t, n - 2)
 
 
-def t_test_one_sample(xs, popmean: float = 0.0):
-    """One-sample two-sided t-test; exact answers for degenerate variance."""
+def t_test_one_sample(xs):
+    """Two-sided t-test of a zero mean; exact answers for degenerate variance."""
     n = len(xs)
     if n < 2:
         return None
     import numpy as np
-    from scipy.special import stdtr
     x = np.asarray(xs, dtype=float)
     mean = float(x.mean())
     sd = float(x.std(ddof=1))
     if sd == 0.0:
-        if mean == popmean:
+        if mean == 0.0:
             return 0.0, 1.0
-        return math.copysign(math.inf, mean - popmean), 0.0
-    t = (mean - popmean) / (sd / math.sqrt(n))
-    p = 2.0 * float(stdtr(n - 1, -abs(t)))
-    return t, min(1.0, p)
+        return math.copysign(math.inf, mean), 0.0
+    t = mean / (sd / math.sqrt(n))
+    return t, _two_sided_p(t, n - 1)
 
 
 @dataclass(frozen=True)
@@ -305,19 +308,18 @@ def evaluate_forecast(history_rows, latest_predictions) -> dict:
         fp = [float(predicted[phase].get(d, 0.0)) for d in days]
         af_total = ordered_sum(af)
         fp_total = ordered_sum(fp)
-        corr = pearson_with_p(af, fp)
-        diffs = [a - f for a, f in zip(af, fp)]
-        ttest = t_test_one_sample(diffs) if diffs else None
+        pearson_r, pearson_p = pearson_with_p(af, fp) or (None, None)
+        t_stat, t_p = t_test_one_sample([a - f for a, f in zip(af, fp)]) or (None, None)
         out[phase] = PhaseEvaluation(
             phase=phase,
             n_days=len(days),
             actual_total=af_total,
             predicted_total=fp_total,
             mre=mre(af_total, fp_total),
-            pearson_r=corr[0] if corr else None,
-            pearson_p=corr[1] if corr else None,
-            t_stat=ttest[0] if ttest else None,
-            t_p=ttest[1] if ttest else None,
+            pearson_r=pearson_r,
+            pearson_p=pearson_p,
+            t_stat=t_stat,
+            t_p=t_p,
         )
     return out
 

@@ -1,19 +1,11 @@
 """Every command's artifacts and stdout match the recorded sha256 lines."""
 
-import importlib.util
 import time
-from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "artifact_digests.py"
-RECORDED = Path(__file__).parent / "data" / "artifact_digests.txt"
+from conftest import DATA_DIR, load_script
+
+RECORDED = DATA_DIR / "artifact_digests.txt"
 BUDGET_S = 5.0
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("artifact_digests", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def as_dict(lines) -> dict:
@@ -21,7 +13,7 @@ def as_dict(lines) -> dict:
 
 
 def test_every_command_matches_its_recorded_digests():
-    script = load_script()
+    script = load_script("artifact_digests")
     started = time.monotonic()
     lines = script.digest_lines()
     elapsed = time.monotonic() - started

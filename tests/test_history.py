@@ -1,14 +1,12 @@
 """History ingestion, validation rules, and the forecast scorer."""
 
 import csv
-import importlib.util
 import io
 import math
 import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import stdtr
 
 import csdsim
+from conftest import csdsim_env, load_script
 from csdsim import RunConfig, TaskState, history, run_replication
 from csdsim.domain import REGISTRATION_PHASE, SUBMISSION_PHASE
 from csdsim.history import (
@@ -451,12 +450,7 @@ def test_fixture_files_read_as_csdsim_own_strings(data_dir):
 
 
 def test_an_exported_replication_reads_as_csdsim_own_strings(tmp_path, monkeypatch):
-    scripts = Path(__file__).resolve().parents[1] / "scripts"
-    spec = importlib.util.spec_from_file_location(
-        "make_history_fixture", scripts / "make_history_fixture.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("make_history_fixture")
     monkeypatch.setattr(sys, "argv", ["make_history_fixture.py", "--out", str(tmp_path)])
     script.main()
     rows = ingest_history(str(tmp_path / "history.csv"))
@@ -640,13 +634,8 @@ def test_stdtr_is_bit_identical_to_t_sf(df):
 
 def run_fresh(code):
     """stdout of ``code`` run in a fresh interpreter that imports this csdsim."""
-    paths = [str(Path(csdsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=csdsim_env()
     )
     return out.stdout.strip()
 

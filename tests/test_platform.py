@@ -2,11 +2,9 @@
 
 import dataclasses
 import math
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-import csdsim
+from conftest import csdsim_env
 from csdsim import RunConfig
 from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.platform import (
@@ -48,6 +46,21 @@ def test_poisson_mean_within_four_sigma():
     counts = [poisson_count(rng, lam) for _ in range(n)]
     mean = sum(counts) / n
     assert abs(mean - lam) < 4 * math.sqrt(lam / n)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 87.0, 800.0, 4800.0])
+def test_poisson_count_draws_what_an_expovariate_loop_draws(lam):
+    """``poisson_count`` counts the ``expovariate(1.0)`` gaps that fit under ``lam``
+    on a twin stream, and leaves the stream where that loop leaves it."""
+    for seed in range(50):
+        rng = random.Random(f"poisson/{seed}")
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        total, expected = twin.expovariate(1.0), 0
+        while total <= lam:
+            total, expected = total + twin.expovariate(1.0), expected + 1
+        assert poisson_count(rng, lam) == expected, seed
+        assert rng.getstate() == twin.getstate(), seed
 
 
 @given(lam=st.floats(min_value=0, max_value=40), seed=st.integers(0, 2**16))
@@ -246,15 +259,13 @@ def test_supply_concentration_does_not_depend_on_the_hash_seed():
         "experience_beta=0.7926274014247991, experience_max=3936.3561275707348, "
         "admitted_belts=('green', 'blue', 'yellow', 'red'))).concentration))"
     )
-    paths = [str(Path(csdsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     values = {
         subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             check=True,
-            env={**env, "PYTHONHASHSEED": str(hash_seed)},
+            env={**csdsim_env(), "PYTHONHASHSEED": str(hash_seed)},
         ).stdout.strip()
         for hash_seed in range(8)
     }
