@@ -26,6 +26,7 @@ from .history import (
 from .outputs import emit_outputs
 from .scenarios import (
     calibrate_fps,
+    mean,
     run_diversity_scenario,
     run_openness_scenario,
     run_replications,
@@ -124,7 +125,7 @@ def _cmd_run(cfg, args) -> int:
     _check_out(args.out)
     results = list(run_replications(cfg))
     _emit(cfg, results, args)
-    mean_failures = sum(reported_failures(r.counters) for r in results) / len(results)
+    mean_failures = mean(reported_failures(r.counters) for r in results)
     print(f"replications: {len(results)}, mean reported failures: {mean_failures:.2f}")
     return 0
 

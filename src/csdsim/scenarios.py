@@ -177,12 +177,10 @@ def _focal(base: RunConfig, **lever) -> RunConfig:
     return replace(base, focal_enabled=True, **lever)
 
 
-def run_openness_scenario(base_cfg: RunConfig, gates=OPENNESS_GATES):
+def run_openness_scenario(base_cfg: RunConfig):
     """Vary platform openness; the focal task is posted at each gate level."""
-    return run_sweep(
-        "openness",
-        [(f"openness_{gate:.2f}", _focal(base_cfg, openness_gate=gate)) for gate in gates],
-    )
+    policies = [(f"openness_{g:.2f}", _focal(base_cfg, openness_gate=g)) for g in OPENNESS_GATES]
+    return run_sweep("openness", policies)
 
 
 def run_diversity_scenario(base_cfg: RunConfig):

@@ -287,7 +287,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "csdsim"
 
 # Each ``sum(`` call left in src/, by file and source text, with why it is exact.
 EXACT_SUMS = {
-    ("cli.py", "sum(reported_failures(r.counters) for r in results)"): "ints",
     ("outputs.py", "sum(counter.values())"): "Counter of ints",
     ("scenarios.py", "sum(failed_flags)"): "bools",
     ("scenarios.py", 'sum((focal["reg_by_belt"] for focal in focals), Counter())'): "Counters",

@@ -1,6 +1,7 @@
 """History ingestion, validation rules, and the forecast scorer."""
 
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -660,8 +661,9 @@ print(result.events_processed, result.trace_hash)
 report, _ = run_diversity_scenario(RunConfig(seed=2000, replications=1))
 print(*(outcome.label for outcome in report.outcomes))
 """
+    r = run_replication(dataclasses.replace(RunConfig(), seed=1000, focal_enabled=True))
     assert run_fresh(code).splitlines() == [
-        "24982 8cfe8ab5c15545ac6dbf81d33d680e68",
+        f"{r.events_processed} {r.trace_hash}",
         "elite_only mid_and_up green_and_up all_welcome",
     ]
 

@@ -191,7 +191,7 @@ def test_run_sweep_validates_every_policy_before_any_replication(
 
 def test_run_sweep_refuses_an_empty_policy_list(scenario_cfg):
     with pytest.raises(ConfigError, match="openness"):
-        csdsim.scenarios.run_openness_scenario(scenario_cfg, gates=())
+        run_sweep("openness", [])
 
 
 def test_baseline_outcome_counts_resolved_tasks_over_all_replications(tiny_cfg):
