@@ -262,6 +262,14 @@ FAULTS = (
         "1.0 * float(stdtr(",
         "tests/test_scenarios.py::test_ttest_matches_scipy_randomized",
     ),
+    Fault(
+        "stdev-rounds-twice",
+        "src/csdsim/outputs.py",
+        "    root = math.isqrt((num << 2 * shift) // den)\n"
+        "    return (root | (root * root * den != num << 2 * shift)) / (1 << shift)\n",
+        "    return math.sqrt(num / den)\n",
+        "tests/test_outputs_cli.py::test_control_chart_sigma_is_the_stdlib_stdev_of_a_default_series[1003]",
+    ),
 )
 
 

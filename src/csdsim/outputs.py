@@ -10,7 +10,7 @@ the config hash.
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -87,12 +87,26 @@ def _summary_row(outcome, belt_names) -> dict:
     return row
 
 
+def _stdev(values) -> float:
+    """The sample standard deviation, the correctly rounded root of the exact variance."""
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(den for _num, den in ratios)  # a power of two, so every value scales exactly
+    ints = [num * (scale // den) for num, den in ratios]
+    n = len(ints)
+    num = n * sum(i * i for i in ints) - sum(ints) ** 2
+    den = n * (n - 1) * scale * scale
+    # an integer root of at least 55 bits, rounded to odd, then one rounding to float
+    shift = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    root = math.isqrt((num << 2 * shift) // den)
+    return (root | (root * root * den != num << 2 * shift)) / (1 << shift)
+
+
 def _control_chart_rows(result) -> list:
     series = [row["utilization"] for row in result.daily]
     if not series:
         return []
     centre = mean(series)
-    sd = statistics.stdev(series) if len(series) > 1 else 0.0
+    sd = _stdev(series) if len(series) > 1 else 0.0
     ucl = centre + 3.0 * sd
     lcl = centre - 3.0 * sd
     return [

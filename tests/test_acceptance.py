@@ -14,9 +14,10 @@ import time
 import pytest
 import scipy.stats as scipy_stats
 
+from conftest import CheckedSimulation, assert_structural_invariants
 from csdsim import RunConfig, emit_outputs, run_replication
 from csdsim.domain import DEFAULT_BELT_TABLE, LEGAL_TRANSITIONS, reported_failures, resolved_shares
-from csdsim.engine import RngStreams, Simulation
+from csdsim.engine import RngStreams
 from csdsim.history import (
     evaluate_forecast,
     ingest_history,
@@ -54,11 +55,12 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def baseline_30():
-    """Thirty default-config replications, each with its audit trail."""
+    """Thirty default-config replications, each with its audit trail, run through
+    ``CheckedSimulation`` so the model's runtime rules hold at every step."""
     runs = []
     for r in range(BASELINE_REPLICATIONS):
         cfg = dataclasses.replace(RunConfig(), seed=RunConfig().seed + r)
-        sim = Simulation(cfg)
+        sim = CheckedSimulation(cfg)
         runs.append((sim, sim.run()))
     return runs
 
@@ -278,40 +280,14 @@ def test_criterion_04_state_machine_legality(baseline_30):
 
 
 def test_criterion_05_structural_invariants(baseline_30):
-    counter_keys = (
-        "arrived",
-        "registered",
-        "submitted",
-        "completed",
-        "failed",
-        "starved",
-        "dropped",
-        "failed_review",
-        "reposted",
-    )
-    tasks_checked = 0
     for sim, result in baseline_30:
-        assert all(
-            len(agent.open_list) <= sim.cfg.open_list_cap
-            for agent in sim.agents.values()
-        )
-        for task in sim.tasks.values():
-            assert {s.agent_id for s in task.submissions} <= set(task.registrants)
-            tasks_checked += 1
-        previous = dict.fromkeys(counter_keys, 0)
-        for row in result.daily:
-            for key in counter_keys:
-                assert row[key] >= previous[key], key
-                previous[key] = row[key]
-            if row["registered"] > 0:
-                assert abs(row["tcr"] + row["tfr"] - 1.0) < 1e-12
-        c = result.counters
-        assert c["completed"] + c["failed"] <= c["registered"]
+        assert_structural_invariants(sim, result)
+    tasks = sum(len(sim.tasks) for sim, _ in baseline_30)
     _report(
         5,
         True,
-        f"open-list cap, submissions within registrants over {tasks_checked} tasks,"
-        f" TCR+TFR=1, monotone counters",
+        f"open-list cap, submissions within registrants, pool, busy count, reliability,"
+        f" TSR and terminal states at every step over {tasks} tasks; TCR+TFR=1, monotone counters",
     )
 
 

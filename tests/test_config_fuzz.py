@@ -1,18 +1,18 @@
 """Property test over small configs: each one is refused when built, or runs.
 
-A config that ``RunConfig`` accepts must run one replication to completion,
-keep criterion 5's structural invariants (the open-list cap and
-register-before-submit at every step, not only at the end), keep each
-repost's lineage and repost cap, register no permanently excluded agent,
-keep every forecast a probability, write a ``task_predictions.csv`` that the
-predictions ingester reads back to the same latest forecasts, and log tasks
-that the history ingester accepts. Each task ends in the one terminal state
-its registrants and submissions allow. A second profile, a small busy market,
-reaches review: its drawn runs complete and fail tasks, and their logs and
-forecasts score to a finite-or-None MRE and p-values in [0, 1].
-Registration and submission rates whose mean gap falls below the clock's
-resolution are refused when built; arrival rates stay small, because a huge
-one is a memory limit rather than a config error.
+A config that ``RunConfig`` accepts must run one replication to completion
+under ``conftest.CheckedSimulation``, which asserts the model's runtime
+rules at every step (criterion 5's open-list cap and register-before-submit,
+each repost's lineage and repost cap, no permanently excluded agent
+registered). It must also keep every forecast a probability, write a
+``task_predictions.csv`` that the predictions ingester reads back to the
+same latest forecasts, and log tasks that the history ingester accepts. Each
+task ends in the one terminal state its registrants and submissions allow. A
+second profile, a small busy market, reaches review: its drawn runs complete
+and fail tasks, and their logs and forecasts score to a finite-or-None MRE
+and p-values in [0, 1]. Registration and submission rates whose mean gap
+falls below the clock's resolution are refused when built; arrival rates
+stay small, because a huge one is a memory limit rather than a config error.
 """
 
 import csv
@@ -24,8 +24,8 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from csdsim import ConfigError, RunConfig, Simulation, TaskState, emit_outputs
-from csdsim.agents import permanent_exclusion, preference_weight
+from conftest import CheckedSimulation, assert_structural_invariants
+from csdsim import ConfigError, RunConfig, Simulation, emit_outputs
 from csdsim.config import FOLLOW_THROUGH_FIELDS
 from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.history import (
@@ -35,7 +35,6 @@ from csdsim.history import (
     ingest_predictions,
     result_latest_predictions,
 )
-from csdsim.lifecycle import compute_tsr
 
 # Keys for which every drawn bad value (NaN, +inf, -inf, -1) is out of range.
 BAD_KEYS = (
@@ -48,95 +47,6 @@ BAD_KEYS = (
     "fps_intercept",
 )
 BAD_VALUES = (math.nan, math.inf, -math.inf, -1.0)
-
-# Cumulative daily counters, which never fall from one day to the next.
-DAILY_COUNTERS = (
-    "arrived",
-    "registered",
-    "submitted",
-    "completed",
-    "failed",
-    "starved",
-    "dropped",
-    "failed_review",
-    "reposted",
-)
-
-
-class CheckedSimulation(Simulation):
-    """Asserts the engine's structural rules around every registration and submission.
-
-    A registration also re-checks what the scan no longer does: the agent is
-    not permanently excluded, and the task's stored appeal is its belt's weight.
-    And each registrant's stored reliability, which the forecast reads, is its
-    window's qualified fraction. Every daily event re-counts the busy agents
-    that the engine keeps as registrations open and tasks resolve. Every repost
-    keeps its root's lineage and stays within ``repost_max``. Every finalized
-    task is in the terminal state that its registrants and submissions allow,
-    and leaves each registrant's window no longer than ``reliability_window``.
-    After every pool change each pooled task sits at its ``_pool_pos`` index
-    and is registrable, which the scan relies on; every submission and
-    finalized task leaves ``current_tsr`` equal to the TSR of ``counters()``.
-    """
-
-    def _register(self, agent, task):
-        assert permanent_exclusion(agent, self.admitted) is None
-        assert task.appeal[agent.belt] == preference_weight(task.similarity, agent.belt, self.cfg)
-        super()._register(agent, task)
-        assert len(agent.open_list) <= self.cfg.open_list_cap
-        for aid in task.registrants:
-            window = self.agents[aid].recent_outcomes
-            expected = sum(window) / len(window) if window else 0.0
-            assert self.agents[aid].reliability == expected
-
-    def _pool_add(self, task):
-        super()._pool_add(task)
-        self._check_pool()
-
-    def _pool_remove(self, task):
-        super()._pool_remove(task)
-        self._check_pool()
-
-    def _check_pool(self):
-        assert len(self._pool_pos) == len(self.pool)
-        for i, t in enumerate(self.pool):
-            assert self._pool_pos[t.task_id] == i
-            assert t.state in (TaskState.ARRIVED, TaskState.REGISTERED)
-
-    def _check_tsr(self):
-        c = self.counters()
-        assert self.current_tsr() == compute_tsr(c["submitted"], c["registered"])
-
-    def _submit(self, agent, task):
-        assert agent.agent_id in task.registrants
-        super()._submit(agent, task)
-        self._check_tsr()
-
-    def _on_daily(self, day):
-        assert self.busy == sum(1 for agent in self.agents.values() if agent.open_list)
-        super()._on_daily(day)
-
-    def _finalize(self, task):
-        assert task.state is terminal_state(task)
-        new_id = len(self.tasks)
-        super()._finalize(task)
-        self._check_tsr()
-        for aid in task.registrants:
-            assert len(self.agents[aid].recent_outcomes) <= self.cfg.reliability_window
-        clone = self.tasks.get(new_id)
-        if clone is not None:  # a repost
-            assert clone.root_id == task.root_id
-            assert clone.repost_count == task.repost_count + 1 <= self.cfg.repost_max
-
-
-def terminal_state(task):
-    """COMPLETED has a qualified submission, FAILED has submissions and none
-    qualified, DROPPED has registrants and no submission, STARVED no registrant."""
-    if not task.registrants:
-        return TaskState.STARVED
-    if not task.submissions:
-        return TaskState.DROPPED
-    return TaskState.COMPLETED if any(s.qualified for s in task.submissions) else TaskState.FAILED
 
 
 @st.composite
@@ -273,16 +183,3 @@ def logged_history(result, path):
         writer.writerows([rec[c] for c in HISTORY_COLUMNS] for rec in result.task_log)
     return ingest_history(str(path))
 
-
-def assert_structural_invariants(sim, result):
-    """Criterion 5: the open-list cap, submissions within registrants, monotone counters."""
-    assert all(len(agent.open_list) <= sim.cfg.open_list_cap for agent in sim.agents.values())
-    for task in sim.tasks.values():
-        assert {s.agent_id for s in task.submissions} <= set(task.registrants)
-    previous = dict.fromkeys(DAILY_COUNTERS, 0)
-    for row in result.daily:
-        for key in DAILY_COUNTERS:
-            assert row[key] >= previous[key], key
-            previous[key] = row[key]
-    c = result.counters
-    assert c["completed"] + c["failed"] <= c["registered"]

@@ -288,6 +288,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "csdsim"
 # Each ``sum(`` call left in src/, by file and source text, with why it is exact.
 EXACT_SUMS = {
     ("outputs.py", "sum(counter.values())"): "Counter of ints",
+    ("outputs.py", "sum(i * i for i in ints)"): "ints",
+    ("outputs.py", "sum(ints)"): "ints",
     ("scenarios.py", "sum(failed_flags)"): "bools",
     ("scenarios.py", 'sum((focal["reg_by_belt"] for focal in focals), Counter())'): "Counters",
     ("scenarios.py", 'sum((focal["sub_by_belt"] for focal in focals), Counter())'): "Counters",

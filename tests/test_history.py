@@ -651,10 +651,11 @@ def test_import_csdsim_loads_neither_numpy_nor_scipy():
 
 
 def test_replications_run_with_numpy_and_scipy_unimportable():
-    # A None entry in sys.modules makes any import of that name fail.
+    # A None entry in sys.modules makes any import of that name fail; csdsim
+    # computes its own control-chart sigma, so it needs no statistics either.
     code = """
 import dataclasses, sys
-sys.modules["numpy"] = sys.modules["scipy"] = None
+sys.modules["numpy"] = sys.modules["scipy"] = sys.modules["statistics"] = None
 from csdsim import RunConfig, run_diversity_scenario, run_replication
 result = run_replication(dataclasses.replace(RunConfig(), seed=1000, focal_enabled=True))
 print(result.events_processed, result.trace_hash)

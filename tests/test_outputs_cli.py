@@ -2,20 +2,31 @@
 
 import codecs
 import csv
+import dataclasses
 import re
 import statistics
+import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import csdsim.cli
 import csdsim.engine
 import csdsim.scenarios
-from csdsim import ModelInvariantError, RunConfig, config_hash, emit_outputs, run_replications
+from csdsim import (
+    ModelInvariantError,
+    RunConfig,
+    config_hash,
+    emit_outputs,
+    run_replication,
+    run_replications,
+)
 from csdsim.cli import main
 from csdsim.config import build_config
 from csdsim.domain import load_belt_table
 from csdsim.history import ingest_history, ingest_predictions
-from csdsim.outputs import DAILY_COLUMNS, EVALUATION_COLUMNS, OUTPUT_FILES
+from csdsim.outputs import DAILY_COLUMNS, EVALUATION_COLUMNS, OUTPUT_FILES, _stdev
 
 TINY_OVERRIDES = [
     "--set",
@@ -90,6 +101,28 @@ def test_control_chart_is_three_sigma(emitted):
     assert float(row["mean"]) == pytest.approx(mean, abs=1e-12)
     assert float(row["ucl"]) == pytest.approx(mean + 3 * sigma, abs=1e-12)
     assert float(row["lcl"]) == pytest.approx(mean - 3 * sigma, abs=1e-12)
+
+
+# from 3.11 on, statistics.stdev is the correctly rounded root of the exact
+# variance; 3.10 rounds the variance to a float first
+exact_stdlib_stdev = pytest.mark.skipif(sys.version_info < (3, 11), reason="stdev rounds twice")
+
+
+@exact_stdlib_stdev
+@given(st.lists(st.floats(-1e8, 1e8), min_size=2, max_size=60))
+@example([0.1] * 7)
+@example([1e-8, 2e-8, 3e-8])
+def test_control_chart_sigma_is_the_stdlib_stdev_of_drawn_values(values):
+    assert _stdev(values) == statistics.stdev(values)
+
+
+# a float variance moves the last bit of each of these seeds' sigma
+@exact_stdlib_stdev
+@pytest.mark.parametrize("seed", [1003, 1016, 1023, 1025, 1034])
+def test_control_chart_sigma_is_the_stdlib_stdev_of_a_default_series(seed):
+    result = run_replication(dataclasses.replace(RunConfig(), seed=seed))
+    series = [row["utilization"] for row in result.daily]
+    assert _stdev(series) == statistics.stdev(series)
 
 
 def test_control_chart_is_header_only_without_a_day(tmp_path):
@@ -229,74 +262,6 @@ def test_cli_set_overrides_file(tmp_path, monkeypatch):
     assert (out / "platform_daily.csv").read_text().startswith("# seed=9 ")
 
 
-def test_cli_bad_config_key_exits_one(tmp_path, capsys):
-    code = main(["run", "--out", str(tmp_path / "x"), "--set", "bogus=1"])
-    assert code == 1
-    assert "bogus" in capsys.readouterr().err
-
-
-def test_cli_unknown_key_names_its_source(tmp_path, capsys):
-    cfg_path = tmp_path / "f.cfg"
-    cfg_path.write_text("seed = 5\nbogus = 1\n")
-    assert main(["run", "--out", str(tmp_path / "x"), "--config", str(cfg_path)]) == 1
-    assert capsys.readouterr().err == "error: line 2: unknown config key: bogus\n"
-    assert main(["run", "--out", str(tmp_path / "y"), "--set", "bogus=1"]) == 1
-    assert capsys.readouterr().err == "error: override: unknown config key: bogus\n"
-
-
-def test_cli_fps_line_leaving_unit_interval_exits_one(tmp_path, capsys):
-    code = main(["run", "--out", str(tmp_path / "x"), *TINY_OVERRIDES, "--set", "fps_slope=-1"])
-    assert code == 1
-    assert "fps_slope" in capsys.readouterr().err
-    assert not (tmp_path / "x" / "task_predictions.csv").exists()
-
-
-def test_cli_belt_table_without_follow_through_exits_one(tmp_path, capsys):
-    table = tmp_path / "belts.csv"
-    table.write_text("belt,upper_bound,share,p_qualified\nlow,1000,0.9,0.3\nhigh,,0.1,0.6\n")
-    code = main(
-        ["run", "--out", str(tmp_path / "x"), *TINY_OVERRIDES, "--set", f"belt_table_path={table}"]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "belt_table_path" in err
-    assert "low, high" in err
-
-
-def test_cli_admitted_belt_missing_from_belt_table_exits_one(tmp_path, capsys):
-    table = tmp_path / "belts.csv"
-    table.write_text("belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\nred,,0.1,0.6\n")
-    code = main(
-        [
-            "run",
-            "--out",
-            str(tmp_path / "x"),
-            *TINY_OVERRIDES,
-            "--set",
-            f"belt_table_path={table}",
-            "--set",
-            "admitted_belts=blue",
-        ]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "admitted_belts" in err
-    assert "blue" in err
-    assert not (tmp_path / "x" / "report.txt").exists()
-
-
-def test_cli_admitted_belt_outside_the_built_in_table_exits_one(tmp_path, capsys, monkeypatch):
-    ran = []
-    monkeypatch.setattr(csdsim.engine.Simulation, "run", ran.append)
-    out = tmp_path / "x"
-    code = main(["run", "--out", str(out), *TINY_OVERRIDES, "--set", "admitted_belts=purple"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "admitted_belts: belts purple are not in the built-in belt table" in err
-    assert ran == []  # refused before the first replication
-    assert not out.exists()
-
-
 GRAY_BLUE_RED = (
     "belt,upper_bound,share,p_qualified\ngray,900,0.9,0.25\nblue,1500,0.08,0.39\nred,,0.02,0.6\n"
 )
@@ -341,46 +306,19 @@ def test_cli_diversity_on_a_custom_table_admits_by_rank(
         assert f"{label}: fail " in stdout
 
 
-def test_cli_diversity_on_a_one_belt_table_exits_one(tmp_path, capsys, monkeypatch):
-    table = tmp_path / "belts.csv"
-    table.write_text("belt,upper_bound,share,p_qualified\ngray,,1.0,0.3\n")
-    ran = []
-    monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
-    out = tmp_path / "x"
-    argv = ["scenario", "diversity", "--out", str(out), *TINY_OVERRIDES]
-    code = main([*argv, "--set", f"belt_table_path={table}", "--set", "familiarity_belts=gray"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert f"scenario diversity needs at least two belts; {table} has one" in err
-    assert ran == []  # refused before the first replication
-    assert not out.exists()
-
-
-def test_cli_familiarity_belt_missing_from_belt_table_exits_one(tmp_path, capsys, monkeypatch):
-    table = tmp_path / "belts.csv"
-    table.write_text(GRAY_BLUE_RED)
-    ran = []
-    monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
-    out = tmp_path / "x"
-    argv = ["scenario", "diversity", "--out", str(out), *TINY_OVERRIDES]
-    code = main([*argv, "--set", f"belt_table_path={table}"])
-    assert code == 1
-    # the default familiarity_belts are gray and green
-    assert "familiarity_belts: belts green are not in" in capsys.readouterr().err
-    assert ran == []
-    assert not out.exists()
-
-
 BELT_HEADER = b"belt,upper_bound,share,p_qualified\n"
-BELT_SOURCE = ["--set", "belt_table_path={path}"]
-CONFIG_SOURCE = ["--config", "{path}"]
+BELT_SOURCE = ["run", "--set", "belt_table_path={path}"]
+CONFIG_SOURCE = ["run", "--config", "{path}"]
+FOCAL_PAST_HORIZON = "focal_arrival: need focal_arrival + focal_duration <= horizon_days"
 
 
 @pytest.mark.parametrize(
-    "content, source, message",
+    "content, argv, message",
     [
         (b"seed = 7\n# caf\xe9\n", CONFIG_SOURCE, "config file {path} is not UTF-8 text"),
         (None, CONFIG_SOURCE, "cannot read config file {path}: "),
+        (b"seed = 5\nbogus = 1\n", CONFIG_SOURCE, "error: line 2: unknown config key: bogus\n"),
+        (None, ["run", "--set", "bogus=1"], "error: override: unknown config key: bogus\n"),
         (
             BELT_HEADER + b"gray,1000,0.9,0.3\nred\n",
             BELT_SOURCE,
@@ -448,13 +386,55 @@ CONFIG_SOURCE = ["--config", "{path}"]
             [*BELT_SOURCE, "--set", "familiarity_belts=gray"],
             "belt table {path}: shares must be non-negative",
         ),
-        (None, ["--set", "invert_tsr=maybe"], "invert_tsr: expected true or false"),
-        (None, ["--set", "task_lambda=abc"], "task_lambda: expected a number"),
-        (None, ["--set", "skill_vocabulary=,"], "skill_vocabulary: expected a comma separated list"),
+        (
+            BELT_HEADER + b"low,1000,0.9,0.3\nhigh,,0.1,0.6\n",
+            BELT_SOURCE,
+            "belt_table_path: belts low, high in {path} have no submit_follow_through_<belt> key",
+        ),
+        (
+            BELT_HEADER + b"gray,1000,0.9,0.3\nred,,0.1,0.6\n",
+            [*BELT_SOURCE, "--set", "admitted_belts=blue"],
+            "admitted_belts: belts blue are not in {path}",
+        ),
+        (
+            None,
+            ["run", "--set", "admitted_belts=purple"],
+            "admitted_belts: belts purple are not in the built-in belt table",
+        ),
+        (
+            BELT_HEADER + b"gray,,1.0,0.3\n",
+            ["scenario", "diversity", "--set", "belt_table_path={path}", "--set", "familiarity_belts=gray"],
+            "scenario diversity needs at least two belts; {path} has one",
+        ),
+        # the default familiarity_belts are gray and green
+        (
+            GRAY_BLUE_RED.encode(),
+            ["scenario", "diversity", "--set", "belt_table_path={path}"],
+            "familiarity_belts: belts green are not in {path}",
+        ),
+        (None, ["run", "--set", "invert_tsr=maybe"], "invert_tsr: expected true or false"),
+        (None, ["run", "--set", "task_lambda=abc"], "task_lambda: expected a number"),
+        (None, ["run", "--set", "skill_vocabulary=,"], "skill_vocabulary: expected a comma separated list"),
+        (None, ["run", "--set", "fps_slope=-1"], "fps_slope: need 0 <= fps_slope + fps_intercept <= 1"),
+        # day -2 precedes the clock; from day 31 on, the 30 day focal window
+        # ends past the 60 day horizon, so the focal task could never resolve
+        (None, ["whatif", "--day", "-2"], "focal_arrival: must be non-negative"),
+        (None, ["whatif", "--day", "40"], FOCAL_PAST_HORIZON),
+        (None, ["whatif", "--day", "59"], FOCAL_PAST_HORIZON),
+        (None, ["scenario", "openness", "--set", "focal_arrival=40"], FOCAL_PAST_HORIZON),
+        # gate 0.60 draws from [0.52, 0.68], which misses [0.30, 0.50]
+        (None, ["scenario", "openness", "--set", "similarity_high=0.5"], "openness_gate: need the window"),
+        # every policy of a sweep sets both platform levers itself, so a lever in
+        # the base config would be dropped while config_used.cfg still echoed it
+        (None, ["scenario", "openness", "--set", "admitted_belts=red"], "error: admitted_belts: a policy sweep"),
+        (None, ["scenario", "diversity", "--set", "openness_gate=0.9"], "error: openness_gate: a policy sweep"),
+        (None, ["whatif", "--day", "25", "--set", "openness_gate=0.9"], "error: openness_gate: a policy sweep"),
     ],
     ids=[
         "config_not_utf8",
         "config_missing",
+        "unknown_key_in_file",
+        "unknown_key_in_override",
         "belt_row_short",
         "belt_row_long",
         "belt_repeated",
@@ -470,19 +450,35 @@ CONFIG_SOURCE = ["--config", "{path}"]
         "belt_share_nan",
         "belt_bounds_equal",
         "belt_share_negative",
+        "belt_without_follow_through",
+        "admitted_belt_not_in_file",
+        "admitted_belt_not_built_in",
+        "diversity_one_belt",
+        "familiarity_belt_not_in_file",
         "set_bool_not_bool",
         "set_float_not_number",
         "set_list_empty",
+        "fps_line_leaves_unit_interval",
+        "whatif_day_-2",
+        "whatif_day_40",
+        "whatif_day_59",
+        "openness_day_40",
+        "openness_gates_outside_similarity",
+        "openness_admitted_belts",
+        "diversity_openness_gate",
+        "whatif_openness_gate",
     ],
 )
-def test_cli_bad_config_or_belt_table_file_exits_one(tmp_path, capsys, content, source, message):
-    # each error names its file or its key, and no artifact is written
+def test_cli_bad_config_or_belt_table_file_exits_one(tmp_path, capsys, monkeypatch, content, argv, message):
+    # each error names its file or its key, before any replication and any artifact
+    monkeypatch.setattr(csdsim.engine.Simulation, "run", refuse_to_run)
     path = tmp_path / "input"
     if content is not None:
         path.write_bytes(content)
     out = tmp_path / "x"
-    argv = [arg.format(path=path) for arg in source]
-    assert main(["run", "--out", str(out), *TINY_OVERRIDES, *argv]) == 1
+    argv = [arg.format(path=path) for arg in argv]
+    # the row's own options follow TINY_OVERRIDES, so they win
+    assert main([argv[0], *TINY_OVERRIDES, *argv[1:], "--out", str(out)]) == 1
     assert message.format(path=path) in capsys.readouterr().err
     assert not out.exists()
 
@@ -645,62 +641,6 @@ def test_cli_a_marked_file_that_is_not_utf8_exits_with_its_code(
     argv = [arg.format(path=path, data=data_dir) for arg in argv]
     assert main([*argv, "--out", str(out), *TINY_OVERRIDES]) == code
     assert message.format(path=path) in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["whatif", "--day", "-2"],
-        ["whatif", "--day", "40"],
-        ["whatif", "--day", "59"],
-        ["scenario", "openness", "--set", "focal_arrival=40"],
-    ],
-    ids=["whatif_day_-2", "whatif_day_40", "whatif_day_59", "openness_day_40"],
-)
-def test_cli_focal_outside_the_horizon_exits_one(tmp_path, capsys, monkeypatch, argv):
-    # day -2 precedes the clock; from day 31 on, the 30 day focal window
-    # ends past the 60 day horizon, so the focal task could never resolve
-    ran = []
-    monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
-    out = tmp_path / "x"
-    code = main([*argv, "--out", str(out), *TINY_OVERRIDES])
-    assert code == 1
-    assert "focal_arrival" in capsys.readouterr().err
-    assert ran == []  # refused before the first replication
-    assert not out.exists()
-
-
-def test_cli_openness_gates_outside_the_similarity_range_exit_one(tmp_path, capsys, monkeypatch):
-    # gate 0.60 draws from [0.52, 0.68], which misses [0.30, 0.50]
-    ran = []
-    monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
-    out = tmp_path / "x"
-    argv = ["scenario", "openness", "--out", str(out), "--set", "similarity_high=0.5"]
-    assert main([*argv, *TINY_OVERRIDES]) == 1
-    assert "openness_gate" in capsys.readouterr().err
-    assert ran == []
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "argv, key",
-    [
-        (["scenario", "openness", "--set", "admitted_belts=red"], "admitted_belts"),
-        (["scenario", "diversity", "--set", "openness_gate=0.9"], "openness_gate"),
-        (["whatif", "--day", "25", "--set", "openness_gate=0.9"], "openness_gate"),
-    ],
-    ids=["openness_admitted_belts", "diversity_openness_gate", "whatif_openness_gate"],
-)
-def test_cli_sweep_refuses_a_lever_it_would_drop(tmp_path, capsys, monkeypatch, argv, key):
-    # every policy of a sweep sets both platform levers itself, so a lever in
-    # the base config would be dropped while config_used.cfg still echoed it
-    ran = []
-    monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
-    out = tmp_path / "x"
-    assert main([*argv, "--out", str(out), *TINY_OVERRIDES]) == 1
-    assert f"error: {key}: " in capsys.readouterr().err
-    assert ran == []
     assert not out.exists()
 
 
