@@ -85,10 +85,6 @@ def ordered_sum(values):
     return total
 
 
-def can_transition(current: TaskState, target: TaskState) -> bool:
-    return target in LEGAL_TRANSITIONS[current]
-
-
 def failure_phase(outcome: str, submissions: int) -> Optional[str]:
     """Phase in which a task failed; None unless ``outcome`` is a failure.
 
@@ -263,7 +259,7 @@ class Task:
         return self.arrival + self.duration
 
     def transition(self, target: TaskState) -> None:
-        if not can_transition(self.state, target):
+        if target not in LEGAL_TRANSITIONS[self.state]:
             raise ModelInvariantError(
                 f"task {self.task_id}: illegal transition {self.state.value} -> {target.value}"
             )

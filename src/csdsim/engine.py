@@ -530,23 +530,23 @@ class Simulation:
 
     # ------------------------------------------------------------- run
 
-    # The order fixes each kind's trace code; reordering moves every trace hash.
-    _HANDLERS = {
-        EV_TASK_ARRIVAL: "_on_task_arrival",
-        EV_AGENT_START: "_on_agent_start",
-        EV_REG_ATTEMPT: "_on_reg_attempt",
-        EV_SUB_ATTEMPT: "_on_sub_attempt",
-        EV_DEADLINE: "_on_deadline",
-        EV_REVIEW: "_on_review",
-        EV_FOCAL: "_on_focal",
-        EV_DAILY: "_on_daily",
-    }
+    # Each kind is handled by ``_on_<kind>``. The order fixes each kind's trace
+    # code; reordering moves every trace hash.
+    _HANDLERS = (
+        EV_TASK_ARRIVAL,
+        EV_AGENT_START,
+        EV_REG_ATTEMPT,
+        EV_SUB_ATTEMPT,
+        EV_DEADLINE,
+        EV_REVIEW,
+        EV_FOCAL,
+        EV_DAILY,
+    )
 
     def run(self) -> ReplicationResult:
         self.setup()
         dispatch = {
-            kind: (code, getattr(self, name))
-            for code, (kind, name) in enumerate(self._HANDLERS.items())
+            kind: (code, getattr(self, "_on_" + kind)) for code, kind in enumerate(self._HANDLERS)
         }
         heap = self._heap
         pop = heapq.heappop

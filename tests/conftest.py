@@ -1,6 +1,8 @@
 import dataclasses
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,12 @@ def csdsim_env() -> dict:
     """This process's environment with this csdsim importable, for a fresh interpreter."""
     paths = [str(Path(csdsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def run_python(*argv: str) -> str:
+    """Run the interpreter on ``argv`` with this csdsim importable; fail unless it exits 0."""
+    out = subprocess.run([sys.executable, *argv], capture_output=True, text=True, check=True, env=csdsim_env())
+    return out.stdout
 
 
 def load_script(name: str):

@@ -281,38 +281,6 @@ def test_belt_table_csv_round_trip(tmp_path):
     assert [(row.belt, row.p_qualified) for row in table.rows] == [("low", 0.2), ("high", 0.6)]
 
 
-def test_belt_table_requires_unbounded_last_row(tmp_path):
-    path = tmp_path / "belts.csv"
-    path.write_text(
-        "belt,upper_bound,share,p_qualified\n"
-        "low,1000,0.5,0.2\n"
-        "high,2000,0.5,0.6\n"
-    )
-    with pytest.raises(ConfigError):
-        load_belt_table(str(path))
-
-
-def test_belt_table_rejects_descending_bounds(tmp_path):
-    path = tmp_path / "belts.csv"
-    path.write_text(
-        "belt,upper_bound,share,p_qualified\n"
-        "a,2000,0.5,0.2\n"
-        "b,1000,0.3,0.2\n"
-        "c,,0.2,0.2\n"
-    )
-    with pytest.raises(ConfigError):
-        load_belt_table(str(path))
-
-
-def test_belt_table_rejects_bad_probability(tmp_path):
-    path = tmp_path / "belts.csv"
-    path.write_text(
-        "belt,upper_bound,share,p_qualified\na,1000,0.5,1.2\nb,,0.5,0.5\n"
-    )
-    with pytest.raises(ConfigError):
-        load_belt_table(str(path))
-
-
 def test_default_belt_shares_renormalized():
     total = sum(row.share for row in DEFAULT_BELT_TABLE.rows)
     assert abs(total - 1.0) < 1e-12

@@ -19,7 +19,6 @@ from csdsim.domain import (
     TERMINAL_STATES,
     BeltRow,
     BeltTable,
-    can_transition,
     load_belt_table,
     ordered_sum,
     reported_failures,
@@ -91,14 +90,6 @@ def test_transition_agrees_with_edge_set(src, dst):
         assert task.state is src  # a refused move must not corrupt the task
 
 
-@given(
-    src=st.sampled_from(ALL_STATES),
-    dst=st.sampled_from(ALL_STATES),
-)
-def test_can_transition_matches_table(src, dst):
-    assert can_transition(src, dst) == (dst in LEGAL_TRANSITIONS[src])
-
-
 def test_deadline_is_arrival_plus_duration():
     task = Task(task_id=3, arrival=2.5, duration=10.0, similarity=0.5, skills=0, attractable=True)
     assert task.deadline == 12.5
@@ -147,21 +138,14 @@ def test_from_rows_renormalizes_shares():
     assert abs(sum(r.share for r in table.rows) - 1.0) < 1e-12
 
 
-def test_from_rows_rejects_bounded_tail():
-    with pytest.raises(ConfigError):
-        BeltTable.from_rows([("a", 100.0, 1.0, 0.5)])
-
-
-def test_from_rows_rejects_unordered_bounds():
-    with pytest.raises(ConfigError):
-        BeltTable.from_rows(
-            [("a", 200.0, 0.5, 0.5), ("b", 100.0, 0.3, 0.5), ("c", float("inf"), 0.2, 0.5)]
-        )
-
-
 @pytest.mark.parametrize(
     "rows, message",
     [
+        ([("a", 100.0, 1.0, 0.5)], "last row must have an unbounded rating"),
+        (
+            [("a", 200.0, 0.5, 0.5), ("b", 100.0, 0.3, 0.5), ("c", float("inf"), 0.2, 0.5)],
+            "rows must be sorted by strictly ascending upper_bound",
+        ),
         # the later of two equal bounds could never be assigned
         (
             [("gray", 900.0, 0.9, 0.25), ("green", 900.0, 0.05, 0.45), ("red", float("inf"), 0.05, 0.6)],
@@ -169,7 +153,7 @@ def test_from_rows_rejects_unordered_bounds():
         ),
         ([("gray", 900.0, 2.0, 0.25), ("red", float("inf"), -1.0, 0.6)], "shares must be non-negative"),
     ],
-    ids=["bounds_equal", "share_negative"],
+    ids=["tail_bounded", "bounds_descending", "bounds_equal", "share_negative"],
 )
 def test_from_rows_refuses_a_hidden_belt_or_a_negative_share(rows, message):
     with pytest.raises(ConfigError, match=f"^belts.csv: {message}$"):

@@ -6,7 +6,6 @@ import io
 import math
 import os
 import re
-import subprocess
 import sys
 from unittest import mock
 
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import stdtr
 
 import csdsim
-from conftest import csdsim_env, load_script
+from conftest import load_script, run_python
 from csdsim import RunConfig, TaskState, history, run_replication
 from csdsim.domain import REGISTRATION_PHASE, SUBMISSION_PHASE
 from csdsim.history import (
@@ -421,14 +420,6 @@ def test_simulated_history_round_trips_through_the_scorer(tiny_cfg):
         assert scored["submission"].predicted_total > 0.0
 
 
-def test_fixture_files_reproduce_pinned_mres(data_dir):
-    history = ingest_history(str(data_dir / "eval_history.csv"))
-    predictions = ingest_predictions(str(data_dir / "eval_predictions.csv"))
-    scored = evaluate_forecast(history, predictions)
-    assert scored["registration"].mre == pytest.approx(0.011, abs=1e-9)
-    assert scored["submission"].mre == pytest.approx(0.020, abs=1e-9)
-
-
 # ------------------------------------------------------ shared cell strings
 
 
@@ -633,21 +624,13 @@ def test_stdtr_is_bit_identical_to_t_sf(df):
         assert float(stdtr(df, -t)) == float(scipy_stats.t.sf(t, df)), (df, t)
 
 
-def run_fresh(code):
-    """stdout of ``code`` run in a fresh interpreter that imports this csdsim."""
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=csdsim_env()
-    )
-    return out.stdout.strip()
-
-
 def test_import_csdsim_leaves_scipy_stats_unloaded():
-    assert run_fresh("import csdsim, sys; print('scipy.stats' in sys.modules)") == "False"
+    assert run_python("-c", "import csdsim, sys; print('scipy.stats' in sys.modules)") == "False\n"
 
 
 def test_import_csdsim_loads_neither_numpy_nor_scipy():
     code = "import csdsim, sys; print('numpy' in sys.modules, 'scipy' in sys.modules)"
-    assert run_fresh(code) == "False False"
+    assert run_python("-c", code) == "False False\n"
 
 
 def test_replications_run_with_numpy_and_scipy_unimportable():
@@ -663,7 +646,7 @@ report, _ = run_diversity_scenario(RunConfig(seed=2000, replications=1))
 print(*(outcome.label for outcome in report.outcomes))
 """
     r = run_replication(dataclasses.replace(RunConfig(), seed=1000, focal_enabled=True))
-    assert run_fresh(code).splitlines() == [
+    assert run_python("-c", code).splitlines() == [
         f"{r.events_processed} {r.trace_hash}",
         "elite_only mid_and_up green_and_up all_welcome",
     ]
@@ -677,7 +660,7 @@ from csdsim.cli import main
 main(["calibrate-fps", "--set", "replications=2", "--set", "task_lambda=25", "--set", "agent_gamma=120"])
 """
     slope, intercept, points = csdsim.calibrate_fps(tiny_cfg)
-    assert run_fresh(code).splitlines() == [
+    assert run_python("-c", code).splitlines() == [
         f"fps_slope = {slope!r}",
         f"fps_intercept = {intercept!r}",
         f"# fitted on {points} resolved tasks",
@@ -694,4 +677,4 @@ print('numpy' in sys.modules, 'scipy' in sys.modules)
 evaluate_forecast(history, predictions)
 print('numpy' in sys.modules, 'scipy.special' in sys.modules)
 """
-    assert run_fresh(code).splitlines() == ["False False", "True True"]
+    assert run_python("-c", code).splitlines() == ["False False", "True True"]

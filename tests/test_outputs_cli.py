@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import csdsim.cli
 import csdsim.engine
 import csdsim.scenarios
+from conftest import load_script
 from csdsim import (
     ModelInvariantError,
     RunConfig,
@@ -28,14 +29,7 @@ from csdsim.domain import load_belt_table
 from csdsim.history import ingest_history, ingest_predictions
 from csdsim.outputs import DAILY_COLUMNS, EVALUATION_COLUMNS, OUTPUT_FILES, _stdev
 
-TINY_OVERRIDES = [
-    "--set",
-    "replications=1",
-    "--set",
-    "task_lambda=25",
-    "--set",
-    "agent_gamma=120",
-]
+TINY_OVERRIDES = load_script("artifact_digests").TINY_OVERRIDES
 
 
 @pytest.fixture()
@@ -377,6 +371,16 @@ FOCAL_PAST_HORIZON = "focal_arrival: need focal_arrival + focal_duration <= hori
             "belt table {path}: shares must sum to a positive value, each one finite",
         ),
         (
+            BELT_HEADER + b"low,1000,0.5,0.2\nhigh,2000,0.5,0.6\n",
+            BELT_SOURCE,
+            "belt table {path}: last row must have an unbounded rating",
+        ),
+        (
+            BELT_HEADER + b"a,2000,0.5,0.2\nb,1000,0.3,0.2\nc,,0.2,0.2\n",
+            BELT_SOURCE,
+            "belt table {path}: rows must be sorted by strictly ascending upper_bound",
+        ),
+        (
             BELT_HEADER + b"gray,900,0.9,0.25\ngreen,900,0.05,0.45\nred,,0.05,0.6\n",
             [*BELT_SOURCE, "--set", "admitted_belts=green", "--set", "familiarity_belts=gray"],
             "belt table {path}: rows must be sorted by strictly ascending upper_bound",
@@ -385,6 +389,11 @@ FOCAL_PAST_HORIZON = "focal_arrival: need focal_arrival + focal_duration <= hori
             BELT_HEADER + b"gray,900,2.0,0.25\nred,,-1.0,0.6\n",
             [*BELT_SOURCE, "--set", "familiarity_belts=gray"],
             "belt table {path}: shares must be non-negative",
+        ),
+        (
+            BELT_HEADER + b"a,1000,0.5,1.2\nb,,0.5,0.5\n",
+            BELT_SOURCE,
+            "belt table {path}: p_qualified out of range for a",
         ),
         (
             BELT_HEADER + b"low,1000,0.9,0.3\nhigh,,0.1,0.6\n",
@@ -448,8 +457,11 @@ FOCAL_PAST_HORIZON = "focal_arrival: need focal_arrival + focal_duration <= hori
         "belt_bound_nan",
         "belt_bound_inf_before_last",
         "belt_share_nan",
+        "belt_tail_bounded",
+        "belt_bounds_descending",
         "belt_bounds_equal",
         "belt_share_negative",
+        "belt_p_qualified_above_one",
         "belt_without_follow_through",
         "admitted_belt_not_in_file",
         "admitted_belt_not_built_in",

@@ -4,13 +4,7 @@ import re
 import subprocess
 import sys
 
-from conftest import DATA_DIR, SCRIPTS_DIR, csdsim_env, load_script
-
-
-def run_python(*argv: str) -> str:
-    """Run the interpreter on ``argv`` with this csdsim importable; fail unless it exits 0."""
-    out = subprocess.run([sys.executable, *argv], capture_output=True, text=True, check=True, env=csdsim_env())
-    return out.stdout
+from conftest import DATA_DIR, SCRIPTS_DIR, csdsim_env, load_script, run_python
 
 
 def run_script(name: str) -> str:
