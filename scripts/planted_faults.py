@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "scripts", "README.md")
 
 BUSY_MARKET = "tests/test_config_fuzz.py::test_a_busy_market_keeps_its_invariants_and_scores"
+MIXED_REVIEW = "tests/test_config_fuzz.py::test_a_review_of_a_mixed_field_completes_on_a_later_qualified_submission"
 
 
 class Fault(NamedTuple):
@@ -45,14 +46,14 @@ FAULTS = (
         "src/csdsim/lifecycle.py",
         "    if any(s.qualified for s in task.submissions):\n",
         "    if all(s.qualified for s in task.submissions):\n",
-        BUSY_MARKET,
+        MIXED_REVIEW,
     ),
     Fault(
         "review-reads-first-submission",
         "src/csdsim/lifecycle.py",
         "    if any(s.qualified for s in task.submissions):\n",
         "    if task.submissions[0].qualified:\n",
-        BUSY_MARKET,
+        MIXED_REVIEW,
     ),
     Fault(
         "pool-pos-kept",
@@ -261,6 +262,22 @@ FAULTS = (
         "2.0 * float(stdtr(",
         "1.0 * float(stdtr(",
         "tests/test_scenarios.py::test_ttest_matches_scipy_randomized",
+    ),
+    Fault(
+        "default-drifts",
+        "src/csdsim/config.py",
+        "    task_lambda: float = 87.0\n",
+        "    task_lambda: float = 88.0\n",
+        "tests/test_artifact_digests.py::test_every_command_matches_its_recorded_digests",
+    ),
+    Fault(
+        "completed-without-submission",
+        "src/csdsim/history.py",
+        '                if outcome == "completed" and subs == 0:\n'
+        '                    raise _row_error(row_num, "a completed task requires submissions")\n',
+        "",
+        "tests/test_history.py::test_row_validation_errors_carry_row_numbers"
+        "[t1,0,5,0,0,completed,\\n-a completed task requires submissions]",
     ),
     Fault(
         "stdev-rounds-twice",

@@ -150,6 +150,10 @@ def ingest_history(path: str):
                     raise _row_error(row_num, "a dropped task cannot have submissions")
                 if outcome == "failed" and subs == 0:
                     raise _row_error(row_num, "a review failure requires submissions")
+                if outcome == "completed" and subs == 0:
+                    raise _row_error(row_num, "a completed task requires submissions")
+                if outcome == "dropped" and regs == 0:
+                    raise _row_error(row_num, "a dropped task requires registrants")
                 try:
                     phase = _STATED_PHASES[phase]
                 except KeyError:

@@ -6,7 +6,6 @@ Expensive simulations are shared through module-scoped fixtures.
 """
 
 import dataclasses
-import math
 import random
 import statistics
 import time

@@ -1,10 +1,12 @@
-"""Every command's artifacts and stdout match the recorded sha256 lines."""
+"""Every frozen value matches its recorded line: each command's artifacts and
+stdout, the default config's echo, and each pinned replication."""
 
 import time
 
-from conftest import DATA_DIR, load_script
+from conftest import DATA_DIR, SCRIPTS_DIR, load_script, run_python
 
-RECORDED = DATA_DIR / "artifact_digests.txt"
+SCRIPT = load_script("artifact_digests")
+RECORDED = (DATA_DIR / "artifact_digests.txt").read_text(encoding="utf-8").splitlines()
 BUDGET_S = 5.0
 
 
@@ -13,10 +15,30 @@ def as_dict(lines) -> dict:
 
 
 def test_every_command_matches_its_recorded_digests():
-    script = load_script("artifact_digests")
     started = time.monotonic()
-    lines = script.digest_lines()
+    lines = SCRIPT.digest_lines()
     elapsed = time.monotonic() - started
-    # compared as dicts, so a failure names each moved file
-    assert as_dict(lines) == as_dict(RECORDED.read_text(encoding="utf-8").splitlines())
+    # compared as dicts, so a failure names each moved line
+    assert as_dict(lines) == as_dict(RECORDED)
     assert elapsed < BUDGET_S, f"digest matrix took {elapsed:.1f}s"
+
+
+def test_the_record_holds_with_numpy_scipy_and_statistics_unimportable():
+    # A None entry in sys.modules makes any import of that name fail; csdsim
+    # computes its own control-chart sigma, so it needs no statistics either.
+    code = f"""
+import sys
+sys.modules["numpy"] = sys.modules["scipy"] = sys.modules["statistics"] = None
+sys.path.insert(0, {str(SCRIPTS_DIR)!r})
+import artifact_digests as script
+from csdsim import RunConfig, run_diversity_scenario
+print(*script.command_digests("calibrate_fps", dict(script.COMMANDS)["calibrate_fps"]), sep="\\n")
+print(*script.frozen_lines(), sep="\\n")
+report, _ = run_diversity_scenario(RunConfig(seed=2000, replications=1))
+print(*(outcome.label for outcome in report.outcomes))
+"""
+    *lines, labels = run_python("-c", code).splitlines()
+    # the lines whose making evaluates no forecast, so loads neither numpy nor scipy
+    unevaluated = {"calibrate_fps", "defaults", *(name for name, _cfg in SCRIPT.REPLICATIONS)}
+    assert as_dict(lines) == {k: v for k, v in as_dict(RECORDED).items() if k.split("/")[0] in unevaluated}
+    assert labels == "elite_only mid_and_up green_and_up all_welcome"

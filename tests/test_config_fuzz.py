@@ -16,7 +16,9 @@ a huge one is a memory limit rather than a config error.
 
 Tier-1 runs no search; the examples that must repost, complete and fail
 review are pinned: ``PINNED`` is an example of both property tests, and
-plain tests assert that it does all three.
+plain tests assert that it does all three. ``MIXED_REVIEW``, an example of
+the busy-market test, reviews a task whose first submission is unqualified
+and a later one qualified, and a plain test asserts that the task completes.
 """
 
 import csv
@@ -29,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CheckedSimulation, assert_structural_invariants
-from csdsim import ConfigError, RunConfig, emit_outputs
+from csdsim import ConfigError, RunConfig, TaskState, emit_outputs
 from csdsim.config import FOLLOW_THROUGH_FIELDS
 from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.history import (
@@ -106,6 +108,16 @@ def busy_markets(draw):
 PINNED = {"seed": 1000, "replications": 1}
 
 
+# A busy market inside ``busy_markets``' ranges whose review reads a mixed
+# field. Of seeds 0-39, seeds 20 and 27 each end one reviewed task whose first
+# submission is unqualified and a later one qualified; this is the first.
+MIXED_REVIEW = dict(
+    seed=20, replications=1, horizon_days=12.0, task_lambda=20.0, agent_gamma=60.0,
+    duration_min=1.0, duration_mode=2.0, duration_max=4.0, quality_pass=40.0,
+    sub_product_threshold=0.8, **dict.fromkeys(FOLLOW_THROUGH_FIELDS, 0.9),
+)
+
+
 @pytest.fixture(scope="module")
 def pinned_counters():
     return CheckedSimulation(RunConfig(**PINNED)).run().counters
@@ -120,9 +132,21 @@ def test_a_drawn_busy_market_reaches_review(pinned_counters, counter):
     assert pinned_counters[counter] > 0
 
 
+def test_a_review_of_a_mixed_field_completes_on_a_later_qualified_submission():
+    sim = CheckedSimulation(RunConfig(**MIXED_REVIEW))
+    sim.run()
+    reviewed = [t for t in sim.tasks.values() if t.state in (TaskState.COMPLETED, TaskState.FAILED)]
+    mixed = [
+        task for task in reviewed
+        if not task.submissions[0].qualified and any(s.qualified for s in task.submissions[1:])
+    ]
+    assert [task.state for task in mixed] == [TaskState.COMPLETED]
+
+
 @settings(max_examples=60, deadline=None)
 @given(changes=busy_markets())
 @example(changes=PINNED)
+@example(changes=MIXED_REVIEW)
 def test_a_busy_market_keeps_its_invariants_and_scores(changes):
     sim = CheckedSimulation(RunConfig(**changes))
     result = sim.run()

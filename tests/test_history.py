@@ -1,7 +1,6 @@
 """History ingestion, validation rules, and the forecast scorer."""
 
 import csv
-import dataclasses
 import io
 import math
 import os
@@ -15,9 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtr
 
-import csdsim
 from conftest import load_script, run_python
-from csdsim import RunConfig, TaskState, history, run_replication
+from csdsim import TaskState, history, run_replication
 from csdsim.domain import REGISTRATION_PHASE, SUBMISSION_PHASE
 from csdsim.history import (
     FAILURE_OUTCOMES,
@@ -91,6 +89,8 @@ def test_phase_inferred_from_submissions(tmp_path):
         ("t1,0,5,2,0,starved,\n", "starved task cannot have registrants"),
         ("t1,0,5,3,1,dropped,\n", "dropped task cannot have submissions"),
         ("t1,0,5,3,0,failed,\n", "review failure requires submissions"),
+        ("t1,0,5,0,0,completed,\n", "a completed task requires submissions"),
+        ("t1,0,5,0,0,dropped,\n", "a dropped task requires registrants"),
         ("t1,0,5,0,2,completed,\n", "submissions without registrants"),
         ("t1,0,5,3,1,failed,shipping\n", "unknown failure_phase"),
         ("t1,-1,5,0,0,starved,\n", "posted_day is negative"),
@@ -631,40 +631,6 @@ def test_import_csdsim_leaves_scipy_stats_unloaded():
 def test_import_csdsim_loads_neither_numpy_nor_scipy():
     code = "import csdsim, sys; print('numpy' in sys.modules, 'scipy' in sys.modules)"
     assert run_python("-c", code) == "False False\n"
-
-
-def test_replications_run_with_numpy_and_scipy_unimportable():
-    # A None entry in sys.modules makes any import of that name fail; csdsim
-    # computes its own control-chart sigma, so it needs no statistics either.
-    code = """
-import dataclasses, sys
-sys.modules["numpy"] = sys.modules["scipy"] = sys.modules["statistics"] = None
-from csdsim import RunConfig, run_diversity_scenario, run_replication
-result = run_replication(dataclasses.replace(RunConfig(), seed=1000, focal_enabled=True))
-print(result.events_processed, result.trace_hash)
-report, _ = run_diversity_scenario(RunConfig(seed=2000, replications=1))
-print(*(outcome.label for outcome in report.outcomes))
-"""
-    r = run_replication(dataclasses.replace(RunConfig(), seed=1000, focal_enabled=True))
-    assert run_python("-c", code).splitlines() == [
-        f"{r.events_processed} {r.trace_hash}",
-        "elite_only mid_and_up green_and_up all_welcome",
-    ]
-
-
-def test_calibrate_fps_runs_with_numpy_unimportable(tiny_cfg):
-    code = """
-import sys
-sys.modules["numpy"] = None
-from csdsim.cli import main
-main(["calibrate-fps", "--set", "replications=2", "--set", "task_lambda=25", "--set", "agent_gamma=120"])
-"""
-    slope, intercept, points = csdsim.calibrate_fps(tiny_cfg)
-    assert run_python("-c", code).splitlines() == [
-        f"fps_slope = {slope!r}",
-        f"fps_intercept = {intercept!r}",
-        f"# fitted on {points} resolved tasks",
-    ]
 
 
 def test_evaluate_forecast_loads_numpy_and_scipy(data_dir):
