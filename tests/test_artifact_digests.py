@@ -1,9 +1,10 @@
 """Every frozen value matches its recorded line: each command's artifacts and
-stdout, the default config's echo, and each pinned replication."""
+stdout, the default config's echo, and each pinned replication. The same lines
+are checked with numpy and scipy unimportable in test_history."""
 
 import time
 
-from conftest import DATA_DIR, SCRIPTS_DIR, load_script, run_python
+from conftest import DATA_DIR, load_script
 
 SCRIPT = load_script("artifact_digests")
 RECORDED = (DATA_DIR / "artifact_digests.txt").read_text(encoding="utf-8").splitlines()
@@ -22,23 +23,3 @@ def test_every_command_matches_its_recorded_digests():
     assert as_dict(lines) == as_dict(RECORDED)
     assert elapsed < BUDGET_S, f"digest matrix took {elapsed:.1f}s"
 
-
-def test_the_record_holds_with_numpy_scipy_and_statistics_unimportable():
-    # A None entry in sys.modules makes any import of that name fail; csdsim
-    # computes its own control-chart sigma, so it needs no statistics either.
-    code = f"""
-import sys
-sys.modules["numpy"] = sys.modules["scipy"] = sys.modules["statistics"] = None
-sys.path.insert(0, {str(SCRIPTS_DIR)!r})
-import artifact_digests as script
-from csdsim import RunConfig, run_diversity_scenario
-print(*script.command_digests("calibrate_fps", dict(script.COMMANDS)["calibrate_fps"]), sep="\\n")
-print(*script.frozen_lines(), sep="\\n")
-report, _ = run_diversity_scenario(RunConfig(seed=2000, replications=1))
-print(*(outcome.label for outcome in report.outcomes))
-"""
-    *lines, labels = run_python("-c", code).splitlines()
-    # the lines whose making evaluates no forecast, so loads neither numpy nor scipy
-    unevaluated = {"calibrate_fps", "defaults", *(name for name, _cfg in SCRIPT.REPLICATIONS)}
-    assert as_dict(lines) == {k: v for k, v in as_dict(RECORDED).items() if k.split("/")[0] in unevaluated}
-    assert labels == "elite_only mid_and_up green_and_up all_welcome"

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtr
 
-from conftest import load_script, run_python
+from conftest import DATA_DIR, SCRIPTS_DIR, load_script, run_python
 from csdsim import TaskState, history, run_replication
 from csdsim.domain import REGISTRATION_PHASE, SUBMISSION_PHASE
 from csdsim.history import (
@@ -631,6 +631,43 @@ def test_import_csdsim_leaves_scipy_stats_unloaded():
 def test_import_csdsim_loads_neither_numpy_nor_scipy():
     code = "import csdsim, sys; print('numpy' in sys.modules, 'scipy' in sys.modules)"
     assert run_python("-c", code) == "False False\n"
+
+
+# A None entry in sys.modules makes any import of that name fail; csdsim
+# computes its own control-chart sigma, so it needs no statistics either.
+BLOCKED_PRELUDE = f"""
+import sys
+sys.modules["numpy"] = sys.modules["scipy"] = sys.modules["statistics"] = None
+sys.path.insert(0, {str(SCRIPTS_DIR)!r})
+import artifact_digests as script
+"""
+
+
+def recorded(*groups: str) -> dict:
+    """The recorded digest lines whose name starts with one of ``groups``."""
+    lines = (DATA_DIR / "artifact_digests.txt").read_text(encoding="utf-8").splitlines()
+    return {k: v for k, v in (line.split(" ", 1) for line in lines) if k.split("/")[0] in groups}
+
+
+def test_replications_run_with_numpy_and_scipy_unimportable():
+    code = BLOCKED_PRELUDE + """
+from csdsim import RunConfig, run_diversity_scenario
+print(*script.frozen_lines(), sep="\\n")
+report, _ = run_diversity_scenario(RunConfig(seed=2000, replications=1))
+print(*(outcome.label for outcome in report.outcomes))
+"""
+    *lines, labels = run_python("-c", code).splitlines()
+    frozen = recorded("defaults", *(name for name, _cfg in load_script("artifact_digests").REPLICATIONS))
+    assert dict(line.split(" ", 1) for line in lines) == frozen
+    assert labels == "elite_only mid_and_up green_and_up all_welcome"
+
+
+def test_calibrate_fps_runs_with_numpy_unimportable():
+    code = BLOCKED_PRELUDE + """
+print(*script.command_digests("calibrate_fps", dict(script.COMMANDS)["calibrate_fps"]), sep="\\n")
+"""
+    lines = run_python("-c", code).splitlines()
+    assert dict(line.split(" ", 1) for line in lines) == recorded("calibrate_fps")
 
 
 def test_evaluate_forecast_loads_numpy_and_scipy(data_dir):
