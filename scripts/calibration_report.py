@@ -4,8 +4,8 @@ Refits the submission-risk line on simulated resolutions and prints it
 next to the configured slope and intercept; the configured line is a
 fixed operating point taken from field data, so a gap here measures how
 far the simulated market sits from that regime rather than an error.
-Also prints population-implied belt shares next to the configured table
-and the duration sample mean.
+Also prints the belt shares the paper publishes next to those the rating
+distribution implies, and the duration sample mean.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from csdsim.engine import RngStreams
 from csdsim.lifecycle import sample_duration
 from csdsim.platform import implied_belt_shares
 from csdsim.scenarios import calibrate_fps
+
+# The crowd mix the paper publishes, field data the model never reads: a
+# simulated worker's belt follows from the rating drawn for them.
+PUBLISHED_BELT_SHARES = {"gray": 0.9002, "green": 0.0288, "blue": 0.0539, "yellow": 0.0154, "red": 0.0016}
 
 
 def main() -> None:
@@ -35,10 +39,10 @@ def main() -> None:
     print(f"  configured slope {cfg.fps_slope:+.4f}  intercept {cfg.fps_intercept:+.4f}")
     print()
 
-    print("belt shares, configured table vs population-implied:")
+    print("belt shares, published vs population-implied:")
     analytic = implied_belt_shares(DEFAULT_BELT_TABLE, cfg)
-    for row in DEFAULT_BELT_TABLE.rows:
-        print(f"  {row.belt:<7} configured {row.share:6.3f}  analytic {analytic[row.belt]:6.3f}")
+    for belt, published in PUBLISHED_BELT_SHARES.items():
+        print(f"  {belt:<7} published {published:6.3f}  analytic {analytic[belt]:6.3f}")
 
     rng = RngStreams(args.seed).get("duration")
     n = 20_000

@@ -15,6 +15,11 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+from csdsim.domain import PHASES
+from csdsim.history import HISTORY_COLUMNS, PREDICTION_COLUMNS
+
+REGISTRATION, SUBMISSION = PHASES
+
 DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 
 N_PER_PHASE = 1000
@@ -49,14 +54,14 @@ def prediction_rows():
         posted = _posted_reg(i)
         value = 0.5 if i <= HALVES_REGISTRATION else 1.0
         if i <= SUPERSEDED:
-            yield (f"r{i:04d}", posted - 1, "registration", 0.123)
-        yield (f"r{i:04d}", posted, "registration", value)
+            yield (f"r{i:04d}", posted - 1, REGISTRATION, 0.123)
+        yield (f"r{i:04d}", posted, REGISTRATION, value)
     for i in range(1, N_PER_PHASE + 1):
         posted = _posted_sub(i)
         value = 0.5 if i <= HALVES_SUBMISSION else 1.0
         if i <= SUPERSEDED:
-            yield (f"s{i:04d}", posted - 1, "submission", 0.123)
-        yield (f"s{i:04d}", posted, "submission", value)
+            yield (f"s{i:04d}", posted - 1, SUBMISSION, 0.123)
+        yield (f"s{i:04d}", posted, SUBMISSION, value)
 
 
 def main() -> None:
@@ -66,24 +71,14 @@ def main() -> None:
     with history.open("w", newline="") as fh:
         fh.write("# synthetic evaluation fixture, all tasks failed\n")
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "task_id",
-                "posted_day",
-                "duration_days",
-                "registrants",
-                "submissions",
-                "outcome",
-                "failure_phase",
-            ]
-        )
+        writer.writerow(HISTORY_COLUMNS)
         writer.writerows(history_rows())
 
     predictions = DATA_DIR / "eval_predictions.csv"
     with predictions.open("w", newline="") as fh:
         fh.write("# synthetic evaluation fixture, latest row per task wins\n")
         writer = csv.writer(fh)
-        writer.writerow(["task_id", "day", "phase", "prediction"])
+        writer.writerow(PREDICTION_COLUMNS)
         writer.writerows(prediction_rows())
 
     reg = sum(0.5 if i <= HALVES_REGISTRATION else 1.0 for i in range(1, N_PER_PHASE + 1))

@@ -287,6 +287,17 @@ FAULTS = (
         "    return math.sqrt(num / den)\n",
         "tests/test_outputs_cli.py::test_control_chart_sigma_is_the_stdlib_stdev_of_a_default_series[1003]",
     ),
+    Fault(
+        "belt-share-column-accepted",
+        "src/csdsim/domain.py",
+        '            if "share" in header:  # an older table\'s column, which no rule read\n'
+        "                raise ConfigError(\n"
+        '                    f"belt table {path}: has a share column, but a belt\'s population "\n'
+        '                    "share follows from the rating distribution; drop the column"\n'
+        "                )\n",
+        "",
+        "tests/test_outputs_cli.py::test_cli_bad_config_or_belt_table_file_exits_one[belt_share_column]",
+    ),
 )
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -66,6 +66,7 @@ FAILURE_STATES = frozenset({TaskState.FAILED, TaskState.STARVED, TaskState.DROPP
 
 # The same states as outcome strings, as task logs and history CSVs spell them.
 FAILURE_OUTCOMES = frozenset(state.value for state in FAILURE_STATES)
+TERMINAL_OUTCOMES = frozenset(state.value for state in TERMINAL_STATES)
 
 # The two phases a task can fail in, as forecasts and history CSVs spell them.
 REGISTRATION_PHASE = "registration"
@@ -99,11 +100,10 @@ def failure_phase(outcome: str, submissions: int) -> Optional[str]:
 
 @dataclass(frozen=True)
 class BeltRow:
-    """One competence tier: rating interval, population share and quality odds."""
+    """One competence tier: rating interval and quality odds."""
 
     belt: str
     upper_bound: float  # inclusive; a rating on the boundary stays in this belt
-    share: float
     p_qualified: float
 
 
@@ -113,13 +113,12 @@ class BeltTable:
 
     @classmethod
     def from_rows(cls, rows, source: str = "belt table") -> "BeltTable":
-        """Build a table from (belt, upper, share, p) rows, renormalizing shares.
+        """Build a table from (belt, upper, p) rows.
 
         Rows name each belt once, with finite upper bounds in strictly ascending
-        order, and end with an unbounded belt; shares are finite and non-negative,
-        with a positive sum that need not be one. ``source`` starts every error message.
+        order, and end with an unbounded belt. ``source`` starts every error message.
         """
-        rows = [BeltRow(*r) for r in rows]
+        rows = tuple(BeltRow(*r) for r in rows)
         if not rows:
             raise ConfigError(f"{source}: no rows")
         names = [r.belt for r in rows]
@@ -132,16 +131,10 @@ class BeltTable:
             raise ConfigError(f"{source}: rows must be sorted by strictly ascending upper_bound")
         if not math.isinf(rows[-1].upper_bound):
             raise ConfigError(f"{source}: last row must have an unbounded rating")
-        if any(r.share < 0 for r in rows):
-            raise ConfigError(f"{source}: shares must be non-negative")
-        total = ordered_sum(r.share for r in rows)
-        if not 0 < total < math.inf:  # a nan or infinite share makes the sum nan or infinite
-            raise ConfigError(f"{source}: shares must sum to a positive value, each one finite")
-        normed = tuple(replace(r, share=r.share / total) for r in rows)
-        for r in normed:
+        for r in rows:
             if not (0.0 <= r.p_qualified <= 1.0):
                 raise ConfigError(f"{source}: p_qualified out of range for {r.belt}")
-        return cls(rows=normed)
+        return cls(rows=rows)
 
     def belt_of(self, rating: float) -> str:
         for row in self.rows:
@@ -155,17 +148,17 @@ class BeltTable:
 
 DEFAULT_BELT_TABLE = BeltTable.from_rows(
     [
-        ("gray", 900.0, 0.9002, 0.25),
-        ("green", 1200.0, 0.0288, 0.45),
-        ("blue", 1500.0, 0.0539, 0.39),
-        ("yellow", 2200.0, 0.0154, 0.60),
-        ("red", math.inf, 0.0016, 0.60),
+        ("gray", 900.0, 0.25),
+        ("green", 1200.0, 0.45),
+        ("blue", 1500.0, 0.39),
+        ("yellow", 2200.0, 0.60),
+        ("red", math.inf, 0.60),
     ]
 )
 
 
 def load_belt_table(path: str) -> BeltTable:
-    """Load a belt table CSV: belt,upper_bound,share,p_qualified.
+    """Load a belt table CSV: belt,upper_bound,p_qualified.
 
     An empty upper_bound cell marks the unbounded top belt; every row has one
     cell per header column.
@@ -173,8 +166,14 @@ def load_belt_table(path: str) -> BeltTable:
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
-            required = {"belt", "upper_bound", "share", "p_qualified"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            header = reader.fieldnames or ()
+            if "share" in header:  # an older table's column, which no rule read
+                raise ConfigError(
+                    f"belt table {path}: has a share column, but a belt's population "
+                    "share follows from the rating distribution; drop the column"
+                )
+            required = {"belt", "upper_bound", "p_qualified"}
+            if not required.issubset(header):
                 raise ConfigError(
                     f"belt table {path}: header must contain {', '.join(sorted(required))}"
                 )
@@ -187,8 +186,7 @@ def load_belt_table(path: str) -> BeltTable:
                 try:
                     raw_bound = rec["upper_bound"].strip()
                     bound = math.inf if not raw_bound else float(raw_bound)
-                    share, p_qualified = float(rec["share"]), float(rec["p_qualified"])
-                    rows.append((rec["belt"].strip(), bound, share, p_qualified))
+                    rows.append((rec["belt"].strip(), bound, float(rec["p_qualified"])))
                 except ValueError as exc:
                     raise ConfigError(f"{where}: bad numeric cell: {exc}") from None
     except UnicodeDecodeError as exc:  # a ValueError, so caught before the next clause

@@ -131,7 +131,7 @@ def rating_share(lower: float, upper: float, cfg: RunConfig) -> float:
 
 
 def implied_belt_shares(belt_table: BeltTable, cfg: RunConfig) -> dict:
-    """Belt shares implied by the rating distribution, not the published table."""
+    """Each belt's population share: the rating distribution's mass in its interval."""
     shares = {}
     lower = 0.0
     for row in belt_table.rows:

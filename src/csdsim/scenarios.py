@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .config import ConfigError, RunConfig
-from .domain import DEFAULT_BELT_TABLE, FAILURE_OUTCOMES, TERMINAL_STATES, ModelInvariantError
+from .domain import DEFAULT_BELT_TABLE, FAILURE_OUTCOMES, TERMINAL_OUTCOMES, ModelInvariantError
 from .domain import REGISTRATION_PHASE, ordered_sum, reported_failures, resolve_belt_table
 from .engine import run_replication
 from .lifecycle import compute_fps, compute_tsr
@@ -217,12 +217,11 @@ def calibrate_fps(cfg: RunConfig):
     points). The fit is closed-form least squares over ``math.fsum`` sums;
     degenerate x, every point at one ratio, gives a flat line at the failure rate.
     """
-    terminal = {state.value for state in TERMINAL_STATES}
     xs = []
     ys = []
     for result in run_replications(cfg):
         for rec in result.task_log:
-            if rec["outcome"] not in terminal:
+            if rec["outcome"] not in TERMINAL_OUTCOMES:
                 continue
             xs.append(rec["tsr_at_resolution"])
             ys.append(1.0 if rec["outcome"] in FAILURE_OUTCOMES else 0.0)

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -49,6 +48,10 @@ def load_script(name: str):
     return module
 
 
+# The tiny sizes of ``scripts/artifact_digests.py``: same mechanics, far fewer arrivals.
+TINY = load_script("artifact_digests").TINY
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR
@@ -56,13 +59,8 @@ def data_dir() -> Path:
 
 @pytest.fixture()
 def tiny_cfg() -> RunConfig:
-    """A fast configuration: same mechanics, far fewer arrivals."""
-    return dataclasses.replace(
-        RunConfig(),
-        replications=2,
-        task_lambda=25.0,
-        agent_gamma=120.0,
-    )
+    """A fast configuration: the digest record's tiny sizes, at two replications."""
+    return RunConfig(**{**TINY, "replications": 2})
 
 
 class CheckedSimulation(Simulation):

@@ -8,7 +8,7 @@ import pytest
 
 from csdsim import ConfigError, RunConfig, config_hash, echo_config
 from csdsim.config import _format_value, build_config
-from csdsim.domain import DEFAULT_BELT_TABLE, load_belt_table
+from csdsim.domain import load_belt_table
 
 def build_from_text(tmp_path, text: str) -> RunConfig:
     """``build_config`` on a file holding ``text``, with no overrides."""
@@ -199,17 +199,12 @@ def test_readme_lever_defaults_match_run_config():
 def test_belt_table_csv_round_trip(tmp_path):
     path = tmp_path / "belts.csv"
     path.write_text(
-        "belt,upper_bound,share,p_qualified\n"
-        "low,1000,0.5,0.2\n"
-        "high,,0.5,0.6\n"
+        "belt,upper_bound,p_qualified\n"
+        "low,1000,0.2\n"
+        "high,,0.6\n"
     )
     table = load_belt_table(str(path))
     assert table.names() == ("low", "high")
     assert table.belt_of(1000.0) == "low"
     assert table.belt_of(1000.5) == "high"
     assert [(row.belt, row.p_qualified) for row in table.rows] == [("low", 0.2), ("high", 0.6)]
-
-
-def test_default_belt_shares_renormalized():
-    total = sum(row.share for row in DEFAULT_BELT_TABLE.rows)
-    assert abs(total - 1.0) < 1e-12

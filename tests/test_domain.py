@@ -130,50 +130,37 @@ def test_default_p_qualified():
     assert {row.belt: row.p_qualified for row in DEFAULT_BELT_TABLE.rows} == expected
 
 
-def test_from_rows_renormalizes_shares():
-    table = BeltTable.from_rows(
-        [("a", 100.0, 0.2, 0.5), ("b", float("inf"), 0.2, 0.5)]
-    )
-    assert abs(table.rows[0].share - 0.5) < 1e-12
-    assert abs(sum(r.share for r in table.rows) - 1.0) < 1e-12
-
-
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ([("a", 100.0, 1.0, 0.5)], "last row must have an unbounded rating"),
+        ([("a", 100.0, 0.5)], "last row must have an unbounded rating"),
         (
-            [("a", 200.0, 0.5, 0.5), ("b", 100.0, 0.3, 0.5), ("c", float("inf"), 0.2, 0.5)],
+            [("a", 200.0, 0.5), ("b", 100.0, 0.5), ("c", float("inf"), 0.5)],
             "rows must be sorted by strictly ascending upper_bound",
         ),
         # the later of two equal bounds could never be assigned
         (
-            [("gray", 900.0, 0.9, 0.25), ("green", 900.0, 0.05, 0.45), ("red", float("inf"), 0.05, 0.6)],
+            [("gray", 900.0, 0.25), ("green", 900.0, 0.45), ("red", float("inf"), 0.6)],
             "rows must be sorted by strictly ascending upper_bound",
         ),
-        ([("gray", 900.0, 2.0, 0.25), ("red", float("inf"), -1.0, 0.6)], "shares must be non-negative"),
     ],
-    ids=["tail_bounded", "bounds_descending", "bounds_equal", "share_negative"],
+    ids=["tail_bounded", "bounds_descending", "bounds_equal"],
 )
-def test_from_rows_refuses_a_hidden_belt_or_a_negative_share(rows, message):
+def test_from_rows_refuses_a_hidden_belt(rows, message):
     with pytest.raises(ConfigError, match=f"^belts.csv: {message}$"):
         BeltTable.from_rows(rows, source="belts.csv")
 
 
-def test_from_rows_keeps_a_zero_share():
-    table = BeltTable.from_rows([("gray", 900.0, 0.0, 0.25), ("red", float("inf"), 2.0, 0.6)])
-    assert [row.share for row in table.rows] == [0.0, 1.0]
-
-
 def test_belt_row_holds_only_the_table_columns():
-    # follow-through is a config key the engine reads, not a table column
-    assert [f.name for f in dataclasses.fields(BeltRow)] == ["belt", "upper_bound", "share", "p_qualified"]
+    # follow-through is a config key the engine reads, and a belt's population
+    # share follows from the rating distribution: neither is a table column
+    assert [f.name for f in dataclasses.fields(BeltRow)] == ["belt", "upper_bound", "p_qualified"]
 
 
 def test_resolve_belt_table_returns_the_active_table_itself(tmp_path):
     assert resolve_belt_table(RunConfig()) is DEFAULT_BELT_TABLE
     path = tmp_path / "belts.csv"
-    path.write_text("belt,upper_bound,share,p_qualified\ngray,900,0.9,0.25\nred,,0.1,0.6\n")
+    path.write_text("belt,upper_bound,p_qualified\ngray,900,0.25\nred,,0.6\n")
     cfg = RunConfig(belt_table_path=str(path), familiarity_belts=("gray",))
     # the table depends only on its path, whatever the follow-through keys say
     other = dataclasses.replace(cfg, submit_follow_through_gray=0.9, submit_follow_through_red=0.1)

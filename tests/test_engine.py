@@ -14,7 +14,7 @@ import csdsim.engine
 from conftest import CheckedSimulation, assert_structural_invariants
 from csdsim import ModelInvariantError, RunConfig, run_replication, run_replications
 from csdsim.config import FOLLOW_THROUGH_PREFIX
-from csdsim.domain import DEFAULT_BELT_TABLE, LEGAL_TRANSITIONS, TERMINAL_STATES, BeltTable
+from csdsim.domain import DEFAULT_BELT_TABLE, LEGAL_TRANSITIONS, TERMINAL_OUTCOMES, TERMINAL_STATES, BeltTable
 from csdsim.domain import reported_failures, resolve_belt_table, resolved_count, resolved_shares
 from csdsim.engine import (
     EV_AGENT_START,
@@ -240,8 +240,7 @@ def test_task_log_covers_resolved_and_in_flight(tiny_cfg):
     resolved = resolved_count(result.counters)
     in_flight = result.counters["arrived"] - resolved
     assert len(result.task_log) == resolved + in_flight
-    terminal_names = {s.value for s in TERMINAL_STATES}
-    resolved_rows = [r for r in result.task_log if r["outcome"] in terminal_names]
+    resolved_rows = [r for r in result.task_log if r["outcome"] in TERMINAL_OUTCOMES]
     assert len(resolved_rows) == resolved
 
 
@@ -302,7 +301,7 @@ def test_belt_gate_shuts_out_other_belts(tiny_cfg):
     assert set(result.reg_by_belt) <= {"yellow", "red"}
 
 
-GRAY_BLUE_RED = "belt,upper_bound,share,p_qualified\ngray,900,0.9,0.25\nblue,1500,0.08,0.39\nred,,0.02,0.6\n"
+GRAY_BLUE_RED = "belt,upper_bound,p_qualified\ngray,900,0.25\nblue,1500,0.39\nred,,0.6\n"
 
 
 @pytest.mark.parametrize(
@@ -449,7 +448,7 @@ def test_draw_world_reads_no_sweep_lever(tiny_cfg):
     assert draw_world(dataclasses.replace(tiny_cfg, openness_gate=0.9), table) == world
     assert draw_world(dataclasses.replace(tiny_cfg, seed=tiny_cfg.seed + 1), table) != world
     # gray now reaches 1,150: the agents rated in (900, 1150] change belt
-    rows = [dataclasses.astuple(row)[:4] for row in table.rows]
+    rows = [dataclasses.astuple(row) for row in table.rows]
     rows[0] = ("gray", 1150.0, *rows[0][2:])
     assert draw_world(tiny_cfg, BeltTable.from_rows(rows)) != world
 

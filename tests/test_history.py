@@ -624,10 +624,6 @@ def test_stdtr_is_bit_identical_to_t_sf(df):
         assert float(stdtr(df, -t)) == float(scipy_stats.t.sf(t, df)), (df, t)
 
 
-def test_import_csdsim_leaves_scipy_stats_unloaded():
-    assert run_python("-c", "import csdsim, sys; print('scipy.stats' in sys.modules)") == "False\n"
-
-
 def test_import_csdsim_loads_neither_numpy_nor_scipy():
     code = "import csdsim, sys; print('numpy' in sys.modules, 'scipy' in sys.modules)"
     assert run_python("-c", code) == "False False\n"

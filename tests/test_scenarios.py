@@ -178,7 +178,7 @@ def test_run_sweep_validates_every_policy_before_any_replication(
     with pytest.raises(ConfigError, match="focal_arrival"):
         dataclasses.replace(scenario_cfg, focal_enabled=True, focal_arrival=40.0)
     table = tmp_path / "belts.csv"
-    table.write_text("belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\nred,,0.1,0.6\n")
+    table.write_text("belt,upper_bound,p_qualified\ngray,1000,0.3\nred,,0.6\n")
     valid = dataclasses.replace(scenario_cfg, focal_enabled=True)
     # gray and red have follow-through keys; only the admitted blue belt is absent
     blue = dataclasses.replace(valid, belt_table_path=str(table), admitted_belts=("blue",))
@@ -261,7 +261,7 @@ def test_diversity_policies_admit_by_rank():
         ("green_and_up", ("green", "blue", "yellow", "red")),
         ("all_welcome", None),
     )
-    two = BeltTable.from_rows([("low", 1000.0, 0.9, 0.3), ("high", math.inf, 0.1, 0.6)])
+    two = BeltTable.from_rows([("low", 1000.0, 0.3), ("high", math.inf, 0.6)])
     assert diversity_policies(two) == (
         ("elite_only", ("low", "high")),
         ("mid_and_up", ("low", "high")),

@@ -24,7 +24,9 @@ def test_calibration_report_prints_fit_and_belts():
     stdout = run_script("calibration_report.py")
     assert re.search(r"resolved tasks, 1 replications\):\n  fitted     slope [+-]\d", stdout)
     for belt in ("gray", "green", "blue", "yellow", "red"):
-        assert re.search(rf"^  {belt}\s+configured\s+\d\.\d{{3}}  analytic", stdout, re.MULTILINE)
+        assert re.search(rf"^  {belt}\s+published\s+\d\.\d{{3}}  analytic", stdout, re.MULTILINE)
+    # the paper's crowd is 90% gray; the model's rating distribution gives 83.2%
+    assert "  gray    published  0.900  analytic  0.832\n" in stdout
 
 
 def test_history_fixture_round_trips_through_evaluate(tmp_path):
