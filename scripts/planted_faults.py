@@ -290,7 +290,7 @@ FAULTS = (
     Fault(
         "belt-share-column-accepted",
         "src/csdsim/domain.py",
-        '            if "share" in header:  # an older table\'s column, which no rule read\n'
+        '            if "share" in header:\n'
         "                raise ConfigError(\n"
         '                    f"belt table {path}: has a share column, but a belt\'s population "\n'
         '                    "share follows from the rating distribution; drop the column"\n'

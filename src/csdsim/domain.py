@@ -167,7 +167,7 @@ def load_belt_table(path: str) -> BeltTable:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or ()
-            if "share" in header:  # an older table's column, which no rule read
+            if "share" in header:
                 raise ConfigError(
                     f"belt table {path}: has a share column, but a belt's population "
                     "share follows from the rating distribution; drop the column"
