@@ -296,7 +296,7 @@ FAULTS = (
         '                    "share follows from the rating distribution; drop the column"\n'
         "                )\n",
         "",
-        "tests/test_outputs_cli.py::test_cli_bad_config_or_belt_table_file_exits_one[belt_share_column]",
+        "tests/test_outputs_cli.py::test_cli_bad_config_or_belt_table_file_exits_one[belt_shares_zero]",
     ),
 )
 

@@ -300,6 +300,8 @@ def test_cli_diversity_on_a_custom_table_admits_by_rank(
 
 
 BELT_HEADER = b"belt,upper_bound,p_qualified\n"
+SHARE_HEADER = b"belt,upper_bound,share,p_qualified\n"
+SHARE_COLUMN_REFUSED = "belt table {path}: has a share column, but a belt's population share follows"
 BELT_SOURCE = ["run", "--set", "belt_table_path={path}"]
 CONFIG_SOURCE = ["run", "--config", "{path}"]
 FOCAL_PAST_HORIZON = "focal_arrival: need focal_arrival + focal_duration <= horizon_days"
@@ -333,11 +335,8 @@ FOCAL_PAST_HORIZON = "focal_arrival: need focal_arrival + focal_duration <= hori
             "belt table {path} is not UTF-8 text",
         ),
         (BELT_HEADER, BELT_SOURCE, "belt table {path}: no rows"),
-        (
-            b"belt,upper_bound,share,p_qualified\ngray,1000,0.9,0.3\nred,,0.1,0.6\n",
-            BELT_SOURCE,
-            "belt table {path}: has a share column, but a belt's population share follows",
-        ),
+        # a share column is refused whatever its values: zero, NaN or negative
+        (SHARE_HEADER + b"gray,1000,0,0.3\nred,,0,0.6\n", BELT_SOURCE, SHARE_COLUMN_REFUSED),
         (
             b"belt,upper_bound\ngray,1000\nred,\n",
             BELT_SOURCE,
@@ -364,6 +363,7 @@ FOCAL_PAST_HORIZON = "focal_arrival: need focal_arrival + focal_duration <= hori
             BELT_SOURCE,
             "belt table {path}: upper_bound must be finite on every row but the last",
         ),
+        (SHARE_HEADER + b"gray,1000,nan,0.3\nred,,0.1,0.6\n", BELT_SOURCE, SHARE_COLUMN_REFUSED),
         (
             BELT_HEADER + b"low,1000,0.2\nhigh,2000,0.6\n",
             BELT_SOURCE,
@@ -378,6 +378,11 @@ FOCAL_PAST_HORIZON = "focal_arrival: need focal_arrival + focal_duration <= hori
             BELT_HEADER + b"gray,900,0.25\ngreen,900,0.45\nred,,0.6\n",
             [*BELT_SOURCE, "--set", "admitted_belts=green", "--set", "familiarity_belts=gray"],
             "belt table {path}: rows must be sorted by strictly ascending upper_bound",
+        ),
+        (
+            SHARE_HEADER + b"gray,900,2.0,0.25\nred,,-1.0,0.6\n",
+            [*BELT_SOURCE, "--set", "familiarity_belts=gray"],
+            SHARE_COLUMN_REFUSED,
         ),
         (
             BELT_HEADER + b"a,1000,1.2\nb,,0.5\n",
@@ -438,16 +443,18 @@ FOCAL_PAST_HORIZON = "focal_arrival: need focal_arrival + focal_duration <= hori
         "belt_repeated",
         "belt_not_utf8",
         "belt_header_only",
-        "belt_share_column",
+        "belt_shares_zero",
         "belt_column_missing",
         "belt_cell_not_numeric",
         "belt_cell_oversized",
         "belt_table_missing",
         "belt_bound_nan",
         "belt_bound_inf_before_last",
+        "belt_share_nan",
         "belt_tail_bounded",
         "belt_bounds_descending",
         "belt_bounds_equal",
+        "belt_share_negative",
         "belt_p_qualified_above_one",
         "belt_without_follow_through",
         "admitted_belt_not_in_file",
