@@ -72,9 +72,16 @@ FAULTS = (
     Fault(
         "tsr-edges-swapped",
         "src/csdsim/engine.py",
-        "compute_tsr(counts[_INTO_SUBMITTED], counts[_INTO_REGISTERED])",
-        "compute_tsr(counts[_INTO_REGISTERED], counts[_INTO_SUBMITTED])",
+        "compute_tsr(entered[TaskState.SUBMITTED], entered[TaskState.REGISTERED])",
+        "compute_tsr(entered[TaskState.REGISTERED], entered[TaskState.SUBMITTED])",
         BUSY_MARKET,
+    ),
+    Fault(
+        "entered-counts-the-source",
+        "src/csdsim/engine.py",
+        "        task.transition(new_state)\n        self.entered[new_state] += 1\n",
+        "        self.entered[task.state] += 1\n        task.transition(new_state)\n",
+        "tests/test_engine.py::test_every_terminal_move_is_audited",
     ),
     Fault(
         "prediction-phase-as-read",
@@ -121,8 +128,7 @@ FAULTS = (
     Fault(
         "no-dead-scan-discard",
         "src/csdsim/engine.py",
-        "                    for _ in range(scans - pick - 1):  # each later pick would fail alike\n"
-        "                        random_()\n",
+        "            for _ in range(self.scan_count):\n                random_()\n",
         "",
         "tests/test_engine.py::test_dead_scan_makes_the_draws_of_every_pick",
     ),
@@ -297,6 +303,20 @@ FAULTS = (
         "                )\n",
         "",
         "tests/test_outputs_cli.py::test_cli_bad_config_or_belt_table_file_exits_one[belt_shares_zero]",
+    ),
+    Fault(
+        "whatif-on-the-base-day",
+        "src/csdsim/scenarios.py",
+        "    if day == now.focal_arrival:\n",
+        "    if False:\n",
+        "tests/test_outputs_cli.py::test_cli_bad_config_or_belt_table_file_exits_one[whatif_day_15]",
+    ),
+    Fault(
+        "disjoint-predictions-scored",
+        "src/csdsim/cli.py",
+        "    if latest is not None and not any(",
+        "    if False and not any(",
+        "tests/test_outputs_cli.py::test_cli_non_finite_or_improbable_cell_exits_two_naming_the_row[disjoint_keys]",
     ),
 )
 

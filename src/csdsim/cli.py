@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, build_config, echo_config
-from .domain import ModelInvariantError, reported_failures
+from .domain import PHASES, ModelInvariantError, reported_failures
 from .history import (
     DataError,
     evaluate_forecast,
@@ -149,6 +149,9 @@ def _cmd_evaluate(cfg, args) -> int:
     rows = ingest_history(args.history)
     # both files are read before any replication, so a bad one costs no run
     latest = ingest_predictions(args.predictions) if args.predictions else None
+    # a file that keys no history task would score as a forecast of zero failures
+    if latest is not None and not any((row.task_id, phase) in latest for row in rows for phase in PHASES):
+        raise DataError(f"predictions {args.predictions}: no task_id and phase matches {args.history}")
     _check_out(args.out)
     results = list(run_replications(cfg))
     if latest is None:

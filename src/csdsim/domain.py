@@ -59,9 +59,6 @@ TERMINAL_STATES = frozenset(
     s for s, nxt in LEGAL_TRANSITIONS.items() if not nxt
 )
 
-# The one state each state is entered from; ARRIVED, where tasks start, has none.
-SOURCE_STATE = {dst: src for src, nxt in LEGAL_TRANSITIONS.items() for dst in nxt}
-
 FAILURE_STATES = frozenset({TaskState.FAILED, TaskState.STARVED, TaskState.DROPPED})
 
 # The same states as outcome strings, as task logs and history CSVs spell them.

@@ -25,8 +25,8 @@ registration cycle. That cycle would draw only from the agent's own
 no other draw and no outcome. Per-agent streams are created on first use;
 ``RngStreams`` seeds each from its name alone, so creation order moves no
 draw. Permanent exclusion is checked once, at agent start, never in a scan.
-A scan that meets a full open list makes the one ``random()`` draw of each
-remaining pick and stops: the list and the pool cannot change in an attempt
+An attempt that starts with a full open list makes the one ``random()`` draw
+of each pick and stops: the list and the pool cannot change in an attempt
 that registers nothing.
 
 A seed's world is the setup draws no sweep lever reads: the ambient tasks from
@@ -39,8 +39,9 @@ which reads the openness gate, and its attractable flag from the replication's
 own ``similarity`` and ``attraction`` streams, in task order; reposts continue
 ``attraction`` from there.
 
-The platform tallies are read off the ``_move`` audit, ``transition_counts``,
-and the per-belt tallies off the tasks; only arrivals and reposts are ints.
+The platform tallies are read off ``entered``, which ``_move`` counts by the
+state each task enters, and the per-belt tallies off the tasks; only arrivals
+and reposts are ints.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from math import log
 from typing import Optional
 
 from .agents import (
-    REASON_OPEN_LIST_FULL,
     decide_register,
     decide_submit,
     permanent_exclusion,
@@ -75,7 +75,6 @@ from .domain import (
     FAILURE_STATES,
     ModelInvariantError,
     REGISTRATION_PHASE,
-    SOURCE_STATE,
     SUBMISSION_PHASE,
     Submission,
     TERMINAL_STATES,
@@ -118,9 +117,6 @@ EV_DAILY = "daily"
 
 # One trace record per processed event: time, kind code, subject.
 TRACE_RECORD = struct.Struct("<dBq")
-
-_INTO_SUBMITTED = (SOURCE_STATE[TaskState.SUBMITTED], TaskState.SUBMITTED)
-_INTO_REGISTERED = (SOURCE_STATE[TaskState.REGISTERED], TaskState.REGISTERED)
 
 
 class RngStreams:
@@ -223,7 +219,7 @@ class Simulation:
         self.predictions: list = []
         self.task_log: list = []
         self.daily: list = []
-        self.transition_counts: Counter = Counter()
+        self.entered: Counter = Counter()  # moves into each TaskState
         self.focal_result: Optional[dict] = None
         self._trace = hashlib.blake2b(digest_size=16)
 
@@ -281,7 +277,7 @@ class Simulation:
 
     def counters(self) -> dict:
         """Platform tallies; starved stays apart so completed + failed <= registered."""
-        entered = {dst: self.transition_counts[src, dst] for dst, src in SOURCE_STATE.items()}
+        entered = self.entered
         return {
             "arrived": self.arrived,
             "registered": entered[TaskState.REGISTERED],
@@ -295,8 +291,8 @@ class Simulation:
         }
 
     def current_tsr(self) -> float:
-        counts = self.transition_counts
-        return compute_tsr(counts[_INTO_SUBMITTED], counts[_INTO_REGISTERED])
+        entered = self.entered
+        return compute_tsr(entered[TaskState.SUBMITTED], entered[TaskState.REGISTERED])
 
     # ------------------------------------------------------------- handlers
 
@@ -328,16 +324,15 @@ class Simulation:
         size = len(pool)
         if size == 0:
             return
-        random_, scans = rng.random, self.scan_count
+        random_ = rng.random
         cap, mode = cfg.open_list_cap, cfg.match_mode
-        for pick in range(scans):
+        if len(agent.open_list) >= cap:  # every pick would fail: draw the picks and stop
+            for _ in range(self.scan_count):
+                random_()
+            return
+        for _ in range(self.scan_count):
             task = pool[int(random_() * size)]
-            reason = registration_preconditions(agent, task, cap, mode)
-            if reason is not None:
-                if reason == REASON_OPEN_LIST_FULL:
-                    for _ in range(scans - pick - 1):  # each later pick would fail alike
-                        random_()
-                    return
+            if registration_preconditions(agent, task, cap, mode) is not None:
                 continue
             mean_other = (self.pool_sim_sum - task.similarity) / (size - 1) if size > 1 else 0.0
             p_engage = registration_engagement(
@@ -352,9 +347,9 @@ class Simulation:
                 return
 
     def _move(self, task: Task, new_state: TaskState) -> None:
-        """Route every state change through one audited chokepoint."""
-        self.transition_counts[(task.state, new_state)] += 1
+        """Route every state change through ``Task.transition``, then count the state entered."""
         task.transition(new_state)
+        self.entered[new_state] += 1
 
     def _register(self, agent: Agent, task: Task) -> None:
         if not task.registrants:

@@ -200,6 +200,8 @@ def run_diversity_scenario(base_cfg: RunConfig):
 def what_if_posting_day(base_cfg: RunConfig, day: float):
     """Compare posting the focal task now versus on another day."""
     now = _focal(base_cfg)
+    if day == now.focal_arrival:
+        raise ConfigError(f"focal_arrival: the what-if day {day:g} is the base posting day; pick another")
     return run_sweep(
         "whatif",
         [

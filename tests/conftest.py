@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -77,7 +78,17 @@ class CheckedSimulation(Simulation):
     After every pool change each pooled task sits at its ``_pool_pos`` index
     and is registrable, which the scan relies on; every submission and
     finalized task leaves ``current_tsr`` equal to the TSR of ``counters()``.
+    Every move's ``(source, destination)`` edge is counted in ``moves``, which
+    the state machine's legality tests read.
     """
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.moves = Counter()
+
+    def _move(self, task, new_state):
+        self.moves[task.state, new_state] += 1
+        super()._move(task, new_state)
 
     def _register(self, agent, task):
         assert permanent_exclusion(agent, self.admitted) is None

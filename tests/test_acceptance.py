@@ -258,7 +258,7 @@ def test_criterion_04_state_machine_legality(baseline_30):
     """30 x 60 days: only legal transitions; starved/dropped are failures."""
     transitions = 0
     for sim, result in baseline_30:
-        for (src, dst), count in sim.transition_counts.items():
+        for (src, dst), count in sim.moves.items():
             assert dst in LEGAL_TRANSITIONS[src], (src.value, dst.value)
             transitions += count
         c = result.counters

@@ -15,7 +15,6 @@ from csdsim.domain import (
     DEFAULT_BELT_TABLE,
     FAILURE_STATES,
     LEGAL_TRANSITIONS,
-    SOURCE_STATE,
     TERMINAL_STATES,
     BeltRow,
     BeltTable,
@@ -53,14 +52,12 @@ def test_exactly_seven_legal_edges():
 
 
 def test_every_state_but_arrived_has_one_legal_source():
-    # Simulation.counters() reads the moves into a state off its one edge;
-    # a second source would make it miscount silently
+    # Simulation.counters() counts the moves into a state as the tasks that took
+    # its one edge; a second source would make it count two edges as one
     for state in TaskState:
         sources = [src for src, nxt in LEGAL_TRANSITIONS.items() if state in nxt]
-        if state is TaskState.ARRIVED:
-            assert sources == [] and state not in SOURCE_STATE
-        else:
-            assert sources == [SOURCE_STATE[state]], state.value
+        expected = 0 if state is TaskState.ARRIVED else 1
+        assert len(sources) == expected, state.value
 
 
 def test_terminal_states_have_no_exits():

@@ -176,8 +176,8 @@ def test_policy_knobs_leave_ambient_arrivals_alone(tiny_cfg):
 
 def test_transitions_observed_are_all_legal(tiny_cfg):
     sim, _ = run_sim(tiny_cfg)
-    assert sim.transition_counts  # the audit actually saw traffic
-    for (src, dst), count in sim.transition_counts.items():
+    assert sim.moves  # the audit actually saw traffic
+    for (src, dst), count in sim.moves.items():
         assert dst in LEGAL_TRANSITIONS[src], (src, dst)
         assert count > 0
 
@@ -185,7 +185,7 @@ def test_transitions_observed_are_all_legal(tiny_cfg):
 def test_every_terminal_move_is_audited(tiny_cfg):
     sim, _ = run_sim(tiny_cfg)
     for state in TERMINAL_STATES:
-        moved = sum(n for (_src, dst), n in sim.transition_counts.items() if dst is state)
+        moved = sim.entered[state]
         ended = sum(1 for task in sim.tasks.values() if task.state is state)
         assert moved == ended, state.value
         assert ended > 0, state.value  # every terminal state is exercised
@@ -359,8 +359,9 @@ def test_agents_that_can_never_register_get_no_cycle(tiny_cfg):
     assert not {f"registration/{aid}" for aid in excluded} & sim.streams.names
 
 
-def test_dead_scan_makes_the_draws_of_every_pick(tiny_cfg):
-    """A scan that meets a full open list leaves the stream where a full scan would."""
+def test_dead_scan_makes_the_draws_of_every_pick(tiny_cfg, monkeypatch):
+    """An attempt that starts with a full open list checks no pick, yet leaves
+    the stream where a full scan would."""
     cfg = dataclasses.replace(tiny_cfg, admitted_belts=("yellow", "red"))
     sim = Simulation(cfg)
     sim.setup()
@@ -374,7 +375,16 @@ def test_dead_scan_makes_the_draws_of_every_pick(tiny_cfg):
     open_list, pool = list(agent.open_list), list(sim.pool)
     twin = _random.Random()
     twin.setstate(agent.reg_rng.getstate())
+    checks = []
+    original = csdsim.engine.registration_preconditions
+
+    def counted(*args):
+        checks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(csdsim.engine, "registration_preconditions", counted)
     sim._on_reg_attempt(aid)
+    assert checks == []
     # the gap to the next attempt, then one pick draw per scan
     twin.random()
     for _ in range(sim.scan_count):

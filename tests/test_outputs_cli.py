@@ -422,6 +422,8 @@ FOCAL_PAST_HORIZON = "focal_arrival: need focal_arrival + focal_duration <= hori
         # day -2 precedes the clock; from day 31 on, the 30 day focal window
         # ends past the 60 day horizon, so the focal task could never resolve
         (None, ["whatif", "--day", "-2"], "focal_arrival: must be non-negative"),
+        # the default focal_arrival: the two rows would run one config twice
+        (None, ["whatif", "--day", "15"], "focal_arrival: the what-if day 15 is the base posting day"),
         (None, ["whatif", "--day", "40"], FOCAL_PAST_HORIZON),
         (None, ["whatif", "--day", "59"], FOCAL_PAST_HORIZON),
         (None, ["scenario", "openness", "--set", "focal_arrival=40"], FOCAL_PAST_HORIZON),
@@ -466,6 +468,7 @@ FOCAL_PAST_HORIZON = "focal_arrival: need focal_arrival + focal_duration <= hori
         "set_list_empty",
         "fps_line_leaves_unit_interval",
         "whatif_day_-2",
+        "whatif_day_15",
         "whatif_day_40",
         "whatif_day_59",
         "openness_day_40",
@@ -520,8 +523,12 @@ HISTORY_HEADER = "task_id,posted_day,duration_days,registrants,submissions,outco
         (None, "t1,nan,registration,0.5\n", "row 2: day is not finite"),
         (None, "t1,1,registration,0.5\nt1,2,submission,1.5\n", "row 3: prediction is not in [0, 1]"),
         (None, "t1,1,submission,nan\n", "row 2: prediction is not in [0, 1]"),
+        # no key of the file is a history task, so nothing it says would be scored
+        (None, "zz1,3,registration,0.5\n", "predictions.csv: no task_id and phase matches"),
     ],
-    ids=["history_nan", "history_inf", "history_overflow", "day_nan", "above_one", "prediction_nan"],
+    ids=[
+        "history_nan", "history_inf", "history_overflow", "day_nan", "above_one", "prediction_nan", "disjoint_keys",
+    ],
 )
 def test_cli_non_finite_or_improbable_cell_exits_two_naming_the_row(
     tmp_path, data_dir, capsys, monkeypatch, history_body, predictions_body, message
