@@ -16,8 +16,7 @@ import dataclasses
 from csdsim import RunConfig
 from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.engine import RngStreams
-from csdsim.lifecycle import sample_duration
-from csdsim.platform import implied_belt_shares
+from csdsim.platform import implied_belt_shares, sample_duration
 from csdsim.scenarios import calibrate_fps
 
 # The crowd mix the paper publishes, field data the model never reads: a

@@ -30,6 +30,10 @@ COPIED = ("src", "tests", "scripts", "README.md")
 
 BUSY_MARKET = "tests/test_config_fuzz.py::test_a_busy_market_keeps_its_invariants_and_scores"
 MIXED_REVIEW = "tests/test_config_fuzz.py::test_a_review_of_a_mixed_field_completes_on_a_later_qualified_submission"
+PLATFORM = "src/csdsim/platform.py"
+EXPERIENCE = "tests/test_platform.py::test_experience_draws_what_betavariate_draws"
+DURATION = "tests/test_platform.py::test_duration_draws_what_triangular_draws"
+VALIDATION = "tests/test_config_io.py::test_validation_errors_name_the_key"
 
 
 class Fault(NamedTuple):
@@ -149,8 +153,8 @@ FAULTS = (
     Fault(
         "agent-streams-not-bare",
         "src/csdsim/engine.py",
-        '_MersenneTwister if "/" in name else random.Random',
-        "random.Random",
+        "_MersenneTwister(seed)",
+        '__import__("random").Random(seed)',
         "tests/test_engine.py::test_agent_streams_are_not_tracked_by_the_collector",
     ),
     Fault(
@@ -318,6 +322,12 @@ FAULTS = (
         "    if False and not any(",
         "tests/test_outputs_cli.py::test_cli_non_finite_or_improbable_cell_exits_two_naming_the_row[disjoint_keys]",
     ),
+    Fault("cheng-one-acceptance-test", PLATFORM, " or r >= math.log(z)", "", f"{EXPERIENCE}[2.5-5.0]"),
+    Fault("exponential-of-u", PLATFORM, "(1.0 - random())", "(random())", f"{EXPERIENCE}[1.0-5.0]"),
+    Fault("gs-accepts-below-x-to-alpha", PLATFORM, "x ** (alpha - 1.0)", "x ** alpha", f"{EXPERIENCE}[0.5-5.0]"),
+    Fault("beta-draws-past-a-zero", PLATFORM, " if y else", " if True else", f"{EXPERIENCE}[0.005-5.0]"),
+    Fault("triangular-without-swap", PLATFORM, "1.0 - c, high, low", "1.0 - c, low, high", f"{DURATION}[1.0-16.0-30.0]"),
+    Fault("shape-bound-dropped", "src/csdsim/config.py", " < 2.0 ** 1023", "", f"{VALIDATION}[experience_beta=1e308]"),
 )
 
 

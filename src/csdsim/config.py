@@ -267,8 +267,8 @@ def validate_config(cfg: RunConfig) -> None:
     )
     _require(0.0 <= cfg.attraction_rate <= 1.0, "attraction_rate", "must be in [0, 1]")
     _require(0 < cfg.award_low <= cfg.award_high, "award_low", "need 0 < award_low <= award_high")
-    _require(cfg.experience_alpha > 0, "experience_alpha", "must be positive")
-    _require(cfg.experience_beta > 0, "experience_beta", "must be positive")
+    for key in ("experience_alpha", "experience_beta"):  # from 2**1023 up, no gamma draw is accepted
+        _require(0 < getattr(cfg, key) < 2.0 ** 1023, key, "must be positive and below 2**1023")
     _require(cfg.experience_max > 0, "experience_max", "must be positive")
     _require(
         1 <= cfg.agent_skills_min <= cfg.agent_skills_max <= len(cfg.skill_vocabulary),

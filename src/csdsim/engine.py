@@ -7,6 +7,8 @@ config produce byte-identical outputs and equal trace hashes. Registration and
 submission gaps are ``-log(1.0 - rng.random()) / rate``, and the arrival counts
 of ``platform.poisson_count`` add the same draw at rate 1: the draws of
 ``random.expovariate`` on Python 3.10-3.13, without depending on its internals.
+Every stream is a bare ``_random.Random``, and ``platform`` writes out the
+similarity, duration, experience and skill draws the same way.
 
 The clock, the future event list and the pool live on ``Simulation``: ``now``
 is the clock in fractional days, a plain ``heapq`` list holds ``(time, seq,
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import random
 import struct
 from _random import Random as _MersenneTwister
 from collections import Counter
@@ -92,11 +93,11 @@ from .lifecycle import (
     compute_tsr,
     repost,
     resolve_review,
-    sample_duration,
 )
 from .platform import (
     arrival_times,
     pool_openness,
+    sample_duration,
     sample_similarity,
     spawn_agent,
     supply_concentration,
@@ -130,14 +131,12 @@ class RngStreams:
     sha512(text).digest(), "big")`` for ``text = f"{seed}/{name}".encode()``,
     the integer ``random.Random(f"{seed}/{name}")`` derives on Python
     3.10-3.13; csdsim computes it itself, so no seed depends on how ``random``
-    turns a string into an integer. The name only chooses the class. A name
-    containing ``/`` is one agent's ``kind/agent-id`` stream: a bare
-    ``_random.Random``, which carries no instance dict and is not tracked by
-    the garbage collector. It offers only ``random()``, ``getrandbits()`` and
+    turns a string into an integer. Every stream is a bare ``_random.Random``,
+    which carries no instance dict and is not tracked by the garbage
+    collector. It offers only ``random()``, ``getrandbits()`` and
     ``getstate()``/``setstate()``, and its state is the bare tuple that
-    ``random.Random.getstate()`` wraps. The platform's shared streams draw
-    through ``uniform``, ``betavariate`` and the like, so they are
-    ``random.Random``.
+    ``random.Random.getstate()`` wraps; every draw on it is written out in
+    ``platform`` and the engine.
     """
 
     def __init__(self, seed: int):
@@ -149,7 +148,7 @@ class RngStreams:
         if rng is None:
             text = f"{self.seed}/{name}".encode()
             seed = int.from_bytes(text + hashlib.sha512(text).digest(), "big")
-            rng = (_MersenneTwister if "/" in name else random.Random)(seed)
+            rng = _MersenneTwister(seed)
             self._streams[name] = rng
         return rng
 

@@ -57,11 +57,6 @@ def compute_tfr(completed_total: int, registered_total: int) -> float:
     return 1.0 - compute_tcr(completed_total, registered_total)
 
 
-def sample_duration(rng, cfg: RunConfig) -> float:
-    # random.triangular takes (low, high, mode), not (low, mode, high)
-    return rng.triangular(cfg.duration_min, cfg.duration_max, cfg.duration_mode)
-
-
 def resolve_review(task: Task) -> TaskState:
     """Score the review queue: COMPLETED if any submission qualified, else FAILED.
 

@@ -1,4 +1,9 @@
-"""Platform-level machinery: content sampling, population spawning, ratios."""
+"""Platform-level machinery: content sampling, population spawning, ratios.
+
+Every draw is written out on ``random()`` or ``getrandbits()`` as the
+stdlib ``random`` module of Python 3.10-3.13 makes it, so no artifact
+depends on that module's internals.
+"""
 
 from __future__ import annotations
 
@@ -35,16 +40,61 @@ def sample_similarity(rng, cfg: RunConfig) -> float:
     An openness gate narrows the whole posting mix around the gate value;
     the regime changes what the platform publishes, not just one task.
     """
-    if cfg.openness_gate is None:
-        return rng.uniform(cfg.similarity_low, cfg.similarity_high)
-    low = max(cfg.similarity_low, cfg.openness_gate - cfg.openness_halfwidth)
-    high = min(cfg.similarity_high, cfg.openness_gate + cfg.openness_halfwidth)
-    return rng.uniform(low, high)
+    low, high = cfg.similarity_low, cfg.similarity_high
+    if cfg.openness_gate is not None:
+        low = max(low, cfg.openness_gate - cfg.openness_halfwidth)
+        high = min(high, cfg.openness_gate + cfg.openness_halfwidth)
+    return low + (high - low) * rng.random()  # uniform(low, high)
+
+
+def sample_duration(rng, cfg: RunConfig) -> float:
+    """``triangular(duration_min, duration_max, duration_mode)``; a zero-width
+    range returns its bound after the draw, as the stdlib's does."""
+    u = rng.random()
+    low, high = cfg.duration_min, cfg.duration_max
+    if low == high:
+        return low
+    c = (cfg.duration_mode - low) / (high - low)
+    if u > c:
+        u, c, low, high = 1.0 - u, 1.0 - c, high, low
+    return low + (high - low) * math.sqrt(u * c)
+
+
+_LOG4, _SG_MAGICCONST = math.log(4.0), 1.0 + math.log(4.5)
+
+
+def _gamma(random, alpha: float) -> float:
+    """``gammavariate(alpha, 1.0)``: for alpha > 1 Cheng's rejection method (Applied
+    Statistics, 1977), at 1 the exponential, below 1 Kennedy and Gentle's algorithm GS."""
+    if alpha > 1.0:
+        ainv = math.sqrt(2.0 * alpha - 1.0)
+        bbb, ccc = alpha - _LOG4, alpha + ainv
+        while True:
+            u1 = random()
+            if not 1e-7 < u1 < 0.9999999:
+                continue
+            u2 = 1.0 - random()
+            v = math.log(u1 / (1.0 - u1)) / ainv
+            x = alpha * math.exp(v)
+            z = u1 * u1 * u2
+            r = bbb + ccc * v - x
+            if r + _SG_MAGICCONST - 4.5 * z >= 0.0 or r >= math.log(z):
+                return x
+    if alpha == 1.0:
+        return -math.log(1.0 - random())
+    b = (math.e + alpha) / math.e
+    while True:
+        p = b * random()
+        x = p ** (1.0 / alpha) if p <= 1.0 else -math.log((b - p) / alpha)
+        if random() <= (x ** (alpha - 1.0) if p > 1.0 else math.exp(-x)):
+            return x
 
 
 def sample_experience(rng, cfg: RunConfig) -> float:
-    """Ratings pile up near the bottom; a long thin tail carries the elite."""
-    return rng.betavariate(cfg.experience_alpha, cfg.experience_beta) * cfg.experience_max
+    """Ratings pile up near the bottom; a long thin tail carries the elite:
+    ``betavariate(experience_alpha, experience_beta) * experience_max``."""
+    y = _gamma(rng.random, cfg.experience_alpha)
+    return (y / (y + _gamma(rng.random, cfg.experience_beta)) if y else 0.0) * cfg.experience_max
 
 
 def _below(getrandbits, n: int) -> int:

@@ -31,11 +31,11 @@ from csdsim.lifecycle import (
     compute_tcr,
     compute_tfr,
     compute_tsr,
-    sample_duration,
 )
 from csdsim.outputs import OUTPUT_FILES
 from csdsim.platform import (
     rating_share,
+    sample_duration,
     sample_experience,
     sample_similarity,
     spawn_agent,

@@ -84,6 +84,9 @@ def test_bad_value_reports_key(tmp_path):
         "sub_rate_per_day=-inf",
         "openness_gate=nan",
         "sub_rate_per_day=1e20",
+        # from 2**1023 up the gamma draw behind a rating never accepts
+        "experience_alpha=1e308",
+        "experience_beta=1e308",
     ],
 )
 def test_validation_errors_name_the_key(override):

@@ -103,11 +103,11 @@ def test_rng_streams_are_independent_and_reproducible():
     ["registration/0", "submission/41", "quality/765", "a/b/c", "similarity", "task-arrival", "experience"],
 )
 def test_an_agent_stream_draws_what_string_seeding_draws(seed, name):
-    """Every stream starts in the state of ``random.Random``'s string seed: a
-    ``kind/agent-id`` stream as a bare MT19937, every other as a ``random.Random``."""
+    """Every stream, shared or an agent's, is a bare MT19937 that starts in the
+    state of ``random.Random``'s string seed."""
     rng = RngStreams(seed).get(name)
     reference = random.Random(f"{seed}/{name}")
-    assert type(rng) is (_random.Random if "/" in name else random.Random)
+    assert type(rng) is _random.Random
     assert _random.Random.getstate(rng) == reference.getstate()[1]
     assert [rng.random() for _ in range(1000)] == [reference.random() for _ in range(1000)]
     assert rng.getrandbits(70) == reference.getrandbits(70)

@@ -1,12 +1,10 @@
 """Prediction formulas, review resolution, and repost semantics."""
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csdsim import RunConfig, Task, TaskState
+from csdsim import Task, TaskState
 from csdsim.domain import Submission, failure_phase
 from csdsim.lifecycle import (
     compute_fpr,
@@ -16,7 +14,6 @@ from csdsim.lifecycle import (
     compute_tsr,
     repost,
     resolve_review,
-    sample_duration,
 )
 
 
@@ -69,16 +66,6 @@ def test_tcr_plus_tfr_is_one(registered, completed_frac):
 def test_tcr_undefined_is_zero():
     assert compute_tcr(0, 0) == 0.0
     assert compute_tfr(0, 0) == 1.0
-
-
-def test_sample_duration_bounds_and_mean():
-    cfg = RunConfig()
-    rng = random.Random(5)
-    draws = [sample_duration(rng, cfg) for _ in range(4000)]
-    assert min(draws) >= cfg.duration_min
-    assert max(draws) <= cfg.duration_max
-    mean = sum(draws) / len(draws)
-    assert mean == pytest.approx((1 + 16 + 30) / 3, abs=0.4)
 
 
 # ------------------------------------------------------------------ review

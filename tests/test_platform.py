@@ -14,14 +14,17 @@ from scipy.special import betainc
 
 from conftest import csdsim_env
 from csdsim import RunConfig
+from csdsim.config import build_config
 from csdsim.domain import DEFAULT_BELT_TABLE
 from csdsim.platform import (
+    _gamma,
     _ibeta_alpha1,
     arrival_times,
     implied_belt_shares,
     poisson_count,
     pool_openness,
     rating_share,
+    sample_duration,
     sample_experience,
     sample_similarity,
     sample_skill_mask,
@@ -108,6 +111,87 @@ def test_experience_bounds():
     rng = random.Random(8)
     draws = [sample_experience(rng, CFG) for _ in range(2000)]
     assert 0.0 <= min(draws) and max(draws) <= 3000.0
+
+
+def twins(name: str, seeds: int = 100):
+    """Pairs of ``random.Random`` streams in one state, one pair per seed."""
+    for seed in range(seeds):
+        rng = random.Random(f"{name}/{seed}")
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        yield rng, twin
+
+
+@pytest.mark.parametrize("gate", [None, 0.32, 0.6, 0.9])
+def test_similarity_draws_what_uniform_draws(gate):
+    """``sample_similarity`` is ``uniform`` over the gated band on a twin stream, in
+    value and in the state it leaves."""
+    cfg = dataclasses.replace(CFG, openness_gate=gate)
+    low, high = CFG.similarity_low, CFG.similarity_high
+    if gate is not None:
+        low, high = max(low, gate - CFG.openness_halfwidth), min(high, gate + CFG.openness_halfwidth)
+    for rng, twin in twins("similarity"):
+        for _ in range(20):
+            assert sample_similarity(rng, cfg) == twin.uniform(low, high)
+        assert rng.getstate() == twin.getstate()
+
+
+def test_sample_duration_bounds_and_mean():
+    cfg = RunConfig()
+    rng = random.Random(5)
+    draws = [sample_duration(rng, cfg) for _ in range(4000)]
+    assert min(draws) >= cfg.duration_min
+    assert max(draws) <= cfg.duration_max
+    mean = sum(draws) / len(draws)
+    assert mean == pytest.approx((1 + 16 + 30) / 3, abs=0.4)
+
+
+@pytest.mark.parametrize(
+    "low,mode,high", [(1.0, 16.0, 30.0), (1.0, 1.0, 30.0), (2.0, 9.0, 9.0), (5.0, 5.0, 5.0)]
+)
+def test_duration_draws_what_triangular_draws(low, mode, high):
+    """``sample_duration`` is ``triangular(low, high, mode)`` on a twin stream, in value
+    and in the state it leaves; at ``low == high`` both draw once and return ``low``."""
+    cfg = dataclasses.replace(CFG, duration_min=low, duration_mode=mode, duration_max=high)
+    for rng, twin in twins("duration"):
+        for _ in range(20):
+            assert sample_duration(rng, cfg) == twin.triangular(low, high, mode)
+        assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.999, 1.0, 1.001, 2.5, 5.0, 40.0])
+def test_gamma_draws_what_gammavariate_draws(alpha):
+    """Each branch of ``_gamma`` (GS below 1, the exponential at 1, Cheng's above)
+    is ``gammavariate(alpha, 1.0)`` on a twin stream, in value and final state."""
+    for rng, twin in twins(f"gamma/{alpha}", seeds=300):
+        for _ in range(20):
+            assert _gamma(rng.random, alpha) == twin.gammavariate(alpha, 1.0)
+        assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 5.0])
+@pytest.mark.parametrize("alpha", [0.005, 0.5, 1.0, 2.5])
+def test_experience_draws_what_betavariate_draws(alpha, beta):
+    """``sample_experience`` is ``betavariate`` scaled to ``experience_max`` on a twin
+    stream, in value and final state. At alpha 0.005 the first gamma draw often
+    underflows to 0.0, and then neither draws the second."""
+    cfg = dataclasses.replace(CFG, experience_alpha=alpha, experience_beta=beta)
+    zeros = 0
+    for rng, twin in twins("experience"):
+        for _ in range(20):
+            value = sample_experience(rng, cfg)
+            assert value == twin.betavariate(alpha, beta) * cfg.experience_max
+            zeros += value == 0.0
+        assert rng.getstate() == twin.getstate()
+    assert alpha > 0.005 or zeros > 10
+
+
+def test_the_largest_accepted_shapes_still_draw():
+    """From 2**1023 up, Cheng's ``sqrt(2 * alpha - 1)`` is inf and no draw is ever
+    accepted, so validation refuses such shapes; the largest shape below draws."""
+    top = math.nextafter(2.0**1023, 0.0)
+    cfg = build_config(None, [f"experience_alpha={top!r}", f"experience_beta={top!r}"])
+    assert 0.0 <= sample_experience(random.Random(1), cfg) <= cfg.experience_max
 
 
 def test_skill_mask_counts():
