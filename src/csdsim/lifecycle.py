@@ -7,7 +7,6 @@ applied to every task that has reached the submission phase.
 
 from __future__ import annotations
 
-from .config import RunConfig
 from .domain import Task, TaskState
 
 
