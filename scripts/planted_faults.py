@@ -34,6 +34,7 @@ PLATFORM = "src/csdsim/platform.py"
 EXPERIENCE = "tests/test_platform.py::test_experience_draws_what_betavariate_draws"
 DURATION = "tests/test_platform.py::test_duration_draws_what_triangular_draws"
 VALIDATION = "tests/test_config_io.py::test_validation_errors_name_the_key"
+LAZY_LOADS = "tests/test_history.py::test_numpy_and_scipy_load_only_for_the_evaluation"
 
 
 class Fault(NamedTuple):
@@ -328,6 +329,15 @@ FAULTS = (
     Fault("beta-draws-past-a-zero", PLATFORM, " if y else", " if True else", f"{EXPERIENCE}[0.005-5.0]"),
     Fault("triangular-without-swap", PLATFORM, "1.0 - c, high, low", "1.0 - c, low, high", f"{DURATION}[1.0-16.0-30.0]"),
     Fault("shape-bound-dropped", "src/csdsim/config.py", " < 2.0 ** 1023", "", f"{VALIDATION}[experience_beta=1e308]"),
+    Fault(
+        "blocked-run-drops-a-replication",
+        "scripts/cross_interpreter.py",
+        "*script.frozen_lines()",
+        "*script.frozen_lines()[:-2]",
+        "tests/test_scripts.py::test_cross_interpreter_prints_nothing_for_this_interpreter",
+    ),
+    Fault("sweep-imports-numpy", "src/csdsim/scenarios.py", "import math\n", "import math\nimport numpy\n", LAZY_LOADS),
+    Fault("t-tail-loads-scipy-stats", "src/csdsim/history.py", "from scipy", "import scipy.stats; from scipy", LAZY_LOADS),
 )
 
 

@@ -1,6 +1,6 @@
 """Every frozen value matches its recorded line: each command's artifacts and
-stdout, the default config's echo, and each pinned replication. The same lines
-are checked with numpy and scipy unimportable in test_history."""
+stdout, the default config's echo, and each pinned replication. test_scripts
+rechecks the lines that need no numpy with numpy and scipy unimportable."""
 
 import time
 

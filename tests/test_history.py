@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtr
 
-from conftest import DATA_DIR, SCRIPTS_DIR, load_script, run_python
+from conftest import TINY, load_script, run_python
 from csdsim import TaskState, history, run_replication
 from csdsim.domain import REGISTRATION_PHASE, SUBMISSION_PHASE
 from csdsim.history import (
@@ -624,56 +624,23 @@ def test_stdtr_is_bit_identical_to_t_sf(df):
         assert float(stdtr(df, -t)) == float(scipy_stats.t.sf(t, df)), (df, t)
 
 
-def test_import_csdsim_loads_neither_numpy_nor_scipy():
-    code = "import csdsim, sys; print('numpy' in sys.modules, 'scipy' in sys.modules)"
-    assert run_python("-c", code) == "False False\n"
-
-
-# A None entry in sys.modules makes any import of that name fail; csdsim
-# computes its own control-chart sigma, so it needs no statistics either.
-BLOCKED_PRELUDE = f"""
-import sys
-sys.modules["numpy"] = sys.modules["scipy"] = sys.modules["statistics"] = None
-sys.path.insert(0, {str(SCRIPTS_DIR)!r})
-import artifact_digests as script
-"""
-
-
-def recorded(*groups: str) -> dict:
-    """The recorded digest lines whose name starts with one of ``groups``."""
-    lines = (DATA_DIR / "artifact_digests.txt").read_text(encoding="utf-8").splitlines()
-    return {k: v for k, v in (line.split(" ", 1) for line in lines) if k.split("/")[0] in groups}
-
-
-def test_replications_run_with_numpy_and_scipy_unimportable():
-    code = BLOCKED_PRELUDE + """
-from csdsim import RunConfig, run_diversity_scenario
-print(*script.frozen_lines(), sep="\\n")
-report, _ = run_diversity_scenario(RunConfig(seed=2000, replications=1))
-print(*(outcome.label for outcome in report.outcomes))
-"""
-    *lines, labels = run_python("-c", code).splitlines()
-    frozen = recorded("defaults", *(name for name, _cfg in load_script("artifact_digests").REPLICATIONS))
-    assert dict(line.split(" ", 1) for line in lines) == frozen
-    assert labels == "elite_only mid_and_up green_and_up all_welcome"
-
-
-def test_calibrate_fps_runs_with_numpy_unimportable():
-    code = BLOCKED_PRELUDE + """
-print(*script.command_digests("calibrate_fps", dict(script.COMMANDS)["calibrate_fps"]), sep="\\n")
-"""
-    lines = run_python("-c", code).splitlines()
-    assert dict(line.split(" ", 1) for line in lines) == recorded("calibrate_fps")
-
-
-def test_evaluate_forecast_loads_numpy_and_scipy(data_dir):
+def test_numpy_and_scipy_load_only_for_the_evaluation(data_dir):
+    # import, ingest and a policy sweep load neither (nor statistics); the evaluation
+    # loads numpy and scipy.special, never scipy.stats
     code = f"""
 import sys
-from csdsim import evaluate_forecast, ingest_history, ingest_predictions
-history = ingest_history({str(data_dir / "eval_history.csv")!r})
-predictions = ingest_predictions({str(data_dir / "eval_predictions.csv")!r})
-print('numpy' in sys.modules, 'scipy' in sys.modules)
-evaluate_forecast(history, predictions)
-print('numpy' in sys.modules, 'scipy.special' in sys.modules)
+import csdsim
+def loaded():
+    print(*(name in sys.modules for name in ("numpy", "scipy", "scipy.special", "scipy.stats", "statistics")))
+loaded()
+history = csdsim.ingest_history({str(data_dir / "eval_history.csv")!r})
+predictions = csdsim.ingest_predictions({str(data_dir / "eval_predictions.csv")!r})
+loaded()
+report, _ = csdsim.run_diversity_scenario(csdsim.RunConfig(seed=2000, **{TINY!r}))
+print(*(outcome.label for outcome in report.outcomes))
+loaded()
+csdsim.evaluate_forecast(history, predictions)
+loaded()
 """
-    assert run_python("-c", code).splitlines() == ["False False", "True True"]
+    labels, none = "elite_only mid_and_up green_and_up all_welcome", "False False False False False"
+    assert run_python("-c", code).splitlines() == [none, none, labels, none, "True True True False False"]

@@ -43,8 +43,16 @@ def test_eval_fixture_is_what_its_generator_writes(tmp_path, monkeypatch):
 
 
 def test_cross_interpreter_prints_nothing_for_this_interpreter():
-    # with numpy, scipy and statistics blocked, every record line it computes is recorded
+    # with numpy, scipy and statistics blocked, it computes exactly the record lines that need no numpy
     assert run_python(str(SCRIPTS_DIR / "cross_interpreter.py"), sys.executable) == ""
+
+
+def test_cross_interpreter_names_an_interpreter_it_cannot_start(tmp_path):
+    missing = str(tmp_path / "python3")
+    argv = [sys.executable, str(SCRIPTS_DIR / "cross_interpreter.py"), missing]
+    out = subprocess.run(argv, capture_output=True, text=True, env=csdsim_env())
+    assert (out.returncode, "Traceback" in out.stderr) == (1, False), out.stderr
+    assert f"{missing} [Errno 2] No such file or directory" in out.stdout
 
 
 def test_readme_scripts_table_names_every_script():
