@@ -18,6 +18,15 @@ from csdsim import RunConfig, run_replication
 from csdsim.history import HISTORY_COLUMNS, PREDICTION_COLUMNS
 
 
+def write_history(result, path: Path, note: str) -> None:
+    """Write ``result``'s task log to ``path`` as a history CSV, under a ``# note`` line."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# {note}\n")
+        writer = csv.writer(fh)
+        writer.writerow(HISTORY_COLUMNS)
+        writer.writerows([rec[c] for c in HISTORY_COLUMNS] for rec in result.task_log)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=RunConfig().seed)
@@ -29,11 +38,7 @@ def main() -> None:
     args.out.mkdir(parents=True, exist_ok=True)
 
     history_path = args.out / "history.csv"
-    with open(history_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# simulated task history, seed={cfg.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        writer.writerows([rec[c] for c in HISTORY_COLUMNS] for rec in result.task_log)
+    write_history(result, history_path, f"simulated task history, seed={cfg.seed}")
 
     predictions_path = args.out / "predictions.csv"
     with open(predictions_path, "w", encoding="utf-8", newline="") as fh:

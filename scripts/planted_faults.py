@@ -9,7 +9,9 @@ node fails or ``MISSED`` if it passes. It exits 1 if any fault is missed.
 
     python3 scripts/planted_faults.py
 
-Hypothesis draws with ``--hypothesis-seed 0``, so a run is reproducible. A
+Each node runs as tier-1 runs it, under the Hypothesis profile that
+``tests/conftest.py`` loads, so a property test draws the examples it draws
+in every tier-1 run and ``bites`` means tier-1 itself catches the fault. A
 change that shows a fault failing a test adds it here; a change that removes
 the code a fault lives in removes its entry and says why.
 """
@@ -35,6 +37,7 @@ EXPERIENCE = "tests/test_platform.py::test_experience_draws_what_betavariate_dra
 DURATION = "tests/test_platform.py::test_duration_draws_what_triangular_draws"
 VALIDATION = "tests/test_config_io.py::test_validation_errors_name_the_key"
 LAZY_LOADS = "tests/test_history.py::test_numpy_and_scipy_load_only_for_the_evaluation"
+PROFILE = "tests/test_config_fuzz.py::test_every_property_test_draws_one_fixed_set_of_examples"
 
 
 class Fault(NamedTuple):
@@ -338,24 +341,24 @@ FAULTS = (
     ),
     Fault("sweep-imports-numpy", "src/csdsim/scenarios.py", "import math\n", "import math\nimport numpy\n", LAZY_LOADS),
     Fault("t-tail-loads-scipy-stats", "src/csdsim/history.py", "from scipy", "import scipy.stats; from scipy", LAZY_LOADS),
+    Fault("examples-drawn-afresh", "tests/conftest.py", "derandomize=True", "derandomize=False", PROFILE),
 )
 
 
 def pytest_code(tree: Path, nodes) -> int:
     """pytest's exit code on ``nodes`` in ``tree``: 0 all passed, 1 one failed, more an error."""
-    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)  # no example carries over
     paths = [str(tree / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     # no bytecode: a same-length fault planted within the second would reuse a stale .pyc
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-    argv += ["--hypothesis-seed", "0", *nodes]
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes]
     return subprocess.run(argv, cwd=tree, env=env, capture_output=True).returncode
 
 
 def main() -> int:
     start = time.perf_counter()
     missed = 0
+    width = max(len(fault.name) for fault in FAULTS)
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -380,7 +383,7 @@ def main() -> int:
                 sys.exit(f"{fault.name}: pytest exited {code}, not with a test failure")
             bites = code == 1
             missed += not bites
-            print(f"{'bites' if bites else 'MISSED':6}  {fault.name:29}  {fault.node}", flush=True)
+            print(f"{'bites' if bites else 'MISSED':6}  {fault.name:{width}}  {fault.node}", flush=True)
     print(f"{len(FAULTS) - missed} of {len(FAULTS)} bite, in {time.perf_counter() - start:.0f} s")
     return 1 if missed else 0
 

@@ -6,11 +6,17 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import csdsim
 from csdsim import RunConfig, Simulation, TaskState
 from csdsim.agents import permanent_exclusion, preference_weight
 from csdsim.lifecycle import compute_tsr
+
+# Each property test draws the same examples on every run, from its own source and the installed
+# Hypothesis, replays no stored example and has no deadline; its ``@settings`` sets only max_examples.
+settings.register_profile("csdsim", derandomize=True, database=None, deadline=None)
+settings.load_profile("csdsim")
 
 DATA_DIR = Path(__file__).parent / "data"
 SCRIPTS_DIR = Path(__file__).resolve().parents[1] / "scripts"

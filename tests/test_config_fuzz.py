@@ -14,14 +14,14 @@ in [0, 1]. Registration and submission rates whose mean gap falls below the
 clock's resolution are refused when built; arrival rates stay small, because
 a huge one is a memory limit rather than a config error.
 
-Tier-1 runs no search; the examples that must repost, complete and fail
-review are pinned: ``PINNED`` is an example of both property tests, and
-plain tests assert that it does all three. ``MIXED_REVIEW``, an example of
-the busy-market test, reviews a task whose first submission is unqualified
-and a later one qualified, and a plain test asserts that the task completes.
+Tier-1 runs no search: under the profile ``conftest`` loads, each property
+test draws the same examples on every run. ``PINNED``, an example of both
+property tests, reposts, completes and fails review, and plain tests assert
+each. ``MIXED_REVIEW``, an example of the busy-market test, reviews a task
+whose first submission is unqualified and a later one qualified, and a plain
+test asserts that the task completes.
 """
 
-import csv
 import math
 import tempfile
 from pathlib import Path
@@ -30,17 +30,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CheckedSimulation, assert_structural_invariants
+from conftest import CheckedSimulation, assert_structural_invariants, load_script
 from csdsim import ConfigError, RunConfig, TaskState, emit_outputs
 from csdsim.config import FOLLOW_THROUGH_FIELDS
 from csdsim.domain import DEFAULT_BELT_TABLE
-from csdsim.history import (
-    HISTORY_COLUMNS,
-    evaluate_forecast,
-    ingest_history,
-    ingest_predictions,
-    result_latest_predictions,
-)
+from csdsim.history import evaluate_forecast, ingest_history, ingest_predictions, result_latest_predictions
+
+write_history = load_script("make_history_fixture").write_history
 
 # Keys for which every drawn bad value (NaN, +inf, -inf, -1) is out of range.
 BAD_KEYS = (
@@ -143,7 +139,12 @@ def test_a_review_of_a_mixed_field_completes_on_a_later_qualified_submission():
     assert [task.state for task in mixed] == [TaskState.COMPLETED]
 
 
-@settings(max_examples=60, deadline=None)
+def test_every_property_test_draws_one_fixed_set_of_examples():
+    # the profile conftest loads: the same examples on every run, none replayed, no timing verdict
+    assert (settings.default.derandomize, settings.default.database, settings.default.deadline) == (True, None, None)
+
+
+@settings(max_examples=60)
 @given(changes=busy_markets())
 @example(changes=PINNED)
 @example(changes=MIXED_REVIEW)
@@ -160,7 +161,7 @@ def test_a_busy_market_keeps_its_invariants_and_scores(changes):
         assert all(p is None or 0.0 <= p <= 1.0 for p in (scored.pearson_p, scored.t_p))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(drawn=small_configs())
 @example(drawn=(PINNED, None))
 def test_a_config_is_refused_when_built_or_runs(drawn):
@@ -190,10 +191,7 @@ def test_a_config_is_refused_when_built_or_runs(drawn):
 
 
 def logged_history(result, path):
-    """The replication's task log written as a history CSV and read back by the ingester."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        writer.writerows([rec[c] for c in HISTORY_COLUMNS] for rec in result.task_log)
+    """The replication's task log written as the fixture script writes it, read back by the ingester."""
+    write_history(result, path, "a drawn replication")
     return ingest_history(str(path))
 

@@ -5,7 +5,6 @@ import io
 import math
 import os
 import re
-import sys
 from unittest import mock
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtr
 
-from conftest import TINY, load_script, run_python
+from conftest import SCRIPTS_DIR, TINY, run_python
 from csdsim import TaskState, history, run_replication
 from csdsim.domain import REGISTRATION_PHASE, SUBMISSION_PHASE
 from csdsim.history import (
@@ -266,7 +265,7 @@ def _ingested(ingest, path):
     [(ingest_history, HISTORY_COLUMNS), (ingest_predictions, PREDICTION_COLUMNS)],
     ids=["history", "predictions"],
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(data=st.data())
 def test_record_reader_matches_dictreader(fuzz_path, ingest, columns, data):
     fuzz_path.write_text(data.draw(csv_texts(columns)), encoding="utf-8", newline="")
@@ -441,14 +440,16 @@ def test_fixture_files_read_as_csdsim_own_strings(data_dir):
     assert_own_strings(rows, latest)
 
 
-def test_an_exported_replication_reads_as_csdsim_own_strings(tmp_path, monkeypatch):
-    script = load_script("make_history_fixture")
-    monkeypatch.setattr(sys, "argv", ["make_history_fixture.py", "--out", str(tmp_path)])
-    script.main()
-    rows = ingest_history(str(tmp_path / "history.csv"))
-    latest = ingest_predictions(str(tmp_path / "predictions.csv"))
+def test_an_exported_replication_reads_as_csdsim_own_strings(tmp_path):
+    # what the simulator writes, its own ingesters accept
+    history, predictions = str(tmp_path / "history.csv"), str(tmp_path / "predictions.csv")
+    run_python(str(SCRIPTS_DIR / "make_history_fixture.py"), "--out", str(tmp_path))
+    rows, latest = ingest_history(history), ingest_predictions(predictions)
     assert {row.failure_phase for row in rows} == {"", *PHASES}  # stated phases are read
     assert_own_strings(rows, latest)
+    argv = ["--history", history, "--predictions", predictions, "--set", "replications=1"]
+    stdout = run_python("-m", "csdsim.cli", "evaluate", *argv, "--out", str(tmp_path / "eval"))
+    assert re.search(r"^registration: mre ", stdout, re.MULTILINE)
 
 
 def test_history_rows_are_immutable_hashable_values():
@@ -551,7 +552,7 @@ def scored_inputs(draw):
     return rows, draw(st.dictionaries(keys, values, max_size=2 * n))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(inputs=scored_inputs())
 def test_scores_equal_the_reference_loop_on_drawn_histories(inputs):
     assert_scored_alike(*inputs)
@@ -593,7 +594,7 @@ def scored_files(draw):
     return history, predictions
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(files=scored_files())
 def test_files_both_ingesters_accept_score_cleanly(tmp_path_factory, files):
     paths = []

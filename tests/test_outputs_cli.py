@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import csdsim.cli
 import csdsim.engine
-import csdsim.scenarios
 from conftest import load_script
 from csdsim import (
     ModelInvariantError,
@@ -184,14 +183,14 @@ def test_cli_unwritable_out_exits_one_before_any_replication(
     tmp_path, capsys, monkeypatch, command, out_name, reason
 ):
     (tmp_path / "taken").write_text("not a directory\n")
-    monkeypatch.setattr(csdsim.scenarios, "run_replication", refuse_to_run)
+    monkeypatch.setattr(csdsim.engine.Simulation, "run", refuse_to_run)
     out = tmp_path / out_name
     assert main([*command, "--out", str(out), *TINY_OVERRIDES]) == 1
     assert capsys.readouterr().err == f"error: cannot write --out {out}: {reason}\n"
 
 
 def test_cli_out_in_a_directory_it_may_not_write_exits_one(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(csdsim.scenarios, "run_replication", refuse_to_run)
+    monkeypatch.setattr(csdsim.engine.Simulation, "run", refuse_to_run)
     monkeypatch.setattr(csdsim.cli.os, "access", lambda path, mode: False)  # os.access grants root everything
     out = tmp_path / "x"
     assert main(["run", "--out", str(out), *TINY_OVERRIDES]) == 1
@@ -211,7 +210,7 @@ def test_cli_bad_history_is_reported_before_a_bad_out(tmp_path, capsys, monkeypa
     history.write_text(HISTORY_HEADER + "t1,0,5,3,1,exploded,\n")
     out = tmp_path / "taken"
     out.write_text("not a directory\n")
-    monkeypatch.setattr(csdsim.scenarios, "run_replication", refuse_to_run)
+    monkeypatch.setattr(csdsim.engine.Simulation, "run", refuse_to_run)
     assert main(["evaluate", "--history", str(history), "--out", str(out), *TINY_OVERRIDES]) == 2
     assert "row 2" in capsys.readouterr().err
 
@@ -281,14 +280,14 @@ def test_cli_diversity_on_a_custom_table_admits_by_rank(
 ):
     table = tmp_path / "belts.csv"
     table.write_text(table_text)
-    original = csdsim.scenarios.run_replication
+    original = csdsim.engine.Simulation.run
     seen = []
 
-    def counted(cfg):
-        seen.append(cfg.admitted_belts)
-        return original(cfg)
+    def counted(sim):
+        seen.append(sim.cfg.admitted_belts)
+        return original(sim)
 
-    monkeypatch.setattr(csdsim.scenarios, "run_replication", counted)
+    monkeypatch.setattr(csdsim.engine.Simulation, "run", counted)
     argv = ["scenario", "diversity", "--out", str(tmp_path / "x"), *TINY_OVERRIDES]
     argv += ["--set", f"belt_table_path={table}", "--set", "familiarity_belts=gray"]
     assert main(argv) == 0
@@ -501,10 +500,10 @@ def test_cli_usage_error_exits_two(argv, capsys):
 
 
 def test_cli_model_invariant_violation_exits_three(tmp_path, capsys, monkeypatch):
-    def broken(cfg):
+    def broken(sim):
         raise ModelInvariantError("task 3: illegal move")
 
-    monkeypatch.setattr(csdsim.cli, "run_replications", broken)
+    monkeypatch.setattr(csdsim.engine.Simulation, "run", broken)
     out = tmp_path / "x"
     assert main(["run", "--out", str(out), *TINY_OVERRIDES]) == 3
     assert capsys.readouterr().err == "error: task 3: illegal move\n"

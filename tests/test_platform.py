@@ -67,7 +67,7 @@ def test_poisson_count_draws_what_an_expovariate_loop_draws(lam):
 
 
 @given(lam=st.floats(min_value=0, max_value=40), seed=st.integers(0, 2**16))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_poisson_count_is_a_count(lam, seed):
     value = poisson_count(random.Random(seed), lam)
     assert isinstance(value, int)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats as scipy_stats
 
+import csdsim.engine
 import csdsim.scenarios
 from csdsim import (
     ConfigError,
@@ -151,14 +152,14 @@ def test_run_sweep_runs_replication_r_of_every_policy_before_r_plus_one(
     scenario_cfg, monkeypatch
 ):
     cfg = dataclasses.replace(scenario_cfg, focal_enabled=True)
-    original = csdsim.scenarios.run_replication
+    original = csdsim.engine.Simulation.run
     seen = []
 
-    def recording(rep_cfg):
-        seen.append((rep_cfg.seed, rep_cfg.focal_arrival))
-        return original(rep_cfg)
+    def recording(sim):
+        seen.append((sim.cfg.seed, sim.cfg.focal_arrival))
+        return original(sim)
 
-    monkeypatch.setattr(csdsim.scenarios, "run_replication", recording)
+    monkeypatch.setattr(csdsim.engine.Simulation, "run", recording)
     what_if_posting_day(cfg, 20.0)
     assert seen == [(cfg.seed + r, day) for r in range(3) for day in (15.0, 20.0)]
 
@@ -183,7 +184,7 @@ def test_run_sweep_validates_every_policy_before_any_replication(
     # gray and red have follow-through keys; only the admitted blue belt is absent
     blue = dataclasses.replace(valid, belt_table_path=str(table), admitted_belts=("blue",))
     ran = []
-    monkeypatch.setattr(csdsim.scenarios, "run_replication", ran.append)
+    monkeypatch.setattr(csdsim.engine.Simulation, "run", ran.append)
     with pytest.raises(ConfigError, match="admitted_belts"):
         run_sweep("probe", [("valid", valid), ("blue", blue)])
     assert ran == []
