@@ -64,6 +64,15 @@ def data_dir() -> Path:
     return DATA_DIR
 
 
+@pytest.fixture(scope="session")
+def exported_history(tmp_path_factory) -> Path:
+    """A directory holding ``history.csv`` and ``predictions.csv`` as
+    ``scripts/make_history_fixture.py`` writes them, run once as a program."""
+    out = tmp_path_factory.mktemp("exported_history")
+    run_python(str(SCRIPTS_DIR / "make_history_fixture.py"), "--out", str(out))
+    return out
+
+
 @pytest.fixture()
 def tiny_cfg() -> RunConfig:
     """A fast configuration: the digest record's tiny sizes, at two replications."""

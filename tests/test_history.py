@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtr
 
-from conftest import SCRIPTS_DIR, TINY, run_python
+from conftest import TINY, run_python
 from csdsim import TaskState, history, run_replication
 from csdsim.domain import REGISTRATION_PHASE, SUBMISSION_PHASE
 from csdsim.history import (
@@ -440,16 +440,11 @@ def test_fixture_files_read_as_csdsim_own_strings(data_dir):
     assert_own_strings(rows, latest)
 
 
-def test_an_exported_replication_reads_as_csdsim_own_strings(tmp_path):
-    # what the simulator writes, its own ingesters accept
-    history, predictions = str(tmp_path / "history.csv"), str(tmp_path / "predictions.csv")
-    run_python(str(SCRIPTS_DIR / "make_history_fixture.py"), "--out", str(tmp_path))
-    rows, latest = ingest_history(history), ingest_predictions(predictions)
+def test_an_exported_replication_reads_as_csdsim_own_strings(exported_history):
+    rows = ingest_history(str(exported_history / "history.csv"))
+    latest = ingest_predictions(str(exported_history / "predictions.csv"))
     assert {row.failure_phase for row in rows} == {"", *PHASES}  # stated phases are read
     assert_own_strings(rows, latest)
-    argv = ["--history", history, "--predictions", predictions, "--set", "replications=1"]
-    stdout = run_python("-m", "csdsim.cli", "evaluate", *argv, "--out", str(tmp_path / "eval"))
-    assert re.search(r"^registration: mre ", stdout, re.MULTILINE)
 
 
 def test_history_rows_are_immutable_hashable_values():

@@ -20,6 +20,18 @@ def test_calibration_report_prints_fit_and_belts():
     assert "  gray    published  0.900  analytic  0.832\n" in stdout
 
 
+def test_history_fixture_round_trips_through_evaluate(exported_history, tmp_path):
+    # what the simulator writes, its own evaluate command scores
+    stdout = run_python(
+        "-m", "csdsim.cli", "evaluate",
+        "--history", str(exported_history / "history.csv"),
+        "--predictions", str(exported_history / "predictions.csv"),
+        "--set", "replications=1",
+        "--out", str(tmp_path / "eval"),
+    )
+    assert re.search(r"^registration: mre ", stdout, re.MULTILINE)
+
+
 def test_eval_fixture_is_what_its_generator_writes(tmp_path, monkeypatch):
     # criterion 9's exact MREs are read off these committed files
     script = load_script("make_eval_fixture")
